@@ -6,7 +6,7 @@ coset geometry tests in finite group powers and generators for positive,
 negative, and adversarial instances.
 """
 
-from .catalog import IsoClass, catalog, classify_group, is_isomorphic
+from .catalog import IsoClass, classify_group, is_isomorphic
 from .cosets import (
     AmbientGroup,
     CosetReport,

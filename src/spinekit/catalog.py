@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .errors import TooLarge
 from .groups import GroupTable
+from .model import compose_indexed
 
 CLASSIFY_LIMIT = 24
 
@@ -61,11 +61,12 @@ def dihedral_group(n: int) -> GroupTable:
 
 
 def _perm_group(perms: set[tuple[int, ...]]) -> GroupTable:
-    """Group of permutations in one-line notation, labeled by digit strings."""
+    """Group of permutations in one-line notation, labeled by digit strings;
+    the product p.q applies q first."""
     label = lambda p: "".join(str(i) for i in p)
     elems = sorted(perms)
     product = {
-        (label(p), label(q)): label(tuple(p[q[i]] for i in range(len(q))))
+        (label(p), label(q)): label(compose_indexed(q, p))
         for p in elems
         for q in elems
     }
@@ -272,11 +273,10 @@ class IsoClass:
 def classify_group(g: GroupTable) -> IsoClass:
     """Match a table against the catalog up to isomorphism.
 
-    Unmatched groups report unclassified with their order profile.
+    Unmatched groups, among them every group above order 24, report
+    unclassified with their order profile.
     """
     n = len(g)
-    if n > CLASSIFY_LIMIT:
-        raise TooLarge(f"classification supports order <= {CLASSIFY_LIMIT}, got {n}")
     profile = g.order_profile()
     for name, candidate in catalog():
         if len(candidate) != n or candidate.order_profile() != profile:

@@ -15,13 +15,7 @@ from pathlib import Path
 
 from .catalog import classify_group, cyclic_group, klein_group, symmetric_group
 from .cosets import AmbientGroup, coset_test, partition_check
-from .document import (
-    load_group,
-    load_spine,
-    parse_document,
-    serialize_group,
-    serialize_spine,
-)
+from .document import load_group, load_spine, serialize_group, serialize_spine
 from .errors import (
     DocumentError,
     EmptySet,
@@ -110,7 +104,7 @@ def cmd_regularity(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    spine = parse_document(_read(args.file))
+    spine, _ = load_spine(_read(args.file))
     result = extend_to_groupoid(spine)
     print(f"conservative: {'true' if result.conservative else 'false'}")
     print(f"iterations: {result.iterations}")
@@ -123,7 +117,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    spine = parse_document(_read(args.file))
+    spine, _ = load_spine(_read(args.file))
     result = extend_to_groupoid(spine)
     action = extract_group(result, args.object)
     cls = classify_group(action.group)
@@ -205,7 +199,7 @@ def cmd_gen(args) -> int:
         if not args.base:
             print("error: --kind perturbed needs --base", file=sys.stderr)
             return 2
-        base = parse_document(_read(args.base))
+        base, _ = load_spine(_read(args.base))
         spine = perturb_spine(base, args.seed)
         spec = GeneratorSpec("perturbed", seed=args.seed)
     _emit_document(serialize_spine(spine, meta=spec.meta()), args.out)
@@ -301,6 +295,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exception classes -> (rendering, stream, exit code), matched in order so
+# that ValidationError is caught before its base class DocumentError.
+_ERRORS = (
+    (
+        (ValidationError, InvalidSpine, NotRegular),
+        lambda exc: "\n".join(exc.report.render_lines()),
+        "stdout",
+        1,
+    ),
+    ((SearchExhausted,), "search exhausted: {}".format, "stdout", 1),
+    (
+        (
+            DocumentError,
+            UnknownObject,
+            UnknownElement,
+            NotPrime,
+            TooLarge,
+            EmptySet,
+            MixedSignature,
+            ValueError,
+            OSError,
+        ),
+        "error: {}".format,
+        "stderr",
+        2,
+    ),
+)
+_HANDLED = tuple(cls for classes, *_ in _ERRORS for cls in classes)
+
+
 def run_command(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -309,34 +333,12 @@ def run_command(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print("\n".join(exc.report.render_lines()))
-        return 1
-    except InvalidSpine as exc:
-        print("\n".join(exc.report.render_lines()))
-        return 1
-    except NotRegular as exc:
-        print("\n".join(exc.report.render_lines()))
-        return 1
-    except SearchExhausted as exc:
-        print(f"search exhausted: {exc}")
-        return 1
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        UnknownObject,
-        UnknownElement,
-        NotPrime,
-        TooLarge,
-        EmptySet,
-        MixedSignature,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except _HANDLED as exc:
+        render, stream, code = next(
+            row[1:] for row in _ERRORS if isinstance(exc, row[0])
+        )
+        print(render(exc), file=getattr(sys, stream))
+        return code
 
 
 def main() -> None:

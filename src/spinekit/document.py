@@ -39,6 +39,38 @@ def _check_label(label: Any, path: str) -> str:
     return label
 
 
+def _load_object(text: str | bytes, keys: set[str], required: tuple[str, ...]) -> dict:
+    """The front end shared by spine documents and group-table files: decode
+    UTF-8, parse JSON, and check the top-level keys and the format version.
+
+    `keys` are the allowed top-level keys; `required` lists those besides
+    format_version that must be present.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DocumentSyntaxError(f"not valid UTF-8: {exc}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentSyntaxError(
+            f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
+        ) from None
+    _require(isinstance(doc, dict), "document must be a JSON object", "$")
+    for key in doc:
+        if key not in keys:
+            raise SchemaError(f"unknown top-level key {key!r}", "$")
+    for key in ("format_version", *required):
+        _require(key in doc, f"missing required key {key!r}", "$")
+    _require(
+        doc["format_version"] == FORMAT_VERSION,
+        f"unsupported format_version {doc['format_version']!r}",
+        "format_version",
+    )
+    return doc
+
+
 def serialize_spine(spine: GroupoidSpine, meta: Optional[dict] = None) -> str:
     """Canonical document text: objects in spine order, pairs in canonical
     order, morphism lists verbatim, mapping keys in carrier order."""
@@ -65,28 +97,7 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
     Raises DocumentSyntaxError for malformed JSON and SchemaError (with a
     path like morphisms."1|3"[2]) for shape problems.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DocumentSyntaxError(f"not valid UTF-8: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError(
-            f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
-        ) from None
-    _require(isinstance(doc, dict), "document must be a JSON object", "$")
-    for key in doc:
-        if key not in _SPINE_KEYS:
-            raise SchemaError(f"unknown top-level key {key!r}", "$")
-    for key in ("format_version", "objects", "sets", "pairs", "morphisms"):
-        _require(key in doc, f"missing required key {key!r}", "$")
-    _require(
-        doc["format_version"] == FORMAT_VERSION,
-        f"unsupported format_version {doc['format_version']!r}",
-        "format_version",
-    )
+    doc = _load_object(text, _SPINE_KEYS, ("objects", "sets", "pairs", "morphisms"))
 
     objects = doc["objects"]
     _require(isinstance(objects, list) and objects, "objects must be a non-empty list", "objects")
@@ -194,28 +205,7 @@ def serialize_group(table: GroupTable, meta: Optional[dict] = None) -> str:
 
 def load_group(text: str | bytes) -> GroupTable:
     """Parse a group-table file; the inverse block is optional."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DocumentSyntaxError(f"not valid UTF-8: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError(
-            f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
-        ) from None
-    _require(isinstance(doc, dict), "document must be a JSON object", "$")
-    for key in doc:
-        if key not in _GROUP_KEYS:
-            raise SchemaError(f"unknown top-level key {key!r}", "$")
-    for key in ("format_version", "elements", "identity", "product"):
-        _require(key in doc, f"missing required key {key!r}", "$")
-    _require(
-        doc["format_version"] == FORMAT_VERSION,
-        f"unsupported format_version {doc['format_version']!r}",
-        "format_version",
-    )
+    doc = _load_object(text, _GROUP_KEYS, ("elements", "identity", "product"))
     elements = doc["elements"]
     _require(
         isinstance(elements, list) and elements,

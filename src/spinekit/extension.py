@@ -17,11 +17,15 @@ from .errors import InvalidSpine, NotRegular, TheoremViolation
 from .model import (
     FiniteMap,
     GroupoidSpine,
+    Indexed,
+    compose_indexed,
+    decode,
+    element_index,
+    encode,
     invert,
+    invert_indexed,
     validate_spine,
 )
-
-IndexedMap = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -67,44 +71,13 @@ class ExtensionResult:
     iterations: int
 
 
-class _Indexed:
-    """Integer-tuple view of a spine's morphism data for fast closure.
-
-    A map X_i -> X_j is the tuple t with t[x] = index of the image of the
-    x-th element of X_i in X_j's element order.
-    """
-
-    def __init__(self, spine: GroupoidSpine):
-        self.objects = spine.objects
-        self.elems = {o: spine.sets[o].elements for o in spine.objects}
-        self.index = {
-            o: {e: n for n, e in enumerate(self.elems[o])} for o in spine.objects
-        }
-        self.mor: dict[tuple[str, str], set[IndexedMap]] = {}
-        for pair, fams in spine.morphisms.items():
-            i, j = pair
-            enc = self.index[j]
-            src = self.elems[i]
-            self.mor[pair] = {
-                tuple(enc[f(x)] for x in src) for f in fams
-            }
-
-    def to_map(self, pair: tuple[str, str], t: IndexedMap) -> FiniteMap:
-        i, j = pair
-        src, tgt = self.elems[i], self.elems[j]
-        return FiniteMap(i, j, {src[x]: tgt[t[x]] for x in range(len(src))})
-
-
-def _compose_idx(f: IndexedMap, g: IndexedMap) -> IndexedMap:
-    # apply f first, then g
-    return tuple(g[y] for y in f)
-
-
-def _invert_idx(f: IndexedMap) -> IndexedMap:
-    inv = [0] * len(f)
-    for x, y in enumerate(f):
-        inv[y] = x
-    return tuple(inv)
+def _encode_morphisms(spine: GroupoidSpine) -> dict[tuple[str, str], set[Indexed]]:
+    """Each pair's morphisms as a set of indexed maps."""
+    index = {o: element_index(spine.sets[o].elements) for o in spine.objects}
+    return {
+        (i, j): {encode(f, spine.sets[i].elements, index[j]) for f in fams}
+        for (i, j), fams in spine.morphisms.items()
+    }
 
 
 def check_regularity(spine: GroupoidSpine) -> RegularityReport:
@@ -121,21 +94,20 @@ def check_regularity(spine: GroupoidSpine) -> RegularityReport:
 
 def _regularity_unchecked(spine: GroupoidSpine) -> RegularityReport:
     violations: list[RegularityViolation] = []
-    ix = _Indexed(spine)
+    mor = _encode_morphisms(spine)
     for pair in spine.sorted_pairs():
         i, j = pair
-        ni, nj = len(ix.elems[i]), len(ix.elems[j])
+        src, tgt = spine.sets[i].elements, spine.sets[j].elements
+        ni, nj = len(src), len(tgt)
         counts = [[0] * nj for _ in range(ni)]
-        for t in ix.mor[pair]:
+        for t in mor[pair]:
             for x in range(ni):
                 counts[x][t[x]] += 1
         for x in range(ni):
             for y in range(nj):
                 if counts[x][y] != 1:
                     violations.append(
-                        RegularityViolation(
-                            pair, ix.elems[i][x], ix.elems[j][y], counts[x][y]
-                        )
+                        RegularityViolation(pair, src[x], tgt[y], counts[x][y])
                     )
                     if len(violations) == 10:
                         return RegularityReport(False, tuple(violations))
@@ -186,31 +158,30 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
     sorted by graph key) and the number of rounds run, counting the final
     round that adds nothing.
     """
-    ix = _Indexed(spine)
     objs = spine.objects
-    mor = {pair: set(maps) for pair, maps in ix.mor.items()}
+    mor = _encode_morphisms(spine)
 
     for i in objs:
         if (i, i) in mor:
             continue
         k = next(o for o in objs if o != i)
         mor[(i, i)] = {
-            _compose_idx(f, g) for f in mor[(i, k)] for g in mor[(k, i)]
+            compose_indexed(f, g) for f in mor[(i, k)] for g in mor[(k, i)]
         }
 
     frontier = {pair: set(maps) for pair, maps in mor.items()}
     iterations = 0
     while True:
         iterations += 1
-        new: dict[tuple[str, str], set[IndexedMap]] = {}
+        new: dict[tuple[str, str], set[Indexed]] = {}
 
-        def emit(pair: tuple[str, str], t: IndexedMap) -> None:
+        def emit(pair: tuple[str, str], t: Indexed) -> None:
             if t not in mor[pair] and t not in new.setdefault(pair, set()):
                 new[pair].add(t)
 
         for (i, j), front_ij in frontier.items():
             for t in front_ij:
-                emit((j, i), _invert_idx(t))
+                emit((j, i), invert_indexed(t))
         for i in objs:
             for j in objs:
                 for k in objs:
@@ -219,12 +190,12 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
                     front_g = frontier.get(jk, ())
                     for f in front_f:
                         for g in mor[jk]:
-                            emit(ik, _compose_idx(f, g))
+                            emit(ik, compose_indexed(f, g))
                     for g in front_g:
                         for f in mor[ij]:
                             if f in front_f:
                                 continue  # already composed above
-                            emit(ik, _compose_idx(f, g))
+                            emit(ik, compose_indexed(f, g))
         if not any(new.values()):
             break
         for pair, maps in new.items():
@@ -232,11 +203,15 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
         frontier = {pair: maps for pair, maps in new.items() if maps}
 
     all_pairs = [(i, j) for i in objs for j in objs]
+    elems = {o: spine.sets[o].elements for o in objs}
     morphisms = {
-        pair: tuple(
-            sorted((ix.to_map(pair, t) for t in mor[pair]), key=FiniteMap.graph_key)
+        (i, j): tuple(
+            sorted(
+                (decode(t, i, j, elems[i], elems[j]) for t in mor[(i, j)]),
+                key=FiniteMap.graph_key,
+            )
         )
-        for pair in all_pairs
+        for i, j in all_pairs
     }
     closed = GroupoidSpine(objs, spine.sets, all_pairs, morphisms)
     return closed, iterations

@@ -18,7 +18,15 @@ from typing import Optional, Sequence
 
 from .errors import InvalidSpine, NotPrime, SearchExhausted, TooLarge
 from .groups import GroupTable
-from .model import FiniteMap, FiniteSet, GroupoidSpine, validate_spine
+from .model import (
+    FiniteMap,
+    FiniteSet,
+    GroupoidSpine,
+    compose_indexed,
+    decode,
+    invert_indexed,
+    validate_spine,
+)
 
 MIN_NON_COSET_ORDER = 5  # established by brute force over orders 2-4
 
@@ -115,25 +123,14 @@ def gen_affine_config(p: int) -> GroupoidSpine:
     return GroupoidSpine(labels, sets, morphisms.keys(), morphisms)
 
 
-def _compose_rows(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    # apply g first, then f
-    return tuple(f[y] for y in g)
-
-
-def _invert_row(f: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(f)
-    for x, y in enumerate(f):
-        inv[y] = x
-    return tuple(inv)
-
-
 def _xyz_closed(rows: Sequence[tuple[int, ...]]) -> bool:
+    """Whether x . y^-1 . z lies in the family for all rows x, y, z."""
     fam = set(rows)
     for x in fam:
         for y in fam:
-            xi = _compose_rows(x, _invert_row(y))
+            xi = compose_indexed(invert_indexed(y), x)
             for z in fam:
-                if _compose_rows(xi, z) not in fam:
+                if compose_indexed(z, xi) not in fam:
                     return False
     return True
 
@@ -170,10 +167,8 @@ def _random_latin_square(n: int, rng: random.Random) -> list[tuple[int, ...]]:
 
 
 def _rows_to_maps(rows: Sequence[tuple[int, ...]]) -> list[FiniteMap]:
-    return [
-        FiniteMap("1", "2", {str(x): str(y) for x, y in enumerate(row)})
-        for row in rows
-    ]
+    elems = [str(x) for x in range(len(rows[0]))]
+    return [decode(row, "1", "2", elems, elems) for row in rows]
 
 
 def gen_latin_square_family(

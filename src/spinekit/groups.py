@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import MixedSignature, UnknownElement, UnknownObject
 from .extension import ExtensionResult
-from .model import FiniteMap, FiniteSet, compose
+from .model import FiniteMap, FiniteSet, compose_indexed, element_index, encode
 
 
 @dataclass(frozen=True)
@@ -102,13 +102,6 @@ class GroupTable:
             d = self.order_of(a)
             counts[d] = counts.get(d, 0) + 1
         return tuple(sorted(counts.items()))
-
-    def is_abelian(self) -> bool:
-        return all(
-            self.op(a, b) == self.op(b, a)
-            for a in self.elements
-            for b in self.elements
-        )
 
     def table_equal(self, other: GroupTable) -> bool:
         """Graph-identical tables: same elements, identity, and products."""
@@ -217,21 +210,25 @@ def extract_group(ext: ExtensionResult, obj: str) -> GroupAction:
     spine = ext.extended
     if obj not in spine.objects:
         raise UnknownObject(f"object {obj!r} is not in the spine")
-    maps = spine.morphisms[(obj, obj)]
-    by_key = {f.graph_key(): f for f in maps}
+    elems = spine.sets[obj].elements
+    index = element_index(elems)
+    key_of = {
+        encode(f, elems, index): f.graph_key() for f in spine.morphisms[(obj, obj)]
+    }
+    by_key = {k: t for t, k in key_of.items()}
     keys = tuple(sorted(by_key))
-    carrier = spine.sets[obj]
-    identity_key = FiniteMap(obj, obj, {e: e for e in carrier.elements}).graph_key()
-    if identity_key not in by_key:
+    identity_key = key_of.get(tuple(range(len(elems))))
+    if identity_key is None:
         raise ValueError(
             f"Mor({obj},{obj}) lacks the identity; the extension is not valid"
         )
     product: dict[tuple[str, str], str] = {}
     for ka in keys:
+        ta = by_key[ka]
         for kb in keys:
             # product a.b acts as "apply b, then a"
-            composite = compose(by_key[kb], by_key[ka]).graph_key()
-            if composite not in by_key:
+            composite = key_of.get(compose_indexed(by_key[kb], ta))
+            if composite is None:
                 raise ValueError(
                     f"Mor({obj},{obj}) is not closed under composition; "
                     "the extension is not valid"
@@ -239,9 +236,9 @@ def extract_group(ext: ExtensionResult, obj: str) -> GroupAction:
             product[(ka, kb)] = composite
     table = GroupTable(keys, identity_key, product)
     act = {
-        (k, x): by_key[k](x) for k in keys for x in carrier.elements
+        (k, x): elems[y] for k in keys for x, y in zip(elems, by_key[k])
     }
-    return GroupAction(table, carrier, act)
+    return GroupAction(table, spine.sets[obj], act)
 
 
 def group_on_fiber(ga: GroupAction, e: str) -> GroupTable:

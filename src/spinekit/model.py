@@ -11,7 +11,7 @@ morphisms per pair. Larger inputs run but are untested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import TargetMismatch
 
@@ -30,9 +30,6 @@ class FiniteSet:
             raise ValueError(f"set {self.id!r} has no elements")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"set {self.id!r} has duplicate element labels")
-
-    def __contains__(self, label: str) -> bool:
-        return label in set(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -110,6 +107,44 @@ def invert(f: FiniteMap) -> FiniteMap:
     return FiniteMap(f.target, f.source, {y: x for x, y in f.graph})
 
 
+# Indexed bijections: a map from a source carrier to a target carrier is the
+# tuple t with t[x] = the index, in the target's element order, of the image
+# of the x-th source element. Composition follows `compose`: f first, then g.
+Indexed = tuple[int, ...]
+
+
+def element_index(elements: Sequence[str]) -> dict[str, int]:
+    """Position of each element in a carrier's element order."""
+    return {e: n for n, e in enumerate(elements)}
+
+
+def encode(f: FiniteMap, src: Sequence[str], index: Mapping[str, int]) -> Indexed:
+    """Indexed form of f, given the source elements in order and the
+    target's `element_index`."""
+    image = f._dict
+    return tuple([index[image[x]] for x in src])
+
+
+def decode(
+    t: Indexed, source: str, target: str, src: Sequence[str], tgt: Sequence[str]
+) -> FiniteMap:
+    """The FiniteMap source -> target whose indexed form over the element
+    orders src and tgt is t."""
+    return FiniteMap(source, target, {x: tgt[y] for x, y in zip(src, t)})
+
+
+def compose_indexed(f: Indexed, g: Indexed) -> Indexed:
+    """The indexed map x -> g[f[x]]: apply f first, then g."""
+    return tuple([g[y] for y in f])
+
+
+def invert_indexed(f: Indexed) -> Indexed:
+    inv = [0] * len(f)
+    for x, y in enumerate(f):
+        inv[y] = x
+    return tuple(inv)
+
+
 @dataclass(frozen=True)
 class GroupoidSpine:
     """Objects with a linear order, carrier sets, a pair relation, and
@@ -162,9 +197,6 @@ class GroupoidSpine:
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "pairs", prs)
         object.__setattr__(self, "morphisms", mors)
-
-    def object_index(self, label: str) -> int:
-        return self.objects.index(label)
 
     def sorted_pairs(self) -> list[tuple[str, str]]:
         """Pairs in the canonical order: by position of i, then of j."""
@@ -360,16 +392,13 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
 
     # Index the structurally sound maps as integer image tuples for the
     # axiom sweeps (axiom 3 is quadratic in family sizes).
-    elem_index = {o: {e: n for n, e in enumerate(spine.sets[o].elements)} for o in objs}
-    indexed: dict[tuple[str, str], list[tuple[int, tuple[int, ...]]]] = {}
-    graphs: dict[tuple[str, str], set[tuple[int, ...]]] = {}
+    elem_index = {o: element_index(spine.sets[o].elements) for o in objs}
+    indexed: dict[tuple[str, str], list[tuple[int, Indexed]]] = {}
+    graphs: dict[tuple[str, str], set[Indexed]] = {}
     for pair in spine.sorted_pairs():
         i, j = pair
-        src, enc = spine.sets[i].elements, elem_index[j]
-        indexed[pair] = [
-            (n, tuple(enc[spine.morphisms[pair][n](x)] for x in src))
-            for n in sound[pair]
-        ]
+        src, index, fams = spine.sets[i].elements, elem_index[j], spine.morphisms[pair]
+        indexed[pair] = [(n, encode(fams[n], src, index)) for n in sound[pair]]
         graphs[pair] = {t for _, t in indexed[pair]}
 
     # axiom 2: inverses across symmetric pairs
@@ -379,10 +408,7 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
         if back not in pairs:
             continue
         for n, t in indexed[pair]:
-            inv = [0] * len(t)
-            for x, y in enumerate(t):
-                inv[y] = x
-            if tuple(inv) not in graphs[back]:
+            if invert_indexed(t) not in graphs[back]:
                 out.append(
                     Violation(
                         "MissingInverse",
@@ -396,6 +422,7 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
 
     # axiom 3: composites across composable pair triples
     pair_order = spine.sorted_pairs()
+    compose_ = compose_indexed  # a local name for the quadratic sweep
     for pa in pair_order:
         i, j = pa
         for pb in pair_order:
@@ -408,7 +435,7 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
             targets = graphs[pc]
             for nf, tf in indexed[pa]:
                 for ng, tg in indexed[pb]:
-                    if tuple(tg[y] for y in tf) not in targets:
+                    if compose_(tf, tg) not in targets:
                         out.append(
                             Violation(
                                 "ClosureViolation",

@@ -137,6 +137,15 @@ class TestExtendAndExtract:
         assert "fiber group at 3: identity 3" in out
         assert "fiber class: C5" in out
 
+    def test_extract_above_catalog_order(self, capsys, tmp_path):
+        doc = tmp_path / "z32.json"
+        assert run(capsys, "gen", "--kind", "group-action", "--group", "Z32",
+                   "--objects", "3", "--out", str(doc))[0] == 0
+        code, out, err = run(capsys, "extract", str(doc), "--object", "1")
+        assert code == 0 and err == ""
+        assert "group order: 32" in out
+        assert "class: unclassified(order=32); profile: 1^1 2^1 4^2 8^4 16^8 32^16\n" in out
+
     def test_extract_unknown_object(self, capsys, z5_doc):
         code, _, err = run(capsys, "extract", z5_doc, "--object", "9")
         assert code == 2 and err
@@ -261,3 +270,31 @@ class TestDeterminism:
         a = run(capsys, "coset", "S3", "--set", "012,120,201")
         b = run(capsys, "coset", "S3", "--set", "012,120,201")
         assert a == b
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def validate_calls(self, monkeypatch):
+        import spinekit
+
+        calls = []
+        original = spinekit.model.validate_spine
+
+        def counted(spine):
+            calls.append(spine)
+            return original(spine)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("spinekit") and (
+                getattr(module, "validate_spine", None) is original
+            ):
+                monkeypatch.setattr(module, "validate_spine", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv", [["extend"], ["extract", "--object", "1"]], ids=["extend", "extract"]
+    )
+    def test_one_validation_per_command(self, capsys, z5_doc, validate_calls, argv):
+        code, _, _ = run(capsys, argv[0], z5_doc, *argv[1:])
+        assert code == 0
+        assert len(validate_calls) == 1

@@ -11,6 +11,7 @@ from spinekit.errors import InvalidSpine, NotPrime, SearchExhausted, TooLarge
 from spinekit.extension import check_regularity, extend_to_groupoid
 from spinekit.generators import (
     MIN_NON_COSET_ORDER,
+    _xyz_closed,
     gen_affine_config,
     gen_group_action_spine,
     gen_latin_square_family,
@@ -205,6 +206,15 @@ class TestLatinCensus:
         families = self.enumerate_first_row_id(order)
         non_coset = sum(1 for fam in families if not self.rows_xyz_closed(fam))
         assert non_coset == expect_non_coset
+
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_generator_closure_matches_oracle(self, order):
+        # each family and a left translate of it, which misses the identity
+        shift = tuple((c + 1) % order for c in range(order))
+        for fam in self.enumerate_first_row_id(order):
+            moved = {tuple(shift[y] for y in row) for row in fam}
+            for rows in (fam, moved):
+                assert _xyz_closed(sorted(rows)) == self.rows_xyz_closed(rows)
 
     def test_min_order_constant(self):
         assert MIN_NON_COSET_ORDER == 5

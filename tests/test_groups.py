@@ -15,7 +15,7 @@ from spinekit.catalog import (
     klein_group,
     symmetric_group,
 )
-from spinekit.errors import MixedSignature, TooLarge, UnknownElement, UnknownObject
+from spinekit.errors import MixedSignature, UnknownElement, UnknownObject
 from spinekit.extension import extend_to_groupoid
 from spinekit.generators import gen_group_action_spine
 from spinekit.groups import (
@@ -218,9 +218,17 @@ class TestClassify:
         assert cls.name == "unclassified(order=21)"
         assert cls.profile == ((1, 1), (3, 14), (7, 6))
 
-    def test_too_large(self):
-        with pytest.raises(TooLarge):
-            classify_group(cyclic_group(25))
+    def test_above_catalog_is_unclassified(self):
+        cls = classify_group(cyclic_group(25))
+        assert not cls.classified
+        assert cls.name == "unclassified(order=25)"
+        assert cls.profile == ((1, 1), (5, 4), (25, 20))
+
+    def test_catalog_module_is_a_package_attribute(self):
+        import spinekit
+
+        assert spinekit.catalog.cyclic_group(3).elements == ("0", "1", "2")
+        assert spinekit.catalog.catalog()[0][0] == "C1"
 
 
 class TestIsomorphism:

@@ -5,7 +5,16 @@ from hypothesis import given, settings, strategies as st
 from spinekit.catalog import catalog_upto, is_isomorphic
 from spinekit.cosets import AmbientGroup, coset_test, partition_check
 from spinekit.groups import dedupe_family, relabel_group
-from spinekit.model import FiniteMap, compose, invert
+from spinekit.model import (
+    FiniteMap,
+    compose,
+    compose_indexed,
+    decode,
+    element_index,
+    encode,
+    invert,
+    invert_indexed,
+)
 
 LABELS = [str(i) for i in range(5)]
 
@@ -31,6 +40,22 @@ def test_invert_is_involutive(f):
     assert invert(invert(f)) == f
     ident = {x: x for x in LABELS}
     assert compose(f, invert(f)) == FiniteMap("a", "a", ident)
+
+
+@given(
+    bijection("a", "b"),
+    bijection("b", "c"),
+    st.permutations(LABELS),
+    st.permutations(LABELS),
+    st.permutations(LABELS),
+)
+def test_indexed_core_matches_maps(f, g, xa, xb, xc):
+    # carriers in arbitrary element orders, so indices differ from labels
+    ia, ib, ic = element_index(xa), element_index(xb), element_index(xc)
+    tf, tg = encode(f, xa, ib), encode(g, xb, ic)
+    assert decode(tf, "a", "b", xa, xb) == f
+    assert compose_indexed(tf, tg) == encode(compose(f, g), xa, ic)
+    assert invert_indexed(tf) == encode(invert(f), xb, ia)
 
 
 @given(st.lists(bijection(), min_size=1, max_size=12))
