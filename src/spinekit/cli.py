@@ -2,14 +2,19 @@
 
 Exit codes: 0 when all checks pass, 1 when a mathematical check failed (the
 failure is reported on stdout), 2 for input or usage errors (diagnosed on
-stderr). All reports go to stdout and are deterministic: objects, elements,
-and morphisms print in canonical order, so two runs on the same input are
-byte-identical.
+stderr), 3 for an internal error (a `TheoremViolation`, one line on
+stderr), 141 when the reader of stdout quit early (a broken pipe; nothing
+more is written). All reports go to stdout and are deterministic: objects,
+elements, and morphisms print in canonical order, so two runs on the same
+input are byte-identical. `extend` prints `iterations: n`, where n - 1 is
+the number of generators the closure adjoined (see
+`extension._close_to_groupoid`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +29,7 @@ from .errors import (
     NotPrime,
     NotRegular,
     SearchExhausted,
+    TheoremViolation,
     TooLarge,
     UnknownElement,
     UnknownObject,
@@ -120,14 +126,15 @@ def cmd_extract(args) -> int:
     spine, _ = load_spine(_read(args.file))
     result = extend_to_groupoid(spine)
     action = extract_group(result, args.object)
+    # a bad --identity must fail before anything is printed
+    fiber = None if args.identity is None else group_on_fiber(action, args.identity)
     cls = classify_group(action.group)
     print(f"object: {args.object}")
     print(f"group order: {len(action.group)}")
     print(f"class: {cls.render()}")
     print("cayley table:")
     print("\n".join(render_cayley(action.group)))
-    if args.identity is not None:
-        fiber = group_on_fiber(action, args.identity)
+    if fiber is not None:
         fiber_cls = classify_group(fiber)
         print(f"fiber group at {args.identity}: identity {fiber.identity}")
         print(f"fiber class: {fiber_cls.render()}")
@@ -295,8 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Exception classes -> (rendering, stream, exit code), matched in order so
-# that ValidationError is caught before its base class DocumentError.
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a piped reader quitting
+
+# Exception classes -> (rendering or None for silence, stream, exit code),
+# matched in order so that ValidationError is caught before its base class
+# DocumentError, and BrokenPipeError before its base class OSError.
 _ERRORS = (
     (
         (ValidationError, InvalidSpine, NotRegular),
@@ -305,6 +315,8 @@ _ERRORS = (
         1,
     ),
     ((SearchExhausted,), "search exhausted: {}".format, "stdout", 1),
+    ((TheoremViolation,), "internal error: {}".format, "stderr", 3),
+    ((BrokenPipeError,), None, "stdout", EXIT_BROKEN_PIPE),
     (
         (
             DocumentError,
@@ -337,12 +349,18 @@ def run_command(argv: list[str]) -> int:
         render, stream, code = next(
             row[1:] for row in _ERRORS if isinstance(exc, row[0])
         )
-        print(render(exc), file=getattr(sys, stream))
+        if render is not None:
+            print(render(exc), file=getattr(sys, stream))
         return code
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    code = run_command(sys.argv[1:])
+    if code == EXIT_BROKEN_PIPE:
+        # The interpreter flushes stdout at exit; with the reader gone that
+        # flush would fail again and print a traceback, so drop it instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@
 A regular spine (exactly one morphism through every source/target point pair)
 always extends to a symmetric spine, and with at least three objects it
 extends to a full groupoid without adding morphisms on the original pairs.
-The closure here computes the groupoid generated by all input morphisms and
-reports honestly whether anything was added, so two-object inputs surface
-genuine counterexamples instead of being refused.
+The closure here computes the groupoid generated by all input morphisms, as
+one vertex group carried along a spanning tree, and reports honestly whether
+anything was added, so two-object inputs surface genuine counterexamples
+instead of being refused.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class ExtensionResult:
 
     `added_morphisms` lists, for each pair of the input relation that gained
     maps, the maps present after closure but absent originally; it is empty
-    exactly when the extension is conservative.
+    exactly when the extension is conservative. `iterations` is 1 + the
+    number of generators the closure adjoined to the vertex group.
     """
 
     extended: GroupoidSpine
@@ -128,10 +130,6 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
     reg = _regularity_unchecked(spine)
     if not reg.regular:
         raise NotRegular(reg)
-    return _symmetric_closure_unchecked(spine)
-
-
-def _symmetric_closure_unchecked(spine: GroupoidSpine) -> GroupoidSpine:
     if all((j, i) in spine.pairs for i, j in spine.pairs):
         return spine
     pairs = set(spine.pairs)
@@ -148,85 +146,81 @@ def _symmetric_closure_unchecked(spine: GroupoidSpine) -> GroupoidSpine:
     return GroupoidSpine(spine.objects, spine.sets, pairs, morphisms)
 
 
-def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
-    """Compute the groupoid generated by all morphisms of a spine whose pair
-    relation already contains every off-diagonal pair (or has one object).
+def _adjoin(group: set[Indexed], gens: list[Indexed], s: Indexed) -> None:
+    """Enlarge, in place, the permutation group `group` generated by `gens`
+    by a new generator s not in it.
 
-    Missing diagonals are seeded with compositions through the least other
-    object, then everything is closed under composition and inversion by
-    frontier rounds. Returns the closed spine (pairs = I x I, morphism lists
-    sorted by graph key) and the number of rounds run, counting the final
-    round that adds nothing.
+    The coset group.s is disjoint from the group, so all of it is new; the
+    rest follows by multiplying new elements by every generator on the right.
+    """
+    gens.append(s)
+    new = [compose_indexed(g, s) for g in group]
+    group.update(new)
+    for h in new:  # grows while it is scanned
+        for t in gens:
+            k = compose_indexed(h, t)
+            if k not in group:
+                group.add(k)
+                new.append(k)
+
+
+def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
+    """Compute the groupoid generated by all morphisms of a spine in which
+    every increasing pair is present.
+
+    A connected groupoid is one vertex group carried along a tree: t_i is the
+    least map of Mor(o0, i) by graph key, o0 the first object (t_o0 = id).
+    Each input f: i -> j gives the loop t_i, f, t_j^-1 at o0 (maps listed in
+    the order they apply), adjoined as a generator of the vertex group G
+    when not already in it; then Mor(i, j) = t_i^-1, G, t_j. Returns the
+    closed spine (pairs = I x I, morphism lists sorted by graph key) and 1 +
+    the number of generators adjoined, with pairs scanned in canonical order
+    and maps in graph-key order.
     """
     objs = spine.objects
-    mor = _encode_morphisms(spine)
-
-    for i in objs:
-        if (i, i) in mor:
-            continue
-        k = next(o for o in objs if o != i)
-        mor[(i, i)] = {
-            compose_indexed(f, g) for f in mor[(i, k)] for g in mor[(k, i)]
-        }
-
-    frontier = {pair: set(maps) for pair, maps in mor.items()}
-    iterations = 0
-    while True:
-        iterations += 1
-        new: dict[tuple[str, str], set[Indexed]] = {}
-
-        def emit(pair: tuple[str, str], t: Indexed) -> None:
-            if t not in mor[pair] and t not in new.setdefault(pair, set()):
-                new[pair].add(t)
-
-        for (i, j), front_ij in frontier.items():
-            for t in front_ij:
-                emit((j, i), invert_indexed(t))
-        for i in objs:
-            for j in objs:
-                for k in objs:
-                    ij, jk, ik = (i, j), (j, k), (i, k)
-                    front_f = frontier.get(ij, ())
-                    front_g = frontier.get(jk, ())
-                    for f in front_f:
-                        for g in mor[jk]:
-                            emit(ik, compose_indexed(f, g))
-                    for g in front_g:
-                        for f in mor[ij]:
-                            if f in front_f:
-                                continue  # already composed above
-                            emit(ik, compose_indexed(f, g))
-        if not any(new.values()):
-            break
-        for pair, maps in new.items():
-            mor[pair].update(maps)
-        frontier = {pair: maps for pair, maps in new.items() if maps}
-
-    all_pairs = [(i, j) for i in objs for j in objs]
+    o0 = objs[0]
     elems = {o: spine.sets[o].elements for o in objs}
-    morphisms = {
-        (i, j): tuple(
-            sorted(
-                (decode(t, i, j, elems[i], elems[j]) for t in mor[(i, j)]),
-                key=FiniteMap.graph_key,
-            )
-        )
-        for i, j in all_pairs
+    index = {o: element_index(elems[o]) for o in objs}
+    identity = tuple(range(len(elems[o0])))
+
+    ordered = {
+        (i, j): [
+            encode(f, elems[i], index[j])
+            for f in sorted(spine.morphisms[(i, j)], key=FiniteMap.graph_key)
+        ]
+        for i, j in spine.sorted_pairs()
     }
-    closed = GroupoidSpine(objs, spine.sets, all_pairs, morphisms)
-    return closed, iterations
+    tree = {o0: identity} | {o: ordered[(o0, o)][0] for o in objs[1:]}
+    back = {o: invert_indexed(t) for o, t in tree.items()}
+
+    group: set[Indexed] = {identity}
+    gens: list[Indexed] = []
+    for (i, j), maps in ordered.items():
+        for f in maps:
+            loop = compose_indexed(compose_indexed(tree[i], f), back[j])
+            if loop not in group:
+                _adjoin(group, gens, loop)
+
+    morphisms = {}
+    for i in objs:
+        from_i = [compose_indexed(back[i], g) for g in group]
+        for j in objs:
+            maps = (
+                decode(compose_indexed(h, tree[j]), i, j, elems[i], elems[j])
+                for h in from_i
+            )
+            morphisms[(i, j)] = tuple(sorted(maps, key=FiniteMap.graph_key))
+    closed = GroupoidSpine(objs, spine.sets, list(morphisms), morphisms)
+    return closed, 1 + len(gens)
 
 
 def _extend_unchecked(spine: GroupoidSpine) -> ExtensionResult:
     """Extension without the regularity gate or the theorem assertion.
 
-    Symmetric closure here is raw data (inverses adjoined); on non-regular
-    input the intermediate stage need not itself satisfy the spine axioms,
-    but the generated groupoid is still well-defined and the conservativity
-    comparison against the original pairs stays honest.
+    On non-regular input the generated groupoid is still well-defined and
+    the conservativity comparison against the original pairs stays honest.
     """
-    sym = _symmetric_closure_unchecked(spine)
-    closed, iterations = _close_to_groupoid(sym)
+    closed, iterations = _close_to_groupoid(spine)
     added: dict[tuple[str, str], tuple[FiniteMap, ...]] = {}
     for pair in spine.sorted_pairs():
         before = {f.graph for f in spine.morphisms[pair]}

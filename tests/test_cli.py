@@ -150,6 +150,62 @@ class TestExtendAndExtract:
         code, _, err = run(capsys, "extract", z5_doc, "--object", "9")
         assert code == 2 and err
 
+    def test_extract_bad_identity_prints_nothing(self, capsys, z5_doc):
+        code, out, err = run(
+            capsys, "extract", z5_doc, "--object", "1", "--identity", "9"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: '9' is not a carrier element\n"
+
+
+class TestExitCodes:
+    def test_theorem_violation_is_internal_error(self, capsys, z5_doc, monkeypatch):
+        import spinekit.cli
+        from spinekit.errors import TheoremViolation
+
+        def broken(spine):
+            raise TheoremViolation("closure lost a morphism")
+
+        monkeypatch.setattr(spinekit.cli, "extend_to_groupoid", broken)
+        code, out, err = run(capsys, "extend", z5_doc)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: closure lost a morphism\n"
+
+    def test_broken_pipe_is_not_an_input_error(self, capsys, z5_doc, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = run_command(["extract", z5_doc, "--object", "1"])
+        monkeypatch.undo()
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+    def test_reader_quitting_early(self, capsys, tmp_path):
+        # the report (about 160 KB) outgrows the pipe buffer, so the
+        # process is still writing when the reader closes its end
+        doc = tmp_path / "z32.json"
+        assert run(capsys, "gen", "--kind", "group-action", "--group", "Z32",
+                   "--objects", "3", "--out", str(doc))[0] == 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spinekit", "extract", str(doc), "--object", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert head[0] == b"object: 1\n"
+        assert err == b""
+
 
 class TestCosetAndPartition:
     def test_coset_true(self, capsys):

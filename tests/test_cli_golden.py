@@ -174,7 +174,7 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
     ),
     "extend-z5": (
         0,
-        "b4b2fc4d65453e0bf940f09d70052db26b2864c1cd4a2db3d1fe017f5bae45d2",
+        "bf763a8941dcae030d09175d3785138b85ec9868204a9d7de4c770af12f70138",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "c00fd595aba825d01fc6fd968d74afe7232533a21e0397da16f336524fd31702",
     ),

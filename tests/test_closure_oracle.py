@@ -1,0 +1,168 @@
+"""The groupoid closure against a brute-force frontier closure.
+
+`frontier_closure` is the closure the engine used before the vertex-group
+construction: adjoin inverses on missing reverse pairs, seed missing
+diagonals through the least other object, then compose every new map with
+every map on every triple (i, j, k) until a round adds nothing. Its work
+grows with the square of the output, so the inputs here stay small.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import all_bijections_spine
+from spinekit.catalog import catalog_upto
+from spinekit.extension import _extend_unchecked, extend_to_groupoid
+from spinekit.generators import (
+    gen_group_action_spine,
+    gen_latin_square_family,
+    latin_family_spine,
+)
+from spinekit.model import (
+    FiniteMap,
+    FiniteSet,
+    GroupoidSpine,
+    compose_indexed,
+    decode,
+    element_index,
+    encode,
+    invert_indexed,
+)
+
+
+def frontier_closure(spine: GroupoidSpine) -> dict[tuple[str, str], set]:
+    """The graphs of every Mor(i, j), i, j in I, of the groupoid generated
+    by the spine's morphisms; every increasing pair must be present."""
+    objs = spine.objects
+    elems = {o: spine.sets[o].elements for o in objs}
+    index = {o: element_index(elems[o]) for o in objs}
+    mor = {
+        (i, j): {encode(f, elems[i], index[j]) for f in fams}
+        for (i, j), fams in spine.morphisms.items()
+    }
+    for i, j in spine.sorted_pairs():
+        if (j, i) not in spine.pairs:
+            mor[(j, i)] = {invert_indexed(t) for t in mor[(i, j)]}
+    for i in objs:
+        if (i, i) in mor:
+            continue
+        k = next(o for o in objs if o != i)
+        mor[(i, i)] = {
+            compose_indexed(f, g) for f in mor[(i, k)] for g in mor[(k, i)]
+        }
+
+    frontier = {pair: set(maps) for pair, maps in mor.items()}
+    while True:
+        new: dict[tuple[str, str], set] = {}
+
+        def emit(pair, t):
+            if t not in mor[pair]:
+                new.setdefault(pair, set()).add(t)
+
+        for (i, j), front_ij in frontier.items():
+            for t in front_ij:
+                emit((j, i), invert_indexed(t))
+        for i in objs:
+            for j in objs:
+                for k in objs:
+                    front_f = frontier.get((i, j), ())
+                    for f in front_f:
+                        for g in mor[(j, k)]:
+                            emit((i, k), compose_indexed(f, g))
+                    for g in frontier.get((j, k), ()):
+                        for f in mor[(i, j)]:
+                            if f not in front_f:  # else composed above
+                                emit((i, k), compose_indexed(f, g))
+        if not new:
+            break
+        for pair, maps in new.items():
+            mor[pair].update(maps)
+        frontier = new
+
+    return {
+        (i, j): {decode(t, i, j, elems[i], elems[j]).graph for t in mor[(i, j)]}
+        for i in objs
+        for j in objs
+    }
+
+
+def assert_matches_oracle(spine: GroupoidSpine, result) -> None:
+    expected = frontier_closure(spine)
+    ext = result.extended
+    assert ext.pairs == set(expected)
+    for pair, graphs in expected.items():
+        assert {f.graph for f in ext.morphisms[pair]} == graphs, pair
+    for pair in spine.pairs:
+        before = {f.graph for f in spine.morphisms[pair]}
+        gained = {f.graph for f in result.added_morphisms.get(pair, ())}
+        assert gained == expected[pair] - before, pair
+    assert result.conservative == (not result.added_morphisms)
+
+
+def relabel_carriers(spine: GroupoidSpine, data) -> GroupoidSpine:
+    """The same spine seen through a drawn bijection of each carrier onto
+    fresh labels, listed in a drawn order, so that carriers differ and the
+    maps of a pair no longer form a group of permutations of one label set."""
+    sigma, sets = {}, {}
+    for o in spine.objects:
+        elems = spine.sets[o].elements
+        labels = data.draw(st.permutations([f"{o}.{x}" for x in elems]))
+        sigma[o] = dict(zip(elems, labels))
+        sets[o] = FiniteSet(o, data.draw(st.permutations(labels)))
+    morphisms = {
+        (i, j): tuple(
+            FiniteMap(i, j, {sigma[i][x]: sigma[j][y] for x, y in f.graph})
+            for f in fams
+        )
+        for (i, j), fams in spine.morphisms.items()
+    }
+    return GroupoidSpine(spine.objects, sets, spine.pairs, morphisms)
+
+
+small_groups = st.sampled_from([g for _, g in catalog_upto(12)])
+
+
+@given(small_groups, st.integers(1, 4), st.data())
+@settings(max_examples=30, deadline=None)
+def test_group_action_spines(group, objects, data):
+    spine = gen_group_action_spine(group, objects)
+    assert_matches_oracle(spine, extend_to_groupoid(spine))
+    relabeled = relabel_carriers(spine, data)
+    assert_matches_oracle(relabeled, extend_to_groupoid(relabeled))
+
+
+@given(st.integers(2, 4), st.integers(2, 3))
+@settings(max_examples=10, deadline=None)
+def test_all_bijection_spines(points, objects):
+    spine = all_bijections_spine(points, objects)
+    assert_matches_oracle(spine, _extend_unchecked(spine))
+
+
+def check_non_coset_latin(order: int, seed: int) -> None:
+    spine = latin_family_spine(gen_latin_square_family(order, False, seed))
+    result = extend_to_groupoid(spine)
+    assert not result.conservative
+    assert_matches_oracle(spine, result)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=8, deadline=None)
+def test_non_coset_latin_order5(seed):
+    check_non_coset_latin(5, seed)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=2, deadline=None)  # the oracle takes seconds at order 6
+def test_non_coset_latin_order6(seed):
+    check_non_coset_latin(6, seed)
+
+
+@given(small_groups, st.integers(1, 3))
+@settings(max_examples=15, deadline=None)
+def test_extended_groupoid_fed_back(group, objects):
+    full = extend_to_groupoid(gen_group_action_spine(group, objects)).extended
+    again = extend_to_groupoid(full)
+    assert again.conservative
+    assert again.extended.morphisms == full.morphisms
+    assert_matches_oracle(full, again)

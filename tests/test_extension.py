@@ -99,7 +99,8 @@ class TestExtendToGroupoid:
     def test_fixpoint_on_full_groupoid(self, z5_spine):
         full = extend_to_groupoid(z5_spine).extended
         again = extend_to_groupoid(full)
-        assert again.iterations == 1
+        # Z5 has prime order: the first non-identity loop generates it
+        assert again.iterations == 2
         assert again.conservative
         assert again.extended.morphisms == full.morphisms  # identical lists
 
@@ -193,3 +194,45 @@ class TestSymmetricNonRegular:
         ext = result.extended
         assert validate_spine(ext).ok
         assert all(len(ext.morphisms[(o, o)]) == 6 for o in ext.objects)
+
+
+class TestLargeClosures:
+    """Sizes the frontier closure could not reach in reasonable time."""
+
+    def test_latin_order7_closes_to_its_loop_group(self):
+        from spinekit.generators import gen_latin_square_family, latin_family_spine
+        from spinekit.model import compose
+
+        family = gen_latin_square_family(7, False, 1)
+        spine = latin_family_spine(family)
+        result = extend_to_groupoid(spine)
+        ext = result.extended
+        assert not result.conservative
+        assert {p: len(ext.morphisms[p]) for p in ext.pairs} == {
+            p: 5040 for p in (("1", "1"), ("1", "2"), ("2", "1"), ("2", "2"))
+        }
+        # oracle: the loops f . g^-1 at object 1 generate the same group as
+        # the loops f . t^-1 for one fixed t; close those by breadth-first
+        # search over graphs, composing FiniteMaps directly
+        back = invert(family[0])
+        gens = [compose(f, back) for f in family]
+        group = {f.graph: f for f in gens}
+        queue = list(gens)
+        while queue:
+            h = queue.pop()
+            for t in gens:
+                k = compose(h, t)
+                if k.graph not in group:
+                    group[k.graph] = k
+                    queue.append(k)
+        assert {f.graph for f in ext.morphisms[("1", "1")]} == set(group)
+
+    def test_z64_on_eight_objects(self):
+        from spinekit.catalog import cyclic_group
+        from spinekit.generators import gen_group_action_spine
+
+        result = extend_to_groupoid(gen_group_action_spine(cyclic_group(64), 8))
+        assert result.conservative
+        ext = result.extended
+        assert len(ext.pairs) == 64
+        assert all(len(ext.morphisms[p]) == 64 for p in ext.pairs)
