@@ -52,7 +52,6 @@ from .extension import (
     symmetric_closure,
 )
 from .generators import (
-    GeneratorSpec,
     gen_affine_config,
     gen_group_action_spine,
     gen_latin_square_family,

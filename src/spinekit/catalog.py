@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .groups import GroupTable
-from .model import compose_indexed
+from .groups import GroupTable, permutation_group
+from .model import Indexed, adjoin, compose_indexed
 
 CLASSIFY_LIMIT = 24
 
@@ -60,18 +60,11 @@ def dihedral_group(n: int) -> GroupTable:
     return GroupTable(elems, "e", product)
 
 
-def _perm_group(perms: set[tuple[int, ...]]) -> GroupTable:
+def _perm_group(perms: set[Indexed]) -> GroupTable:
     """Group of permutations in one-line notation, labeled by digit strings;
     the product p.q applies q first."""
-    label = lambda p: "".join(str(i) for i in p)
-    elems = sorted(perms)
-    product = {
-        (label(p), label(q)): label(compose_indexed(q, p))
-        for p in elems
-        for q in elems
-    }
-    n = len(next(iter(perms)))
-    return GroupTable([label(p) for p in elems], label(tuple(range(n))), product)
+    labels = {p: "".join(str(i) for i in p) for p in perms}
+    return permutation_group(labels, tuple(range(len(next(iter(perms))))))
 
 
 def symmetric_group(n: int) -> GroupTable:
@@ -83,15 +76,11 @@ def symmetric_group(n: int) -> GroupTable:
 
 
 def alternating_group_4() -> GroupTable:
-    from itertools import permutations
-
-    def parity(p):
-        inv = sum(
-            1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
-        )
-        return inv % 2
-
-    return _perm_group({p for p in permutations(range(4)) if parity(p) == 0})
+    """A4, generated by the 3-cycles (0 1 2) and (1 2 3)."""
+    group, gens = {(0, 1, 2, 3)}, []
+    adjoin(group, gens, (1, 2, 0, 3), compose_indexed)
+    adjoin(group, gens, (0, 2, 3, 1), compose_indexed)
+    return _perm_group(group)
 
 
 def dicyclic_group(m: int) -> GroupTable:
@@ -167,29 +156,13 @@ def catalog_upto(order: int) -> tuple[tuple[str, GroupTable], ...]:
     return tuple((name, g) for name, g in catalog() if len(g) <= order)
 
 
-def _closure(g: GroupTable, seed: set[str]) -> set[str]:
-    out = set(seed) | {g.identity}
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(out):
-                for c in (g.op(a, b), g.op(b, a)):
-                    if c not in out:
-                        out.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return out
-
-
 def generating_sequence(g: GroupTable) -> list[str]:
     """A small generating set, chosen greedily in element order."""
     gens: list[str] = []
     span = {g.identity}
     for e in g.elements:
         if e not in span:
-            gens.append(e)
-            span = _closure(g, span | {e})
+            adjoin(span, gens, e, g.op)
     return gens
 
 
@@ -198,29 +171,18 @@ def _hom_from_images(
 ) -> dict[str, str] | None:
     """Close {gens -> images} to a map on the generated subgroup.
 
-    Returns None on any inconsistency; the map is a partial homomorphism
-    candidate defined on the subgroup the assigned generators generate.
+    The candidate's graph is the subgroup of g x h generated by the pairs
+    (generator, image). Returns it as a map when it is the graph of an
+    injective function, else None; the map is then a homomorphism on the
+    subgroup the assigned generators generate.
     """
-    phi = {g.identity: h.identity}
-    for a, b in zip(gens, images):
-        if phi.get(a, b) != b:
-            return None
-        phi[a] = b
-    frontier = list(phi)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(phi):
-                for x, y in ((g.op(a, b), h.op(phi[a], phi[b])),
-                             (g.op(b, a), h.op(phi[b], phi[a]))):
-                    known = phi.get(x)
-                    if known is None:
-                        phi[x] = y
-                        nxt.append(x)
-                    elif known != y:
-                        return None
-        frontier = nxt
-    if len(set(phi.values())) != len(phi):
+    mul = lambda x, y: (g.op(x[0], y[0]), h.op(x[1], y[1]))
+    graph, pair_gens = {(g.identity, h.identity)}, []
+    for pair in zip(gens, images):
+        if pair not in graph:
+            adjoin(graph, pair_gens, pair, mul)
+    phi = dict(graph)
+    if len(phi) != len(graph) or len(set(phi.values())) != len(phi):
         return None
     return phi
 

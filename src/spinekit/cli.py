@@ -37,7 +37,6 @@ from .errors import (
 )
 from .extension import check_regularity, extend_to_groupoid
 from .generators import (
-    GeneratorSpec,
     gen_affine_config,
     gen_group_action_spine,
     gen_latin_square_family,
@@ -112,13 +111,13 @@ def cmd_regularity(args) -> int:
 def cmd_extend(args) -> int:
     spine, _ = load_spine(_read(args.file))
     result = extend_to_groupoid(spine)
+    if args.out:
+        _emit_document(serialize_spine(result.extended), args.out)
     print(f"conservative: {'true' if result.conservative else 'false'}")
     print(f"iterations: {result.iterations}")
     print(f"objects: {len(result.extended.objects)}")
     for pair, added in sorted(result.added_morphisms.items()):
         print(f"added on ({pair[0]},{pair[1]}): {len(added)} morphisms")
-    if args.out:
-        _emit_document(serialize_spine(result.extended), args.out)
     return 0 if result.conservative else 1
 
 
@@ -186,43 +185,46 @@ def cmd_gen(args) -> int:
             return 2
         table = resolve_group_spec(args.group)
         spine = gen_group_action_spine(table, args.objects)
-        spec = GeneratorSpec("group-action", group=args.group, objects=args.objects)
+        spec = {"kind": "group-action", "group": args.group, "objects": args.objects}
     elif args.kind == "affine-config":
         if args.prime is None:
             print("error: --kind affine-config needs --prime", file=sys.stderr)
             return 2
         spine = gen_affine_config(args.prime)
-        spec = GeneratorSpec("affine-config", prime=args.prime)
+        spec = {"kind": "affine-config", "prime": args.prime}
     elif args.kind == "latin-square":
         if args.order is None:
             print("error: --kind latin-square needs --order", file=sys.stderr)
             return 2
         family = gen_latin_square_family(args.order, args.coset, args.seed)
         spine = latin_family_spine(family)
-        spec = GeneratorSpec(
-            "latin-square", order=args.order, want_coset=args.coset, seed=args.seed
-        )
+        spec = {
+            "kind": "latin-square",
+            "order": args.order,
+            "want_coset": args.coset,
+            "seed": args.seed,
+        }
     else:  # perturbed
         if not args.base:
             print("error: --kind perturbed needs --base", file=sys.stderr)
             return 2
         base, _ = load_spine(_read(args.base))
         spine = perturb_spine(base, args.seed)
-        spec = GeneratorSpec("perturbed", seed=args.seed)
-    _emit_document(serialize_spine(spine, meta=spec.meta()), args.out)
+        spec = {"kind": "perturbed", "seed": args.seed}
+    _emit_document(serialize_spine(spine, meta={"generator": spec}), args.out)
     return 0
 
 
 def cmd_relabel(args) -> int:
     table = resolve_group_spec(args.group_file)
     relabeled = relabel_group(table, args.d)
+    if args.out:
+        _emit_document(serialize_group(relabeled), args.out)
     cls = classify_group(relabeled)
     print(f"identity: {relabeled.identity}")
     print(f"class: {cls.render()}")
     print("cayley table:")
     print("\n".join(render_cayley(relabeled)))
-    if args.out:
-        _emit_document(serialize_group(relabeled), args.out)
     return 0
 
 

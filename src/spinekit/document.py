@@ -204,7 +204,8 @@ def serialize_group(table: GroupTable, meta: Optional[dict] = None) -> str:
 
 
 def load_group(text: str | bytes) -> GroupTable:
-    """Parse a group-table file; the inverse block is optional."""
+    """Parse a group-table file. The inverse block is optional; when given it
+    must list exactly each element's inverse under the product."""
     doc = _load_object(text, _GROUP_KEYS, ("elements", "identity", "product"))
     elements = doc["elements"]
     _require(
@@ -223,10 +224,17 @@ def load_group(text: str | bytes) -> GroupTable:
         _require(len(parts) == 2, 'keys must look like "a|b"', path)
         _check_label(value, path)
         product[(parts[0], parts[1])] = value
+    try:
+        table = GroupTable(elements, doc["identity"], product)
+    except ValueError as exc:
+        raise SchemaError(str(exc), "$") from None
     inverse = doc.get("inverse")
     if inverse is not None:
         _require(isinstance(inverse, dict), "inverse must be an object", "inverse")
-    try:
-        return GroupTable(elements, doc["identity"], product, inverse)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "$") from None
+        for a in [*table.elements, *inverse]:
+            _require(
+                inverse.get(a) == table.inverse.get(a),
+                f"inverse table is wrong at {a!r}",
+                "$",
+            )
+    return table

@@ -19,6 +19,7 @@ from .model import (
     FiniteMap,
     GroupoidSpine,
     Indexed,
+    adjoin,
     compose_indexed,
     decode,
     element_index,
@@ -146,24 +147,6 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
     return GroupoidSpine(spine.objects, spine.sets, pairs, morphisms)
 
 
-def _adjoin(group: set[Indexed], gens: list[Indexed], s: Indexed) -> None:
-    """Enlarge, in place, the permutation group `group` generated by `gens`
-    by a new generator s not in it.
-
-    The coset group.s is disjoint from the group, so all of it is new; the
-    rest follows by multiplying new elements by every generator on the right.
-    """
-    gens.append(s)
-    new = [compose_indexed(g, s) for g in group]
-    group.update(new)
-    for h in new:  # grows while it is scanned
-        for t in gens:
-            k = compose_indexed(h, t)
-            if k not in group:
-                group.add(k)
-                new.append(k)
-
-
 def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
     """Compute the groupoid generated by all morphisms of a spine in which
     every increasing pair is present.
@@ -199,7 +182,7 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
         for f in maps:
             loop = compose_indexed(compose_indexed(tree[i], f), back[j])
             if loop not in group:
-                _adjoin(group, gens, loop)
+                adjoin(group, gens, loop, compose_indexed)
 
     morphisms = {}
     for i in objs:

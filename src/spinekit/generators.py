@@ -13,8 +13,7 @@ classes there are non-cosets).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InvalidSpine, NotPrime, SearchExhausted, TooLarge
 from .groups import GroupTable
@@ -29,31 +28,6 @@ from .model import (
 )
 
 MIN_NON_COSET_ORDER = 5  # established by brute force over orders 2-4
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Parameters of one generator invocation, for provenance metadata."""
-
-    kind: str
-    group: Optional[str] = None
-    prime: Optional[int] = None
-    order: Optional[int] = None
-    objects: Optional[int] = None
-    want_coset: Optional[bool] = None
-    seed: Optional[int] = None
-
-    def meta(self) -> dict:
-        fields = {
-            "group": self.group,
-            "prime": self.prime,
-            "order": self.order,
-            "objects": self.objects,
-            "want_coset": self.want_coset,
-            "seed": self.seed,
-        }
-        return {"generator": {"kind": self.kind}
-                | {k: v for k, v in fields.items() if v is not None}}
 
 
 def gen_group_action_spine(group: GroupTable, objects: int) -> GroupoidSpine:

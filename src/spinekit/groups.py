@@ -12,7 +12,14 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import MixedSignature, UnknownElement, UnknownObject
 from .extension import ExtensionResult
-from .model import FiniteMap, FiniteSet, compose_indexed, element_index, encode
+from .model import (
+    FiniteMap,
+    FiniteSet,
+    Indexed,
+    compose_indexed,
+    element_index,
+    encode,
+)
 
 
 @dataclass(frozen=True)
@@ -33,7 +40,6 @@ class GroupTable:
         elements: Iterable[str],
         identity: str,
         product: Mapping[tuple[str, str], str],
-        inverse: Mapping[str, str] | None = None,
     ):
         elems = tuple(str(e) for e in elements)
         if len(set(elems)) != len(elems):
@@ -51,22 +57,15 @@ class GroupTable:
         for a in elems:
             if prod[(identity, a)] != a or prod[(a, identity)] != a:
                 raise ValueError(f"{identity!r} is not neutral at {a!r}")
-        if inverse is None:
-            inv = {}
-            for a in elems:
-                for b in elems:
-                    if prod[(a, b)] == identity and prod[(b, a)] == identity:
-                        inv[a] = b
-                        break
-            if len(inv) != len(elems):
-                missing = [a for a in elems if a not in inv]
-                raise ValueError(f"elements without inverses: {missing}")
-        else:
-            inv = {str(a): str(b) for a, b in inverse.items()}
-            for a in elems:
-                b = inv.get(a)
-                if b is None or prod[(a, b)] != identity or prod[(b, a)] != identity:
-                    raise ValueError(f"inverse table is wrong at {a!r}")
+        inv = {}
+        for a in elems:
+            for b in elems:
+                if prod[(a, b)] == identity and prod[(b, a)] == identity:
+                    inv[a] = b
+                    break
+        if len(inv) != len(elems):
+            missing = [a for a in elems if a not in inv]
+            raise ValueError(f"elements without inverses: {missing}")
         for a in elems:
             for b in elems:
                 for c in elems:
@@ -164,13 +163,6 @@ class GroupAction:
     def apply(self, g: str, x: str) -> str:
         return self.act[(g, x)]
 
-    def element_sending(self, x: str, y: str) -> str:
-        """The unique group element with g . x = y."""
-        for g in self.group.elements:
-            if self.act[(g, x)] == y:
-                return g
-        raise UnknownElement(f"no element sends {x!r} to {y!r}")
-
 
 def dedupe_family(
     maps: Sequence[FiniteMap],
@@ -200,12 +192,34 @@ def dedupe_family(
     return representatives, class_of
 
 
+def permutation_group(perms: Mapping[Indexed, str], identity: Indexed) -> GroupTable:
+    """The group of the permutations `perms` (indexed maps of one carrier),
+    each element labeled by its value in `perms`.
+
+    Elements are listed in label order; a.b is the label of "apply b, then
+    a". Raises ValueError when the identity is missing or the permutations
+    are not closed under composition.
+    """
+    if identity not in perms:
+        raise ValueError("the permutations lack the identity")
+    product = {}
+    for p, a in perms.items():
+        for q, b in perms.items():
+            c = perms.get(compose_indexed(q, p))
+            if c is None:
+                raise ValueError("the permutations are not closed under composition")
+            product[(a, b)] = c
+    return GroupTable(sorted(perms.values()), perms[identity], product)
+
+
 def extract_group(ext: ExtensionResult, obj: str) -> GroupAction:
     """Realize the diagonal morphism family at one object as a concrete
     group with its regular action on that object's carrier.
 
     Elements are the canonical graph keys of the diagonal maps; the product
     of two keys is the key of the composite (right factor applied first).
+    Raises ValueError when the diagonal family lacks the identity or is not
+    closed under composition.
     """
     spine = ext.extended
     if obj not in spine.objects:
@@ -215,30 +229,20 @@ def extract_group(ext: ExtensionResult, obj: str) -> GroupAction:
     key_of = {
         encode(f, elems, index): f.graph_key() for f in spine.morphisms[(obj, obj)]
     }
-    by_key = {k: t for t, k in key_of.items()}
-    keys = tuple(sorted(by_key))
-    identity_key = key_of.get(tuple(range(len(elems))))
-    if identity_key is None:
-        raise ValueError(
-            f"Mor({obj},{obj}) lacks the identity; the extension is not valid"
-        )
-    product: dict[tuple[str, str], str] = {}
-    for ka in keys:
-        ta = by_key[ka]
-        for kb in keys:
-            # product a.b acts as "apply b, then a"
-            composite = key_of.get(compose_indexed(by_key[kb], ta))
-            if composite is None:
-                raise ValueError(
-                    f"Mor({obj},{obj}) is not closed under composition; "
-                    "the extension is not valid"
-                )
-            product[(ka, kb)] = composite
-    table = GroupTable(keys, identity_key, product)
-    act = {
-        (k, x): elems[y] for k in keys for x, y in zip(elems, by_key[k])
-    }
+    table = permutation_group(key_of, tuple(range(len(elems))))
+    act = {(k, x): elems[y] for t, k in key_of.items() for x, y in zip(elems, t)}
     return GroupAction(table, spine.sets[obj], act)
+
+
+def _transport(
+    g: GroupTable, phi: Mapping[str, str], elements: Sequence[str]
+) -> GroupTable:
+    """The group on `elements` that the bijection phi from g's elements
+    onto them makes isomorphic to g: phi(a).phi(b) = phi(a.b)."""
+    product = {
+        (phi[a], phi[b]): phi[g.op(a, b)] for a in g.elements for b in g.elements
+    }
+    return GroupTable(elements, phi[g.identity], product)
 
 
 def group_on_fiber(ga: GroupAction, e: str) -> GroupTable:
@@ -249,26 +253,14 @@ def group_on_fiber(ga: GroupAction, e: str) -> GroupTable:
     """
     if e not in ga.carrier.elements:
         raise UnknownElement(f"{e!r} is not a carrier element")
-    to_group = {x: ga.element_sending(e, x) for x in ga.carrier.elements}
-    product = {
-        (x, y): ga.apply(ga.group.op(to_group[x], to_group[y]), e)
-        for x in ga.carrier.elements
-        for y in ga.carrier.elements
-    }
-    inverse = {
-        x: ga.apply(ga.group.inv(to_group[x]), e) for x in ga.carrier.elements
-    }
-    return GroupTable(ga.carrier.elements, e, product, inverse)
+    phi = {g: ga.apply(g, e) for g in ga.group.elements}
+    return _transport(ga.group, phi, ga.carrier.elements)
 
 
 def relabel_group(g: GroupTable, d: str) -> GroupTable:
     """The group on the same elements with product x . d^-1 . y, making d
-    the identity; isomorphic to the original."""
+    the identity: the transport along x -> x . d; isomorphic to the
+    original."""
     if d not in g.elements:
         raise UnknownElement(f"{d!r} is not an element")
-    di = g.inv(d)
-    product = {
-        (x, y): g.op(g.op(x, di), y) for x in g.elements for y in g.elements
-    }
-    inverse = {x: g.op(g.op(d, g.inv(x)), d) for x in g.elements}
-    return GroupTable(g.elements, d, product, inverse)
+    return _transport(g, {x: g.op(x, d) for x in g.elements}, g.elements)

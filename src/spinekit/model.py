@@ -11,7 +11,7 @@ morphisms per pair. Larger inputs run but are untested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import TargetMismatch
 
@@ -145,6 +145,24 @@ def invert_indexed(f: Indexed) -> Indexed:
     return tuple(inv)
 
 
+def adjoin(group: set, gens: list, s, mul: Callable) -> None:
+    """Enlarge, in place, the finite group `group` generated by `gens` by a
+    new generator s not in it; `mul` is the group's product.
+
+    The coset group.s is disjoint from the group, so all of it is new; the
+    rest follows by multiplying new elements by every generator on the right.
+    """
+    gens.append(s)
+    new = [mul(g, s) for g in group]
+    group.update(new)
+    for h in new:  # grows while it is scanned
+        for t in gens:
+            k = mul(h, t)
+            if k not in group:
+                group.add(k)
+                new.append(k)
+
+
 @dataclass(frozen=True)
 class GroupoidSpine:
     """Objects with a linear order, carrier sets, a pair relation, and
@@ -246,17 +264,6 @@ class ValidationReport:
         lines = [f"validation: fail ({len(self.violations)} violations)"]
         lines += [f"  {v.render()}" for v in self.violations]
         return lines
-
-
-def _structural_ok(spine: GroupoidSpine, pair: tuple[str, str], f: FiniteMap) -> bool:
-    """True when f's domain and image agree with the pair's carriers."""
-    i, j = pair
-    return (
-        f.source == i
-        and f.target == j
-        and f.domain() == frozenset(spine.sets[i].elements)
-        and f.image() == frozenset(spine.sets[j].elements)
-    )
 
 
 def validate_spine(spine: GroupoidSpine) -> ValidationReport:

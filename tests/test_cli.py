@@ -115,6 +115,13 @@ class TestExtendAndExtract:
         assert "conservative: false" in out
         assert "added on (1,2)" in out
 
+    def test_extend_failed_write_prints_no_report(self, capsys, z5_doc, tmp_path):
+        out_path = tmp_path / "missing" / "ext.json"
+        code, out, err = run(capsys, "extend", z5_doc, "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_extract_affine_seven(self, capsys, tmp_path):
         doc = tmp_path / "affine7.json"
         assert run(capsys, "gen", "--kind", "affine-config", "--prime", "7",
@@ -310,6 +317,13 @@ class TestRelabel:
         )
         assert code == 0
         assert out_path.exists()
+
+    def test_relabel_failed_write_prints_no_report(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "g.json"
+        code, out, err = run(capsys, "relabel", "Z6", "--d", "2", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_relabel_unknown_element(self, capsys):
         code, _, err = run(capsys, "relabel", "Z6", "--d", "9")

@@ -162,6 +162,18 @@ class TestGroupFiles:
         g = load_group(json.dumps(doc))
         assert g.inv("1") == "3"
 
+    @pytest.mark.parametrize(
+        "entry, where",
+        [(("1", "1"), "'1'"), (("zz", "q"), "'zz'"), (("2", 2), "'2'")],
+        ids=["wrong-entry", "unknown-key", "non-string-value"],
+    )
+    def test_inverse_block_must_match_the_product(self, entry, where):
+        doc = json.loads(serialize_group(cyclic_group(4)))
+        key, value = entry
+        doc["inverse"][key] = value
+        with pytest.raises(SchemaError, match=f"inverse table is wrong at {where}"):
+            load_group(json.dumps(doc))
+
     def test_unknown_key(self):
         doc = json.loads(serialize_group(cyclic_group(2)))
         doc["color"] = "blue"

@@ -1,22 +1,27 @@
 """Group extraction, fiber transport, relabeling, and classification."""
 
+from itertools import permutations
+
 import pytest
 
 from conftest import translation_spine, trivial_spine
 from spinekit.catalog import (
     IsoClass,
     abelian_group,
+    alternating_group_4,
+    catalog,
     catalog_upto,
     classify_group,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
+    generating_sequence,
     is_isomorphic,
     klein_group,
     symmetric_group,
 )
 from spinekit.errors import MixedSignature, UnknownElement, UnknownObject
-from spinekit.extension import extend_to_groupoid
+from spinekit.extension import ExtensionResult, extend_to_groupoid
 from spinekit.generators import gen_group_action_spine
 from spinekit.groups import (
     GroupTable,
@@ -25,7 +30,7 @@ from spinekit.groups import (
     group_on_fiber,
     relabel_group,
 )
-from spinekit.model import FiniteMap
+from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
@@ -117,6 +122,24 @@ class TestExtractGroup:
             for obj in ext.extended.objects:
                 action = extract_group(ext, obj)
                 assert is_isomorphic(action.group, g)
+
+    @pytest.mark.parametrize(
+        "shifts, message",
+        [((1, 2), "identity"), ((0, 1), "closed under composition")],
+    )
+    def test_invalid_diagonal_is_rejected(self, shifts, message):
+        # a hand-built result: the engine never closes a spine like this
+        elems = ["a", "b", "c"]
+        maps = [
+            FiniteMap("1", "1", {x: elems[(n + k) % 3] for n, x in enumerate(elems)})
+            for k in shifts
+        ]
+        spine = GroupoidSpine(
+            ["1"], {"1": FiniteSet("1", elems)}, [("1", "1")], {("1", "1"): maps}
+        )
+        ext = ExtensionResult(spine, True, {}, 1)
+        with pytest.raises(ValueError, match=message):
+            extract_group(ext, "1")
 
     def test_roundtrip_every_catalog_group_up_to_12(self):
         for name, g in catalog_upto(12):
@@ -237,14 +260,56 @@ class TestIsomorphism:
         assert not is_isomorphic(dihedral_group(4), dicyclic_group(2))
 
     def test_same_profile_non_isomorphic(self):
-        # C4 x C4 and C2 x Q8 share the order profile (1,3,12) but only the
-        # first is abelian; the search must exhaust and say no
-        a = abelian_group(4, 4)
-        b = direct_product(cyclic_group(2), dicyclic_group(2))
-        assert a.order_profile() == b.order_profile()
-        assert not is_isomorphic(a, b)
-        assert classify_group(b).name == "unclassified(order=16)"
+        # C4 x C4 and C2 x Q8 share the order profile (1,3,12), and so do
+        # C2 x C4 x C4 and C2 x C2 x Q8 (1,7,24), but only the first of each
+        # pair is abelian; the search must exhaust and say no
+        for a, b in (
+            (abelian_group(4, 4), direct_product(cyclic_group(2), dicyclic_group(2))),
+            (abelian_group(2, 4, 4), direct_product(klein_group(), dicyclic_group(2))),
+        ):
+            assert a.order_profile() == b.order_profile()
+            assert not is_isomorphic(a, b)
+            assert not is_isomorphic(b, a)
+            assert classify_group(b).name == f"unclassified(order={len(b)})"
 
     def test_roundtrip_catalog(self):
         for name, g in catalog_upto(8):
             assert is_isomorphic(g, g), name
+
+
+def span(g: GroupTable, gens: list[str]) -> set[str]:
+    """Oracle: every product of generators, found breadth first."""
+    out, frontier = {g.identity}, [g.identity]
+    while frontier:
+        frontier = [
+            c
+            for c in {g.op(a, s) for a in frontier for s in gens}
+            if c not in out
+        ]
+        out.update(frontier)
+    return out
+
+
+class TestCatalogBuilders:
+    def test_generating_sequence_generates(self):
+        for name, g in catalog():
+            gens = generating_sequence(g)
+            assert span(g, gens) == set(g.elements), name
+            # greedy: each generator lies outside the span of the earlier ones
+            for n, s in enumerate(gens):
+                assert s not in span(g, gens[:n]), name
+
+    def test_alternating_group_4_is_the_even_permutations(self):
+        def parity(p):
+            return sum(
+                1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
+            ) % 2
+
+        even = {
+            "".join(map(str, p)) for p in permutations(range(4)) if parity(p) == 0
+        }
+        a4 = alternating_group_4()
+        assert set(a4.elements) == even and len(a4) == 12
+        # the product is S4's, restricted to the even permutations
+        s4 = symmetric_group(4)
+        assert all(a4.op(a, b) == s4.op(a, b) for a in even for b in even)
