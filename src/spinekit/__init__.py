@@ -30,7 +30,6 @@ from .errors import (
     DocumentSyntaxError,
     EmptySet,
     InvalidSpine,
-    MixedSignature,
     NotACoset,
     NotPrime,
     NotRegular,
@@ -61,7 +60,6 @@ from .generators import (
 from .groups import (
     GroupAction,
     GroupTable,
-    dedupe_family,
     extract_group,
     group_on_fiber,
     relabel_group,

@@ -3,8 +3,8 @@
 The catalog holds every group of order up to 12 and the named families
 (cyclic, abelian products, dihedral, dicyclic, symmetric, alternating) up
 to order 24. Anything else classifies as unclassified with its order
-profile. Isomorphism is decided by backtracking over generator images with
-order-profile pruning.
+profile. Isomorphism is decided by backtracking over generator images, once
+the order profiles and the numbers of commuting pairs agree.
 """
 
 from __future__ import annotations
@@ -13,30 +13,37 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .groups import GroupTable, permutation_group
+from .groups import GroupTable, permutation_group, tabulate
 from .model import Indexed, adjoin, compose_indexed
 
 CLASSIFY_LIMIT = 24
 
 
 def cyclic_group(n: int) -> GroupTable:
-    elems = [str(i) for i in range(n)]
-    product = {(str(a), str(b)): str((a + b) % n) for a in range(n) for b in range(n)}
-    return GroupTable(elems, "0", product)
+    return abelian_group(n)
 
 
 def abelian_group(*factors: int) -> GroupTable:
     """Direct product of cyclic groups; labels join components with '.'."""
-    tuples = list(iproduct(*(range(f) for f in factors)))
-    label = lambda t: ".".join(str(c) for c in t)
-    product = {
-        (label(a), label(b)): label(
-            tuple((x + y) % f for x, y, f in zip(a, b, factors))
-        )
-        for a in tuples
-        for b in tuples
-    }
-    return GroupTable([label(t) for t in tuples], label(tuples[0]), product)
+    return tabulate(
+        iproduct(*(range(f) for f in factors)),
+        (0,) * len(factors),
+        lambda a, b: tuple((x + y) % f for x, y, f in zip(a, b, factors)),
+        lambda t: ".".join(str(c) for c in t),
+    )
+
+
+def _twisted_pairs(n: int, twist: int, label) -> GroupTable:
+    """The extension of C_n by C_2 on pairs (k, f) in Z/n x {0, 1}:
+    (k1, f1)(k2, f2) = (k1 +- k2 + twist.f1.f2 mod n, f1 xor f2), with a
+    minus when f1 = 1. Rotations (f = 0) are listed first."""
+
+    def mul(a, b):
+        (k1, f1), (k2, f2) = a, b
+        return (k1 + (-k2 if f1 else k2) + twist * f1 * f2) % n, f1 ^ f2
+
+    pairs = [(k, f) for f in (0, 1) for k in range(n)]
+    return tabulate(pairs, (0, 0), mul, lambda e: label(*e))
 
 
 def dihedral_group(n: int) -> GroupTable:
@@ -46,18 +53,7 @@ def dihedral_group(n: int) -> GroupTable:
     """
     if n < 3:
         raise ValueError("dihedral groups start at the triangle")
-    rot = lambda k: "e" if k == 0 else f"r{k}"
-    ref = lambda k: f"s{k}"
-    label = lambda k, f: ref(k) if f else rot(k)
-    elems = [rot(k) for k in range(n)] + [ref(k) for k in range(n)]
-    product = {}
-    for k1 in range(n):
-        for f1 in (0, 1):
-            for k2 in range(n):
-                for f2 in (0, 1):
-                    k = (k1 + (k2 if f1 == 0 else -k2)) % n
-                    product[(label(k1, f1), label(k2, f2))] = label(k, f1 ^ f2)
-    return GroupTable(elems, "e", product)
+    return _twisted_pairs(n, 0, lambda k, f: f"s{k}" if f else f"r{k}" if k else "e")
 
 
 def _perm_group(perms: set[Indexed]) -> GroupTable:
@@ -90,21 +86,7 @@ def dicyclic_group(m: int) -> GroupTable:
     """
     if m < 2:
         raise ValueError("dicyclic groups start at order 8")
-    label = lambda k, f: f"b{k}" if f else f"a{k}"
-    elems = [label(k, 0) for k in range(2 * m)] + [label(k, 1) for k in range(2 * m)]
-    product = {}
-    for k1 in range(2 * m):
-        for f1 in (0, 1):
-            for k2 in range(2 * m):
-                for f2 in (0, 1):
-                    if f1 == 0:
-                        k, f = (k1 + k2) % (2 * m), f2
-                    elif f2 == 0:
-                        k, f = (k1 - k2) % (2 * m), 1
-                    else:
-                        k, f = (k1 - k2 + m) % (2 * m), 0
-                    product[(label(k1, f1), label(k2, f2))] = label(k, f)
-    return GroupTable(elems, "a0", product)
+    return _twisted_pairs(2 * m, m, lambda k, f: f"b{k}" if f else f"a{k}")
 
 
 def klein_group() -> GroupTable:
@@ -187,11 +169,20 @@ def _hom_from_images(
     return phi
 
 
+def _commuting_pairs(g: GroupTable) -> int:
+    """The number of pairs (a, b) with ab = ba, which is |G| times the
+    number of conjugacy classes (Erdős and Turán); an isomorphism invariant."""
+    return sum(g.op(a, b) == g.op(b, a) for a in g.elements for b in g.elements)
+
+
 def is_isomorphic(g: GroupTable, h: GroupTable) -> bool:
-    """Backtracking search for an isomorphism via generator images."""
+    """Backtracking search for an isomorphism via generator images, after
+    comparing the order profiles and the numbers of commuting pairs."""
     if len(g) != len(h):
         return False
     if g.order_profile() != h.order_profile():
+        return False
+    if _commuting_pairs(g) != _commuting_pairs(h):
         return False
     gens = generating_sequence(g)
     by_order: dict[int, list[str]] = {}

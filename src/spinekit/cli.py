@@ -25,7 +25,6 @@ from .errors import (
     DocumentError,
     EmptySet,
     InvalidSpine,
-    MixedSignature,
     NotPrime,
     NotRegular,
     SearchExhausted,
@@ -167,12 +166,8 @@ def cmd_coset(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    table = resolve_group_spec(args.group)
-    for text in args.sets:
-        for (x,) in _parse_set(text):
-            if x not in table.elements:
-                raise UnknownElement(f"{x!r} is not a group element")
-    family = [_parse_set(text) for text in args.sets]
+    amb = AmbientGroup(resolve_group_spec(args.group), 1)
+    family = [[amb.check_member(x) for x in _parse_set(text)] for text in args.sets]
     report = partition_check(family)
     print("\n".join(report.render_lines()))
     return 0 if report.equal_or_disjoint else 1
@@ -327,7 +322,6 @@ _ERRORS = (
             NotPrime,
             TooLarge,
             EmptySet,
-            MixedSignature,
             ValueError,
             OSError,
         ),

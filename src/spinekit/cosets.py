@@ -9,9 +9,9 @@ member is just a finite set, so the analogy should not be over-read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product as iproduct
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EmptySet, NotACoset, TheoremViolation, UnknownElement
 from .groups import GroupTable
@@ -25,12 +25,14 @@ class AmbientGroup:
 
     group: GroupTable
     power: int
+    _index: Mapping[str, int] = field(repr=False, compare=False)
 
     def __init__(self, group: GroupTable, power: int = 1):
         if power < 1:
             raise ValueError("power must be at least 1")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "power", power)
+        object.__setattr__(self, "_index", {e: n for n, e in enumerate(group.elements)})
 
     def op(self, a: GTuple, b: GTuple) -> GTuple:
         return tuple(self.group.op(x, y) for x, y in zip(a, b))
@@ -46,25 +48,20 @@ class AmbientGroup:
 
     def tuple_key(self, a: GTuple) -> tuple[int, ...]:
         """Lexicographic sort key, ordering components by element index."""
-        idx = {e: n for n, e in enumerate(self.group.elements)}
-        return tuple(idx[x] for x in a)
+        return tuple(self._index[x] for x in a)
 
     def check_member(self, a: GTuple) -> GTuple:
         a = tuple(str(x) for x in a)
         if len(a) != self.power:
             raise UnknownElement(f"{a!r} does not have {self.power} components")
-        known = set(self.group.elements)
         for x in a:
-            if x not in known:
+            if x not in self._index:
                 raise UnknownElement(f"{x!r} is not a group element")
         return a
 
     def is_subgroup(self, h: frozenset[GTuple]) -> bool:
-        if self.identity() not in h:
-            return False
-        return all(self.op(a, b) in h for a in h for b in h) and all(
-            self.inv(a) in h for a in h
-        )
+        # in a finite group, a set closed under the product holds the inverses
+        return self.identity() in h and all(self.op(a, b) in h for a in h for b in h)
 
 
 @dataclass(frozen=True)
@@ -107,33 +104,26 @@ def _translates_partition(
 
 
 def coset_test(amb: AmbientGroup, xs: Iterable[GTuple]) -> CosetReport:
-    """Evaluate the five coset conditions independently by brute force.
+    """Evaluate the five coset conditions independently.
 
-    When the set is a left coset, the returned subgroup is a^-1 . X for the
-    least member a (the translator). A disagreement among the verdicts is
+    A left (right) coset is a coset of one subgroup through each of its
+    members, so X is one iff a^-1 . X (X . a^-1) is a subgroup for the
+    least member a. When it is a left coset, the returned subgroup is
+    a^-1 . X and a is the translator. A disagreement among the verdicts is
     impossible and raises TheoremViolation.
     """
     xset = frozenset(amb.check_member(x) for x in xs)
     if not xset:
         raise EmptySet("coset test needs a non-empty set")
-    ordered = sorted(xset, key=amb.tuple_key)
 
     left_part = _translates_partition(amb, xset, "left")
     right_part = _translates_partition(amb, xset, "right")
 
-    left_coset = False
-    subgroup: Optional[frozenset[GTuple]] = None
-    translator: Optional[GTuple] = None
-    for a in ordered:
-        h = frozenset(amb.op(amb.inv(a), x) for x in xset)
-        if amb.is_subgroup(h):
-            left_coset, subgroup, translator = True, h, a
-            break
-
-    right_coset = any(
-        amb.is_subgroup(frozenset(amb.op(x, amb.inv(a)) for x in xset))
-        for a in ordered
-    )
+    a = min(xset, key=amb.tuple_key)
+    h = frozenset(amb.op(amb.inv(a), x) for x in xset)
+    left_coset = amb.is_subgroup(h)
+    subgroup, translator = (h, a) if left_coset else (None, None)
+    right_coset = amb.is_subgroup(frozenset(amb.op(x, amb.inv(a)) for x in xset))
 
     xyz = all(
         amb.op(amb.op(x, amb.inv(y)), z) in xset
@@ -201,12 +191,11 @@ def fiber_coset_structure(
     proj = tuple(proj)
     if not proj or any(c < 0 or c >= amb.power for c in proj):
         raise ValueError(f"projection coordinates {proj} out of range")
-    base = coset_test(amb, xs)
-    if not base.left_coset:
-        raise NotACoset("the input set is not a left coset")
     xset = frozenset(amb.check_member(x) for x in xs)
+    if not coset_test(amb, xset).left_coset:
+        raise NotACoset("the input set is not a left coset")
     by_image: dict[GTuple, set[GTuple]] = {}
-    for x in sorted(xset, key=amb.tuple_key):
+    for x in xset:
         by_image.setdefault(tuple(x[c] for c in proj), set()).add(x)
 
     common: Optional[frozenset[GTuple]] = None
@@ -238,19 +227,6 @@ class LinearityReport:
     all_cosets: bool
     shared_subgroup_translates: bool
 
-    def render_lines(self) -> list[str]:
-        lines = []
-        for n, verdict in enumerate(self.member_cosets):
-            lines.append(f"  member {n}: {'coset' if verdict else 'not a coset'}")
-        lines.append(
-            "local linearity: " + ("pass" if self.all_cosets else "fail")
-        )
-        lines.append(
-            "members sharing a subgroup are translates: "
-            + ("yes" if self.shared_subgroup_translates else "no")
-        )
-        return lines
-
 
 def family_local_linearity(
     amb: AmbientGroup, family: Sequence[Iterable[GTuple]]
@@ -258,7 +234,9 @@ def family_local_linearity(
     """Per-member coset verdicts; passes iff every member is a left coset.
 
     Also reports whether members whose subgroups coincide are left
-    translates of one another (verified by brute-force translate search).
+    translates of one another. If u . X_i = X_j then u . a lies in X_j for
+    the translator a of X_i, so the candidates u = b . a^-1 with b in X_j
+    are all there is to try.
     """
     if not family:
         raise EmptySet("local linearity needs a non-empty family")
@@ -274,9 +252,11 @@ def family_local_linearity(
         for j in range(i + 1, len(members)):
             if subgroups[i] is None or subgroups[i] != subgroups[j]:
                 continue
+            a_inv = amb.inv(reports[i].translator)
             if not any(
-                frozenset(amb.op(u, x) for x in members[i]) == members[j]
-                for u in amb.all_tuples()
+                frozenset(amb.op(amb.op(b, a_inv), x) for x in members[i])
+                == members[j]
+                for b in members[j]
             ):
                 translates = False
     return LinearityReport(verdicts, subgroups, all(verdicts), translates)

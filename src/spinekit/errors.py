@@ -11,10 +11,6 @@ class TargetMismatch(SpineKitError):
     """Composition was requested for maps whose endpoints do not line up."""
 
 
-class MixedSignature(SpineKitError):
-    """A family operation received maps with differing sources or targets."""
-
-
 class InvalidSpine(SpineKitError):
     """An operation required a spine that passes validation.
 

@@ -8,12 +8,11 @@ diagonal morphisms, so tables are deterministic across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import MixedSignature, UnknownElement, UnknownObject
-from .extension import ExtensionResult
+from .errors import NotRegular, UnknownElement, UnknownObject
+from .extension import ExtensionResult, _regularity_unchecked
 from .model import (
-    FiniteMap,
     FiniteSet,
     Indexed,
     compose_indexed,
@@ -164,32 +163,20 @@ class GroupAction:
         return self.act[(g, x)]
 
 
-def dedupe_family(
-    maps: Sequence[FiniteMap],
-) -> tuple[list[FiniteMap], list[int]]:
-    """Quotient a represented family by graph equality.
+def tabulate(
+    elements: Iterable, identity, mul: Callable, label: Callable[..., str]
+) -> GroupTable:
+    """The group on `elements` under `mul`, each element named label(x).
 
-    Returns one representative per distinct graph in first-occurrence order,
-    and for each input index the index of its representative.
+    Every element is named once and the n^2 products are filled in from
+    those names, in element order. Raises KeyError when a product is not
+    among the elements.
     """
-    maps = list(maps)
-    if maps:
-        src, tgt = maps[0].source, maps[0].target
-        for n, f in enumerate(maps):
-            if f.source != src or f.target != tgt:
-                raise MixedSignature(
-                    f"map {n} is {f.source!r}->{f.target!r}, "
-                    f"expected {src!r}->{tgt!r}"
-                )
-    representatives: list[FiniteMap] = []
-    where: dict[tuple, int] = {}
-    class_of: list[int] = []
-    for f in maps:
-        if f.graph not in where:
-            where[f.graph] = len(representatives)
-            representatives.append(f)
-        class_of.append(where[f.graph])
-    return representatives, class_of
+    names = {x: label(x) for x in elements}
+    product = {
+        (a, b): names[mul(x, y)] for x, a in names.items() for y, b in names.items()
+    }
+    return GroupTable(names.values(), names[identity], product)
 
 
 def permutation_group(perms: Mapping[Indexed, str], identity: Indexed) -> GroupTable:
@@ -202,14 +189,15 @@ def permutation_group(perms: Mapping[Indexed, str], identity: Indexed) -> GroupT
     """
     if identity not in perms:
         raise ValueError("the permutations lack the identity")
-    product = {}
-    for p, a in perms.items():
-        for q, b in perms.items():
-            c = perms.get(compose_indexed(q, p))
-            if c is None:
-                raise ValueError("the permutations are not closed under composition")
-            product[(a, b)] = c
-    return GroupTable(sorted(perms.values()), perms[identity], product)
+    try:
+        return tabulate(
+            sorted(perms, key=perms.__getitem__),
+            identity,
+            lambda p, q: compose_indexed(q, p),
+            perms.__getitem__,
+        )
+    except KeyError:
+        raise ValueError("the permutations are not closed under composition") from None
 
 
 def extract_group(ext: ExtensionResult, obj: str) -> GroupAction:
@@ -218,12 +206,16 @@ def extract_group(ext: ExtensionResult, obj: str) -> GroupAction:
 
     Elements are the canonical graph keys of the diagonal maps; the product
     of two keys is the key of the composite (right factor applied first).
-    Raises ValueError when the diagonal family lacks the identity or is not
-    closed under composition.
+    Raises NotRegular, with the extended spine's regularity report, when
+    the extension was not conservative (only two-object spines get there:
+    the group then outgrows the carrier), and ValueError when the diagonal
+    family lacks the identity or is not closed under composition.
     """
     spine = ext.extended
     if obj not in spine.objects:
         raise UnknownObject(f"object {obj!r} is not in the spine")
+    if not ext.conservative:
+        raise NotRegular(_regularity_unchecked(spine))
     elems = spine.sets[obj].elements
     index = element_index(elems)
     key_of = {
@@ -239,10 +231,8 @@ def _transport(
 ) -> GroupTable:
     """The group on `elements` that the bijection phi from g's elements
     onto them makes isomorphic to g: phi(a).phi(b) = phi(a.b)."""
-    product = {
-        (phi[a], phi[b]): phi[g.op(a, b)] for a in g.elements for b in g.elements
-    }
-    return GroupTable(elements, phi[g.identity], product)
+    back = {y: x for x, y in phi.items()}
+    return tabulate([back[y] for y in elements], g.identity, g.op, phi.__getitem__)
 
 
 def group_on_fiber(ga: GroupAction, e: str) -> GroupTable:

@@ -153,6 +153,21 @@ class TestExtendAndExtract:
         assert "group order: 32" in out
         assert "class: unclassified(order=32); profile: 1^1 2^1 4^2 8^4 16^8 32^16\n" in out
 
+    def test_extract_non_coset_latin_is_not_regular(self, capsys, tmp_path):
+        # a valid regular two-object input whose closure, S5 at each object,
+        # cannot act regularly on five points: a failed check, not bad input
+        doc = tmp_path / "latin.json"
+        assert run(capsys, "gen", "--kind", "latin-square", "--order", "5",
+                   "--no-coset", "--seed", "1", "--out", str(doc))[0] == 0
+        code, out, err = run(capsys, "extract", str(doc), "--object", "1")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "regularity: fail" and len(lines) == 11
+        assert lines[1] == "  Mor(1,1) hits (0 -> 0) 24 times, expected exactly 1"
+        # an unknown object is still an input error
+        code, out, err = run(capsys, "extract", str(doc), "--object", "9")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_extract_unknown_object(self, capsys, z5_doc):
         code, _, err = run(capsys, "extract", z5_doc, "--object", "9")
         assert code == 2 and err

@@ -71,6 +71,7 @@ CASES = dict(
         ("extract-unknown-object", ["extract", "@z5.json", "--object", "9"]),
         ("extract-perturbed", ["extract", "@mutant.json", "--object", "1"]),
         ("extract-irregular", ["extract", "@irregular.json", "--object", "1"]),
+        ("extract-latin5", ["extract", "@latin5.json", "--object", "1"]),
         ("coset-z6-subgroup", ["coset", "Z6", "--set", "0,2,4"]),
         ("coset-z6-translate", ["coset", "Z6", "--set", "1,4"]),
         ("coset-z6-false", ["coset", "Z6", "--set", "0,1,3"]),
@@ -181,6 +182,12 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
     "extract-irregular": (
         1,
         "e7b9f06b8e1de93dfc7260acef4a54c829ec28d1f4c93a249517bdaa6c78932b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "extract-latin5": (
+        1,
+        "410523157e504f8c2e3db9cc9c28c7171e42de28ea407e17c410644195819f3f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),

@@ -128,6 +128,13 @@ class TestFiberStructure:
         assert report.subgroup == frozenset({("0", "0")})
         assert len(report.fibers) == 4
 
+    def test_set_given_as_an_iterator(self):
+        # the members are read once, so a generator gives the list's report
+        amb = AmbientGroup(cyclic_group(4), 2)
+        diagonal = [(str(x), str(x)) for x in range(4)]
+        expected = fiber_coset_structure(amb, diagonal, proj=[1])
+        assert fiber_coset_structure(amb, iter(diagonal), proj=[1]) == expected
+
     def test_full_ambient(self):
         amb = AmbientGroup(cyclic_group(6), 2)
         full = [(str(x), str(y)) for x in range(6) for y in range(6)]

@@ -1,9 +1,10 @@
 """Group extraction, fiber transport, relabeling, and classification."""
 
-from itertools import permutations
+from itertools import permutations, product as iproduct
 
 import pytest
 
+import spinekit.catalog as catalog_module
 from conftest import translation_spine, trivial_spine
 from spinekit.catalog import (
     IsoClass,
@@ -20,12 +21,15 @@ from spinekit.catalog import (
     klein_group,
     symmetric_group,
 )
-from spinekit.errors import MixedSignature, UnknownElement, UnknownObject
+from spinekit.errors import NotRegular, UnknownElement, UnknownObject
 from spinekit.extension import ExtensionResult, extend_to_groupoid
-from spinekit.generators import gen_group_action_spine
+from spinekit.generators import (
+    gen_group_action_spine,
+    gen_latin_square_family,
+    latin_family_spine,
+)
 from spinekit.groups import (
     GroupTable,
-    dedupe_family,
     extract_group,
     group_on_fiber,
     relabel_group,
@@ -43,51 +47,6 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
         for y2 in b.elements
     }
     return GroupTable(elems, f"{a.identity}:{b.identity}", product)
-
-
-class TestDedupe:
-    def test_distinct_maps(self):
-        maps = [
-            FiniteMap("a", "b", {"0": str((0 + t) % 3), "1": str((1 + t) % 3),
-                                 "2": str((2 + t) % 3)})
-            for t in range(3)
-        ]
-        reps, class_of = dedupe_family(maps)
-        assert reps == maps and class_of == [0, 1, 2]
-
-    def test_parameterized_family_mod4(self):
-        maps = [
-            FiniteMap("a", "a", {str(x): str((x + 2 * t) % 4) for x in range(4)})
-            for t in range(4)
-        ]
-        reps, class_of = dedupe_family(maps)
-        assert len(reps) == 2 and class_of == [0, 1, 0, 1]
-        # oracle: pairwise graph comparison
-        distinct = {m.graph for m in maps}
-        assert len(reps) == len(distinct)
-
-    def test_duplicated_list_halves(self):
-        base = [
-            FiniteMap("a", "a", {str(x): str((x + t) % 3) for x in range(3)})
-            for t in range(3)
-        ]
-        reps, class_of = dedupe_family(base + base)
-        assert len(reps) == 3 and class_of == [0, 1, 2, 0, 1, 2]
-
-    def test_idempotent(self):
-        maps = [
-            FiniteMap("a", "a", {str(x): str((x + 2 * t) % 4) for x in range(4)})
-            for t in range(4)
-        ]
-        reps, _ = dedupe_family(maps)
-        again, class_of = dedupe_family(reps)
-        assert again == reps and class_of == list(range(len(reps)))
-
-    def test_mixed_signature(self):
-        with pytest.raises(MixedSignature):
-            dedupe_family(
-                [FiniteMap("a", "b", {"x": "x"}), FiniteMap("a", "c", {"x": "x"})]
-            )
 
 
 class TestExtractGroup:
@@ -140,6 +99,17 @@ class TestExtractGroup:
         ext = ExtensionResult(spine, True, {}, 1)
         with pytest.raises(ValueError, match=message):
             extract_group(ext, "1")
+
+    def test_non_conservative_extension_is_not_regular(self):
+        # two objects: the closure's group, S5, outgrows the 5-point carrier
+        family = gen_latin_square_family(5, want_coset=False, seed=1)
+        ext = extend_to_groupoid(latin_family_spine(family))
+        assert not ext.conservative
+        with pytest.raises(NotRegular) as caught:
+            extract_group(ext, "1")
+        assert not caught.value.report.regular
+        with pytest.raises(UnknownObject):
+            extract_group(ext, "9")
 
     def test_roundtrip_every_catalog_group_up_to_12(self):
         for name, g in catalog_upto(12):
@@ -259,13 +229,23 @@ class TestIsomorphism:
         assert not is_isomorphic(cyclic_group(4), klein_group())
         assert not is_isomorphic(dihedral_group(4), dicyclic_group(2))
 
-    def test_same_profile_non_isomorphic(self):
-        # C4 x C4 and C2 x Q8 share the order profile (1,3,12), and so do
-        # C2 x C4 x C4 and C2 x C2 x Q8 (1,7,24), but only the first of each
-        # pair is abelian; the search must exhaust and say no
+    def test_same_profile_non_isomorphic(self, monkeypatch):
+        # C4 x C4 and C2 x Q8 share the order profile (1,3,12), C2 x C4 x C4
+        # and C2 x C2 x Q8 share (1,7,24), and C4^3 and C4 x C2 x Q8 share
+        # (1,7,56), but only the first of each pair is abelian. The numbers
+        # of commuting pairs differ, so no generator search may start (on
+        # the order-64 pair an exhaustive one takes many seconds).
+        def no_search(*args):
+            raise AssertionError("the generator-image search ran")
+
+        monkeypatch.setattr(catalog_module, "_hom_from_images", no_search)
         for a, b in (
             (abelian_group(4, 4), direct_product(cyclic_group(2), dicyclic_group(2))),
             (abelian_group(2, 4, 4), direct_product(klein_group(), dicyclic_group(2))),
+            (
+                abelian_group(4, 4, 4),
+                direct_product(abelian_group(4, 2), dicyclic_group(2)),
+            ),
         ):
             assert a.order_profile() == b.order_profile()
             assert not is_isomorphic(a, b)
@@ -313,3 +293,134 @@ class TestCatalogBuilders:
         # the product is S4's, restricted to the even permutations
         s4 = symmetric_group(4)
         assert all(a4.op(a, b) == s4.op(a, b) for a in even for b in even)
+
+
+# The product loops each builder had before they shared one table builder,
+# kept as oracles: (elements, identity, product).
+
+
+def cyclic_oracle(n):
+    elems = [str(i) for i in range(n)]
+    product = {(str(a), str(b)): str((a + b) % n) for a in range(n) for b in range(n)}
+    return elems, "0", product
+
+
+def abelian_oracle(*factors):
+    tuples = list(iproduct(*(range(f) for f in factors)))
+    label = lambda t: ".".join(str(c) for c in t)
+    product = {
+        (label(a), label(b)): label(
+            tuple((x + y) % f for x, y, f in zip(a, b, factors))
+        )
+        for a in tuples
+        for b in tuples
+    }
+    return [label(t) for t in tuples], label(tuples[0]), product
+
+
+def dihedral_oracle(n):
+    rot = lambda k: "e" if k == 0 else f"r{k}"
+    ref = lambda k: f"s{k}"
+    label = lambda k, f: ref(k) if f else rot(k)
+    elems = [rot(k) for k in range(n)] + [ref(k) for k in range(n)]
+    product = {}
+    for k1 in range(n):
+        for f1 in (0, 1):
+            for k2 in range(n):
+                for f2 in (0, 1):
+                    k = (k1 + (k2 if f1 == 0 else -k2)) % n
+                    product[(label(k1, f1), label(k2, f2))] = label(k, f1 ^ f2)
+    return elems, "e", product
+
+
+def dicyclic_oracle(m):
+    label = lambda k, f: f"b{k}" if f else f"a{k}"
+    elems = [label(k, 0) for k in range(2 * m)] + [label(k, 1) for k in range(2 * m)]
+    product = {}
+    for k1 in range(2 * m):
+        for f1 in (0, 1):
+            for k2 in range(2 * m):
+                for f2 in (0, 1):
+                    if f1 == 0:
+                        k, f = (k1 + k2) % (2 * m), f2
+                    elif f2 == 0:
+                        k, f = (k1 - k2) % (2 * m), 1
+                    else:
+                        k, f = (k1 - k2 + m) % (2 * m), 0
+                    product[(label(k1, f1), label(k2, f2))] = label(k, f)
+    return elems, "a0", product
+
+
+def permutation_oracle(words):
+    """Permutations in one-line notation; a.b applies b first."""
+    perms = {tuple(int(c) for c in w): w for w in words}
+    product = {
+        (a, b): perms[tuple(p[i] for i in q)]
+        for p, a in perms.items()
+        for q, b in perms.items()
+    }
+    return sorted(words), "".join(str(i) for i in range(len(words[0]))), product
+
+
+DICYCLIC = {"Q8": 2, "Dic3": 3, "Q16": 4, "Dic5": 5, "Dic6": 6}
+
+
+def oracle_for(name, g):
+    if name in DICYCLIC:
+        return dicyclic_oracle(DICYCLIC[name])
+    if name in ("S3", "S4", "A4"):
+        return permutation_oracle(list(g.elements))
+    if name.startswith("D"):
+        return dihedral_oracle(int(name[1:]))
+    factors = [int(c[1:]) for c in name.split("×")]
+    return abelian_oracle(*factors) if len(factors) > 1 else cyclic_oracle(factors[0])
+
+
+def assert_matches(g, oracle):
+    elems, identity, product = oracle
+    assert g.elements == tuple(elems) and len(g) == len(elems)
+    assert g.identity == identity
+    assert g.product == product
+    inverse = {
+        a: b
+        for a in elems
+        for b in elems
+        if product[(a, b)] == identity and product[(b, a)] == identity
+    }
+    assert g.inverse == inverse
+
+
+def transport_oracle(g, phi, elements):
+    product = {
+        (phi[a], phi[b]): phi[g.op(a, b)] for a in g.elements for b in g.elements
+    }
+    return list(elements), phi[g.identity], product
+
+
+class TestBuildersAgainstProductLoops:
+    def test_every_catalog_group(self):
+        for name, g in catalog():
+            assert_matches(g, oracle_for(name, g))
+
+    def test_c30_and_named_families_above_the_catalog(self):
+        assert_matches(cyclic_group(30), cyclic_oracle(30))
+        assert_matches(abelian_group(4, 12), abelian_oracle(4, 12))
+        assert_matches(dihedral_group(16), dihedral_oracle(16))
+        assert_matches(dicyclic_group(8), dicyclic_oracle(8))
+
+    def test_relabelings(self):
+        for name, g in catalog():
+            # every element for the small groups, the last one above order 8
+            for d in g.elements if len(g) <= 8 else g.elements[-1:]:
+                phi = {x: g.op(x, d) for x in g.elements}
+                oracle = transport_oracle(g, phi, g.elements)
+                assert_matches(relabel_group(g, d), oracle)
+
+    def test_fiber_groups(self):
+        for g in (symmetric_group(3), dicyclic_group(2), abelian_group(2, 4)):
+            ext = extend_to_groupoid(gen_group_action_spine(g, 2))
+            action = extract_group(ext, "1")
+            for e in action.carrier.elements:
+                phi = {h: action.apply(h, e) for h in action.group.elements}
+                oracle = transport_oracle(action.group, phi, action.carrier.elements)
+                assert_matches(group_on_fiber(action, e), oracle)

@@ -2,9 +2,14 @@
 
 from hypothesis import given, settings, strategies as st
 
-from spinekit.catalog import catalog_upto, is_isomorphic
-from spinekit.cosets import AmbientGroup, coset_test, partition_check
-from spinekit.groups import dedupe_family, relabel_group
+from spinekit.catalog import catalog_upto, cyclic_group, is_isomorphic, symmetric_group
+from spinekit.cosets import (
+    AmbientGroup,
+    coset_test,
+    family_local_linearity,
+    partition_check,
+)
+from spinekit.groups import relabel_group
 from spinekit.model import (
     FiniteMap,
     compose,
@@ -58,17 +63,6 @@ def test_indexed_core_matches_maps(f, g, xa, xb, xc):
     assert invert_indexed(tf) == encode(invert(f), xb, ia)
 
 
-@given(st.lists(bijection(), min_size=1, max_size=12))
-def test_dedupe_idempotent_and_counts(maps):
-    reps, class_of = dedupe_family(maps)
-    assert len(reps) == len({f.graph for f in maps})
-    again, identity_classes = dedupe_family(reps)
-    assert again == reps
-    assert identity_classes == list(range(len(reps)))
-    for n, f in enumerate(maps):
-        assert reps[class_of[n]] == f
-
-
 small_groups = st.sampled_from([g for _, g in catalog_upto(8)])
 
 
@@ -112,3 +106,94 @@ def test_generated_spines_extend_conservatively(group, objects):
         len(result.extended.morphisms[p]) == len(group)
         for p in result.extended.pairs
     )
+
+
+# S3^2 (non-abelian, so left and right cosets differ) and Z4^2.
+SQUARES = [AmbientGroup(symmetric_group(3), 2), AmbientGroup(cyclic_group(4), 2)]
+
+
+def elements_of(amb):
+    return sorted(amb.all_tuples(), key=amb.tuple_key)
+
+
+def generated(amb, gens):
+    out, frontier = {amb.identity()}, [amb.identity()]
+    while frontier:
+        products = {amb.op(a, s) for a in frontier for s in gens}
+        frontier = [c for c in products if c not in out]
+        out.update(frontier)
+    return frozenset(out)
+
+
+@st.composite
+def coset(draw, amb, h=None):
+    """A left or right coset of h, or of a drawn generated subgroup."""
+    elements = elements_of(amb)
+    if h is None:
+        h = generated(amb, draw(st.lists(st.sampled_from(elements), max_size=2)))
+    u = draw(st.sampled_from(elements))
+    if draw(st.booleans()):
+        return frozenset(amb.op(u, x) for x in h)
+    return frozenset(amb.op(x, u) for x in h)
+
+
+@st.composite
+def subset_or_coset(draw, amb):
+    """A drawn subset of G^2 or a drawn coset (random subsets are rarely
+    cosets)."""
+    if draw(st.booleans()):
+        return draw(coset(amb))
+    elements = st.sampled_from(elements_of(amb))
+    return frozenset(draw(st.lists(elements, min_size=1, max_size=12)))
+
+
+@st.composite
+def coset_family(draw, amb):
+    """Two to four left or right cosets of one drawn subgroup."""
+    gens = draw(st.lists(st.sampled_from(elements_of(amb)), max_size=2))
+    h = generated(amb, gens)
+    return draw(st.lists(coset(amb, h), min_size=2, max_size=4))
+
+
+def every_member_verdicts(amb, xset):
+    """The coset test's search before it tried only the least member: every
+    member a in order, a^-1 X (X a^-1) tested for being a subgroup."""
+    ordered = sorted(xset, key=amb.tuple_key)
+    left, subgroup, translator = False, None, None
+    for a in ordered:
+        h = frozenset(amb.op(amb.inv(a), x) for x in xset)
+        if amb.is_subgroup(h):
+            left, subgroup, translator = True, h, a
+            break
+    right = any(
+        amb.is_subgroup(frozenset(amb.op(x, amb.inv(a)) for x in xset))
+        for a in ordered
+    )
+    return left, right, subgroup, translator
+
+
+@given(st.sampled_from(SQUARES), st.data())
+@settings(max_examples=80, deadline=None)
+def test_least_member_coset_test_matches_every_member_search(amb, data):
+    xset = data.draw(subset_or_coset(amb))
+    report = coset_test(amb, xset)
+    got = (report.left_coset, report.right_coset, report.subgroup, report.translator)
+    assert got == every_member_verdicts(amb, xset)
+
+
+@given(st.sampled_from(SQUARES), st.data())
+@settings(max_examples=20, deadline=None)
+def test_translate_search_matches_enumeration_of_the_power(amb, data):
+    family = data.draw(coset_family(amb))
+    report = family_local_linearity(amb, family)
+    subgroups = report.subgroups
+    translates = all(
+        any(
+            frozenset(amb.op(u, x) for x in family[i]) == family[j]
+            for u in amb.all_tuples()
+        )
+        for i in range(len(family))
+        for j in range(i + 1, len(family))
+        if subgroups[i] is not None and subgroups[i] == subgroups[j]
+    )
+    assert report.shared_subgroup_translates == translates
