@@ -176,21 +176,18 @@ def cmd_partition(args) -> int:
 def cmd_gen(args) -> int:
     if args.kind == "group-action":
         if not args.group:
-            print("error: --kind group-action needs --group", file=sys.stderr)
-            return 2
+            raise ValueError("--kind group-action needs --group")
         table = resolve_group_spec(args.group)
         spine = gen_group_action_spine(table, args.objects)
         spec = {"kind": "group-action", "group": args.group, "objects": args.objects}
     elif args.kind == "affine-config":
         if args.prime is None:
-            print("error: --kind affine-config needs --prime", file=sys.stderr)
-            return 2
+            raise ValueError("--kind affine-config needs --prime")
         spine = gen_affine_config(args.prime)
         spec = {"kind": "affine-config", "prime": args.prime}
     elif args.kind == "latin-square":
         if args.order is None:
-            print("error: --kind latin-square needs --order", file=sys.stderr)
-            return 2
+            raise ValueError("--kind latin-square needs --order")
         family = gen_latin_square_family(args.order, args.coset, args.seed)
         spine = latin_family_spine(family)
         spec = {
@@ -201,8 +198,7 @@ def cmd_gen(args) -> int:
         }
     else:  # perturbed
         if not args.base:
-            print("error: --kind perturbed needs --base", file=sys.stderr)
-            return 2
+            raise ValueError("--kind perturbed needs --base")
         base, _ = load_spine(_read(args.base))
         spine = perturb_spine(base, args.seed)
         spec = {"kind": "perturbed", "seed": args.seed}

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product as iproduct
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import EmptySet, NotACoset, TheoremViolation, UnknownElement
 from .groups import GroupTable
 
 GTuple = tuple[str, ...]
+_Product = Callable[[GTuple, GTuple], GTuple]
 
 
 @dataclass(frozen=True)
@@ -92,39 +93,38 @@ class CosetReport:
 
 
 def _translates_partition(
-    amb: AmbientGroup, xs: frozenset[GTuple], side: str
+    amb: AmbientGroup, xs: frozenset[GTuple], mul: _Product
 ) -> bool:
-    seen: set[frozenset[GTuple]] = set()
-    for g in amb.all_tuples():
-        if side == "left":
-            seen.add(frozenset(amb.op(g, x) for x in xs))
-        else:
-            seen.add(frozenset(amb.op(x, g) for x in xs))
+    seen = {frozenset(mul(g, x) for x in xs) for g in amb.all_tuples()}
     return all(not (a & b) for a, b in combinations(seen, 2))
+
+
+def _coset(
+    amb: AmbientGroup, xs: Collection[GTuple], mul: _Product
+) -> Optional[tuple[frozenset[GTuple], GTuple]]:
+    """(H, a) when H = mul(a^-1, X) is a subgroup for the least member a of
+    X, else None. `mul` is amb.op for left cosets and the flipped product
+    for right ones. A coset is a coset of one subgroup through each of its
+    members, so the least member decides."""
+    a = min(xs, key=amb.tuple_key)
+    a_inv = amb.inv(a)
+    h = frozenset(mul(a_inv, x) for x in xs)
+    return (h, a) if amb.is_subgroup(h) else None
 
 
 def coset_test(amb: AmbientGroup, xs: Iterable[GTuple]) -> CosetReport:
     """Evaluate the five coset conditions independently.
 
-    A left (right) coset is a coset of one subgroup through each of its
-    members, so X is one iff a^-1 . X (X . a^-1) is a subgroup for the
-    least member a. When it is a left coset, the returned subgroup is
-    a^-1 . X and a is the translator. A disagreement among the verdicts is
+    When X is a left coset, the returned subgroup is a^-1 . X for the least
+    member a, and a is the translator. A disagreement among the verdicts is
     impossible and raises TheoremViolation.
     """
     xset = frozenset(amb.check_member(x) for x in xs)
     if not xset:
         raise EmptySet("coset test needs a non-empty set")
 
-    left_part = _translates_partition(amb, xset, "left")
-    right_part = _translates_partition(amb, xset, "right")
-
-    a = min(xset, key=amb.tuple_key)
-    h = frozenset(amb.op(amb.inv(a), x) for x in xset)
-    left_coset = amb.is_subgroup(h)
-    subgroup, translator = (h, a) if left_coset else (None, None)
-    right_coset = amb.is_subgroup(frozenset(amb.op(x, amb.inv(a)) for x in xset))
-
+    right = lambda g, x: amb.op(x, g)
+    left = _coset(amb, xset, amb.op)
     xyz = all(
         amb.op(amb.op(x, amb.inv(y)), z) in xset
         for x in xset
@@ -132,13 +132,19 @@ def coset_test(amb: AmbientGroup, xs: Iterable[GTuple]) -> CosetReport:
         for z in xset
     )
 
-    verdicts = (left_part, right_part, left_coset, right_coset, xyz)
+    verdicts = (
+        _translates_partition(amb, xset, amb.op),
+        _translates_partition(amb, xset, right),
+        left is not None,
+        _coset(amb, xset, right) is not None,
+        xyz,
+    )
     if len(set(verdicts)) != 1:
         raise TheoremViolation(
             f"coset characterization verdicts disagree: {verdicts} "
             f"on {sorted(xset)}"
         )
-    return CosetReport(*verdicts, subgroup, translator)
+    return CosetReport(*verdicts, *(left or (None, None)))
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,9 @@ def fiber_coset_structure(
     if not proj or any(c < 0 or c >= amb.power for c in proj):
         raise ValueError(f"projection coordinates {proj} out of range")
     xset = frozenset(amb.check_member(x) for x in xs)
-    if not coset_test(amb, xset).left_coset:
+    if not xset:
+        raise EmptySet("coset test needs a non-empty set")
+    if _coset(amb, xset, amb.op) is None:
         raise NotACoset("the input set is not a left coset")
     by_image: dict[GTuple, set[GTuple]] = {}
     for x in xset:
@@ -200,14 +208,13 @@ def fiber_coset_structure(
 
     common: Optional[frozenset[GTuple]] = None
     fibers: list[tuple[GTuple, GTuple]] = []
-    for image in sorted(by_image, key=lambda t: tuple(t)):
-        fiber = by_image[image]
-        a = min(fiber, key=amb.tuple_key)
-        h = frozenset(amb.op(amb.inv(a), x) for x in fiber)
-        if not amb.is_subgroup(h):
+    for image in sorted(by_image):
+        coset = _coset(amb, by_image[image], amb.op)
+        if coset is None:
             raise TheoremViolation(
                 f"fiber over {image} of a coset is not itself a coset"
             )
+        h, a = coset
         if common is None:
             common = h
         elif common != h:
@@ -220,7 +227,12 @@ def fiber_coset_structure(
 
 @dataclass(frozen=True)
 class LinearityReport:
-    """Coset verdicts for a family of sets."""
+    """Coset verdicts for a family of sets.
+
+    `shared_subgroup_translates` is always True: members that are left
+    cosets aH and bH of one subgroup H are carried onto each other by
+    b . a^-1, so no search is needed to decide it.
+    """
 
     member_cosets: tuple[bool, ...]
     subgroups: tuple[Optional[frozenset[GTuple]], ...]
@@ -231,32 +243,14 @@ class LinearityReport:
 def family_local_linearity(
     amb: AmbientGroup, family: Sequence[Iterable[GTuple]]
 ) -> LinearityReport:
-    """Per-member coset verdicts; passes iff every member is a left coset.
-
-    Also reports whether members whose subgroups coincide are left
-    translates of one another. If u . X_i = X_j then u . a lies in X_j for
-    the translator a of X_i, so the candidates u = b . a^-1 with b in X_j
-    are all there is to try.
-    """
+    """Per-member left-coset verdicts and subgroups; passes iff every
+    member is a left coset."""
     if not family:
         raise EmptySet("local linearity needs a non-empty family")
     members = [frozenset(amb.check_member(x) for x in m) for m in family]
     if any(not m for m in members):
         raise EmptySet("family members must be non-empty")
-    reports = [coset_test(amb, m) for m in members]
-    verdicts = tuple(r.left_coset for r in reports)
-    subgroups = tuple(r.subgroup for r in reports)
-
-    translates = True
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if subgroups[i] is None or subgroups[i] != subgroups[j]:
-                continue
-            a_inv = amb.inv(reports[i].translator)
-            if not any(
-                frozenset(amb.op(amb.op(b, a_inv), x) for x in members[i])
-                == members[j]
-                for b in members[j]
-            ):
-                translates = False
-    return LinearityReport(verdicts, subgroups, all(verdicts), translates)
+    cosets = [_coset(amb, m, amb.op) for m in members]
+    verdicts = tuple(c is not None for c in cosets)
+    subgroups = tuple(None if c is None else c[0] for c in cosets)
+    return LinearityReport(verdicts, subgroups, all(verdicts), True)

@@ -11,6 +11,7 @@ serialized document byte for byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Any, Optional
 
 from .errors import (
@@ -39,6 +40,15 @@ def _check_label(label: Any, path: str) -> str:
     return label
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """Object hook for json.loads, which alone keeps the last of a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise DocumentSyntaxError(f"repeated key {key!r} in a JSON object")
+    return obj
+
+
 def _load_object(text: str | bytes, keys: set[str], required: tuple[str, ...]) -> dict:
     """The front end shared by spine documents and group-table files: decode
     UTF-8, parse JSON, and check the top-level keys and the format version.
@@ -52,11 +62,13 @@ def _load_object(text: str | bytes, keys: set[str], required: tuple[str, ...]) -
         except UnicodeDecodeError as exc:
             raise DocumentSyntaxError(f"not valid UTF-8: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(
             f"not valid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from None
+    except (RecursionError, ValueError) as exc:  # too deep, or an over-long integer
+        raise DocumentSyntaxError(f"not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "document must be a JSON object", "$")
     for key in doc:
         if key not in keys:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from spinekit import cosets
 from spinekit.catalog import cyclic_group, symmetric_group
 from spinekit.cosets import (
     AmbientGroup,
@@ -173,6 +174,31 @@ class TestFiberStructure:
         amb = AmbientGroup(cyclic_group(4), 2)
         with pytest.raises(ValueError):
             fiber_coset_structure(amb, [("0", "0")], proj=[2])
+
+    def test_empty_set_rejected(self):
+        amb = AmbientGroup(cyclic_group(4), 2)
+        with pytest.raises(EmptySet):
+            fiber_coset_structure(amb, [], proj=[0])
+
+
+def test_structure_checks_skip_the_five_way_test(monkeypatch):
+    # the structure checks read one verdict, so they must not pay for all
+    # five (two |G|^n translate enumerations and an |X|^3 sweep)
+    def forbidden(*args):
+        raise AssertionError("the five-way test ran")
+
+    monkeypatch.setattr(cosets, "coset_test", forbidden)
+    monkeypatch.setattr(cosets, "_translates_partition", forbidden)
+    amb = AmbientGroup(cyclic_group(6), 2)
+    coset = [(str(a), str((a + t) % 6)) for a in range(6) for t in (0, 3)]
+    non_coset = [(str(a), str((a + t) % 6)) for a in range(6) for t in (0, 2)]
+    assert fiber_coset_structure(amb, coset, proj=[1]).subgroup == frozenset(
+        {("0", "0"), ("3", "0")}
+    )
+    with pytest.raises(NotACoset):
+        fiber_coset_structure(amb, non_coset, proj=[1])
+    report = family_local_linearity(amb, [coset, non_coset])
+    assert report.member_cosets == (True, False)
 
 
 class TestLocalLinearity:

@@ -1,11 +1,14 @@
 """Spine document serialization: round trips, schema diagnostics."""
 
 import json
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import translation_spine, trivial_spine
-from spinekit.catalog import cyclic_group, symmetric_group
+from spinekit.catalog import catalog_upto, cyclic_group, symmetric_group
 from spinekit.document import (
     load_group,
     load_spine,
@@ -13,7 +16,12 @@ from spinekit.document import (
     serialize_group,
     serialize_spine,
 )
-from spinekit.errors import DocumentSyntaxError, SchemaError, ValidationError
+from spinekit.errors import (
+    DocumentError,
+    DocumentSyntaxError,
+    SchemaError,
+    ValidationError,
+)
 from spinekit.extension import extend_to_groupoid
 from spinekit.generators import (
     gen_affine_config,
@@ -185,3 +193,172 @@ class TestGroupFiles:
         doc["product"]["1|1"] = "1"  # no longer a group
         with pytest.raises(SchemaError):
             load_group(json.dumps(doc))
+
+
+SPINE_TEXT = (
+    '{"format_version": 1, "objects": ["1", "2"], %s'
+    '"sets": {"1": ["a", "b"], "2": ["a", "b"]}, "pairs": [["1", "2"]], '
+    '"morphisms": {"1|2": [{"a": "a", "b": "b"}, %s]}}'
+)
+
+
+def group_text_with_repeated_product_key():
+    text = serialize_group(cyclic_group(2))
+    assert '"0|0": "0"' in text
+    return text.replace('"0|0": "0"', '"0|0": "1",\n    "0|0": "0"', 1)
+
+
+# name -> (loader, document, command reading it); each document is one that
+# json.loads alone would coerce or fail on with an exception of its own
+BAD_DOCUMENTS = {
+    "repeated-top-level-key": (
+        load_spine,
+        SPINE_TEXT % ('"sets": {"1": ["a"]}, ', '{"a": "b", "b": "a"}'),
+        ["validate"],
+    ),
+    "repeated-key-in-a-morphism": (
+        load_spine,
+        SPINE_TEXT % ("", '{"a": "a", "a": "b", "b": "a"}'),
+        ["validate"],
+    ),
+    "repeated-key-in-a-group-product": (
+        load_group,
+        group_text_with_repeated_product_key(),
+        ["coset", "--set", "0"],
+    ),
+    "deep-nesting": (load_spine, "[" * 100_000 + "]" * 100_000, ["validate"]),
+    "over-long-integer": (
+        load_spine,
+        '{"format_version": ' + "9" * 5000 + "}",
+        ["validate"],
+    ),
+}
+
+
+class TestFrontEndStrictness:
+    @pytest.mark.parametrize("name", BAD_DOCUMENTS)
+    def test_rejected_as_syntax_error(self, name):
+        load, text, _ = BAD_DOCUMENTS[name]
+        with pytest.raises(DocumentSyntaxError):
+            load(text)
+
+    @pytest.mark.parametrize("name", BAD_DOCUMENTS)
+    def test_cli_exits_2_with_one_line(self, name, tmp_path):
+        _, text, command = BAD_DOCUMENTS[name]
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        argv = [sys.executable, "-m", "spinekit", command[0], str(path), *command[1:]]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
+    def test_repeated_key_is_named(self):
+        load, text, _ = BAD_DOCUMENTS["repeated-key-in-a-morphism"]
+        with pytest.raises(DocumentSyntaxError, match="repeated key 'a'"):
+            load(text)
+
+
+CANONICAL = [
+    (load_spine, serialize_spine(gen_group_action_spine(cyclic_group(3), 2))),
+    (load_group, serialize_group(symmetric_group(3))),
+]
+
+JSON_TOKENS = [b'"', b"{", b"}", b"[", b"]", b",", b":", b"|", b"-1", b"null", b"\\"]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def byte_mutation(draw, text):
+    """Replace a short byte range (possibly empty) by random bytes or a
+    JSON token (possibly nothing)."""
+    data = text.encode()
+    i = draw(st.integers(0, len(data)))
+    j = draw(st.integers(i, min(len(data), i + 8)))
+    insert = draw(st.binary(max_size=8) | st.sampled_from(JSON_TOKENS))
+    return data[:i] + insert + data[j:]
+
+
+def node_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from node_paths(child, (*path, key))
+
+
+@st.composite
+def json_mutation(draw, text):
+    """Replace, delete or (in an object) rename one node of the document."""
+    doc = json.loads(text)
+    path = draw(st.sampled_from(list(node_paths(doc))))
+    if not path:
+        return json.dumps(draw(json_values))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = draw(st.sampled_from(["replace", "delete", "rename"]))
+    if kind == "replace":
+        parent[path[-1]] = draw(json_values)
+    elif kind == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[draw(st.text(max_size=4))] = parent.pop(path[-1])
+    return json.dumps(doc)
+
+
+@given(st.sampled_from(CANONICAL), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_load_or_raise_a_document_error(case, data):
+    load, text = case
+    mutated = data.draw(byte_mutation(text) | json_mutation(text))
+    try:
+        load(mutated)
+    except DocumentError:
+        pass
+
+
+SMALL_GROUPS = [g for _, g in catalog_upto(6) if len(g) > 1]
+
+
+@st.composite
+def generated_spine(draw):
+    """A spine from each `gen` kind, with the meta block the CLI writes."""
+    kind = draw(st.sampled_from(["group-action", "affine-config", "latin-square", "perturbed"]))
+    seed = draw(st.integers(0, 20))
+    if kind == "affine-config":
+        spine = gen_affine_config(draw(st.sampled_from([2, 3, 5, 7])))
+    elif kind == "latin-square":
+        order = draw(st.integers(2, 6))
+        coset = order < 5 or draw(st.booleans())
+        spine = latin_family_spine(gen_latin_square_family(order, coset, seed))
+    else:
+        spine = gen_group_action_spine(
+            draw(st.sampled_from(SMALL_GROUPS)), draw(st.integers(1, 3))
+        )
+        if kind == "perturbed":
+            spine = perturb_spine(spine, seed)
+    return spine, {"generator": {"kind": kind, "seed": seed}}
+
+
+@given(generated_spine())
+@settings(max_examples=60, deadline=None)
+def test_serialize_load_round_trip_for_every_generator_kind(generated):
+    spine, meta = generated
+    text = serialize_spine(spine, meta=meta)
+    assert serialize_spine(*load_spine(text)) == text

@@ -1,5 +1,6 @@
 """Property tests over randomized instances."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinekit.catalog import catalog_upto, cyclic_group, is_isomorphic, symmetric_group
@@ -7,8 +8,10 @@ from spinekit.cosets import (
     AmbientGroup,
     coset_test,
     family_local_linearity,
+    fiber_coset_structure,
     partition_check,
 )
+from spinekit.errors import NotACoset
 from spinekit.groups import relabel_group
 from spinekit.model import (
     FiniteMap,
@@ -197,3 +200,18 @@ def test_translate_search_matches_enumeration_of_the_power(amb, data):
         if subgroups[i] is not None and subgroups[i] == subgroups[j]
     )
     assert report.shared_subgroup_translates == translates
+
+
+@given(st.sampled_from(SQUARES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_structure_checks_agree_with_the_five_way_test(amb, data):
+    xset = data.draw(subset_or_coset(amb))
+    report = coset_test(amb, xset)
+    lin = family_local_linearity(amb, [xset])
+    assert lin.member_cosets == (report.left_coset,)
+    assert lin.subgroups == (report.subgroup,)
+    if report.left_coset:
+        fiber_coset_structure(amb, xset, [0])
+    else:
+        with pytest.raises(NotACoset):
+            fiber_coset_structure(amb, xset, [0])
