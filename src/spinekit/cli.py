@@ -133,9 +133,9 @@ def cmd_extract(args) -> int:
     print("cayley table:")
     print("\n".join(render_cayley(action.group)))
     if fiber is not None:
-        fiber_cls = classify_group(fiber)
+        # the fiber group is a transport of the acting group: same class
         print(f"fiber group at {args.identity}: identity {fiber.identity}")
-        print(f"fiber class: {fiber_cls.render()}")
+        print(f"fiber class: {cls.render()}")
         print("fiber cayley table:")
         print("\n".join(render_cayley(fiber)))
     return 0

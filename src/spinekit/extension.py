@@ -155,10 +155,12 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
     least map of Mor(o0, i) by graph key, o0 the first object (t_o0 = id).
     Each input f: i -> j gives the loop t_i, f, t_j^-1 at o0 (maps listed in
     the order they apply), adjoined as a generator of the vertex group G
-    when not already in it; then Mor(i, j) = t_i^-1, G, t_j. Returns the
-    closed spine (pairs = I x I, morphism lists sorted by graph key) and 1 +
-    the number of generators adjoined, with pairs scanned in canonical order
-    and maps in graph-key order.
+    when not already in it; then Mor(i, j) = t_i^-1, G, t_j. Every input
+    f: i -> j is t_i^-1, (t_i, f, t_j^-1), t_j, so an input family with |G|
+    distinct maps is already all of Mor(i, j) and keeps its own maps.
+    Returns the closed spine (pairs = I x I, morphism lists sorted by graph
+    key) and 1 + the number of generators adjoined, with pairs scanned in
+    canonical order and maps in graph-key order.
     """
     objs = spine.objects
     o0 = objs[0]
@@ -166,12 +168,13 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
     index = {o: element_index(elems[o]) for o in objs}
     identity = tuple(range(len(elems[o0])))
 
-    ordered = {
-        (i, j): [
-            encode(f, elems[i], index[j])
-            for f in sorted(spine.morphisms[(i, j)], key=FiniteMap.graph_key)
-        ]
+    inputs = {
+        (i, j): sorted(spine.morphisms[(i, j)], key=FiniteMap.graph_key)
         for i, j in spine.sorted_pairs()
+    }
+    ordered = {
+        (i, j): [encode(f, elems[i], index[j]) for f in fams]
+        for (i, j), fams in inputs.items()
     }
     tree = {o0: identity} | {o: ordered[(o0, o)][0] for o in objs[1:]}
     back = {o: invert_indexed(t) for o, t in tree.items()}
@@ -188,6 +191,10 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
     for i in objs:
         from_i = [compose_indexed(back[i], g) for g in group]
         for j in objs:
+            kept = dict(zip(ordered.get((i, j), ()), inputs.get((i, j), ())))
+            if len(kept) == len(group):
+                morphisms[(i, j)] = tuple(kept.values())
+                continue
             maps = (
                 decode(compose_indexed(h, tree[j]), i, j, elems[i], elems[j])
                 for h in from_i

@@ -266,6 +266,35 @@ class ValidationReport:
         return lines
 
 
+def _spans_vertex_group(objs: Sequence[str], graphs: dict, indexed: dict) -> bool:
+    """Whether sound, duplicate-free families on all of I x I form a
+    groupoid: iff G = Mor(o0, o0) is closed under composition and each
+    Mor(i, j) has |G| maps and holds every t_i^-1, g, t_j (maps listed in
+    the order they apply), t_i the first map of Mor(o0, i).
+
+    If so, G is a finite set of bijections closed under composition, hence a
+    group, and those |G| distinct maps are all of Mor(i, j); t_i^-1, g, t_j
+    then t_j^-1, h, t_k is t_i^-1, gh, t_k (axiom 3), and axioms 1 and 2
+    follow from g = 1 and g^-1 alike. Conversely f in Mor(i, j) gives
+    t_i, f, t_j^-1 in G. At most |G|^2 + 2 |I|^2 |G| compositions.
+    """
+    o0 = objs[0]
+    group = graphs[(o0, o0)]
+    if any(compose_indexed(g, h) not in group for g in group for h in group):
+        return False
+    tree = {o: indexed[(o0, o)][0][1] for o in objs}
+    for i in objs:
+        back = invert_indexed(tree[i])
+        from_i = [compose_indexed(back, g) for g in group]
+        for j in objs:
+            maps = graphs[(i, j)]
+            if len(maps) != len(group) or any(
+                compose_indexed(h, tree[j]) not in maps for h in from_i
+            ):
+                return False
+    return True
+
+
 def validate_spine(spine: GroupoidSpine) -> ValidationReport:
     """Check every spine invariant and report all violations with witnesses.
 
@@ -273,7 +302,10 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
     bijectivity agreement of each map with its carriers, non-emptiness and
     duplicate-freeness of each family, then the three closure axioms
     (identity, inverse, composition). Composition and inverse checks skip
-    maps that already failed structurally.
+    maps that already failed structurally. When the relation is I x I and
+    every check up to the identities passed, the spine is first checked
+    through its vertex group; the inverse and composition sweeps run only
+    when that check fails, so they alone report violations.
     """
     out: list[Violation] = []
     objs = spine.objects
@@ -407,6 +439,11 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
         src, index, fams = spine.sets[i].elements, elem_index[j], spine.morphisms[pair]
         indexed[pair] = [(n, encode(fams[n], src, index)) for n in sound[pair]]
         graphs[pair] = {t for _, t in indexed[pair]}
+
+    # what `extend --out` writes: every check so far passed on I x I
+    full = len(pairs) == len(objs) ** 2
+    if not out and full and _spans_vertex_group(objs, graphs, indexed):
+        return ValidationReport(ok=True, violations=())
 
     # axiom 2: inverses across symmetric pairs
     for pair in spine.sorted_pairs():

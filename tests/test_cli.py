@@ -383,3 +383,16 @@ class TestValidateOnce:
         code, _, _ = run(capsys, argv[0], z5_doc, *argv[1:])
         assert code == 0
         assert len(validate_calls) == 1
+
+
+class TestSoftLimit:
+    def test_z64_on_eight_objects_end_to_end(self, capsys, tmp_path):
+        # the README's soft limit: 64-element carriers on 8 objects
+        doc, full = str(tmp_path / "z64.json"), str(tmp_path / "z64-full.json")
+        gen = ["--kind", "group-action", "--group", "Z64", "--objects", "8"]
+        assert run(capsys, "gen", *gen, "--out", doc)[0] == 0
+        assert run(capsys, "extend", doc, "--out", full)[0] == 0
+        code, out, _ = run(capsys, "validate", full)
+        assert code == 0 and "validation: pass" in out
+        code, out, _ = run(capsys, "extract", full, "--object", "8", "--identity", "5")
+        assert code == 0 and "group order: 64" in out

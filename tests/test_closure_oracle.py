@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_bijections_spine
-from spinekit.catalog import catalog_upto
-from spinekit.extension import _extend_unchecked, extend_to_groupoid
+from conftest import all_bijections_spine, translation_spine
+from spinekit.catalog import catalog_upto, symmetric_group
+from spinekit.extension import (
+    _close_to_groupoid,
+    _extend_unchecked,
+    extend_to_groupoid,
+)
 from spinekit.generators import (
     gen_group_action_spine,
     gen_latin_square_family,
@@ -166,3 +170,27 @@ def test_extended_groupoid_fed_back(group, objects):
     assert again.conservative
     assert again.extended.morphisms == full.morphisms
     assert_matches_oracle(full, again)
+
+
+def test_complete_families_keep_their_own_maps():
+    spine = gen_group_action_spine(symmetric_group(3), 3)
+    full = extend_to_groupoid(spine).extended
+    for source in (spine, full):
+        closed, _ = _close_to_groupoid(source)
+        for pair, fams in source.morphisms.items():
+            own = sorted(fams, key=FiniteMap.graph_key)
+            kept = closed.morphisms[pair]
+            assert len(kept) == len(own) and all(a is b for a, b in zip(kept, own))
+
+
+def test_repeated_map_in_a_family():
+    base = translation_spine(3, 3)
+    s0, s1, s2 = base.morphisms[("1", "2")]
+    # |G| entries with one repeated, and |G| distinct maps with one repeated
+    for family in [(s0, s1, s1), (s0, s1, s2, s1)]:
+        morphisms = dict(base.morphisms) | {("1", "2"): family}
+        spine = GroupoidSpine(base.objects, base.sets, base.pairs, morphisms)
+        result = _extend_unchecked(spine)
+        assert_matches_oracle(spine, result)
+        for fams in result.extended.morphisms.values():
+            assert len({f.graph for f in fams}) == len(fams) == 3

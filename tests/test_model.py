@@ -3,9 +3,14 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import spinekit.model as model
 from conftest import shift_map, translation_spine, trivial_spine
+from spinekit.catalog import catalog_upto, symmetric_group
 from spinekit.errors import TargetMismatch
+from spinekit.extension import extend_to_groupoid
+from spinekit.generators import gen_group_action_spine, perturb_spine
 from spinekit.model import (
     FiniteMap,
     FiniteSet,
@@ -246,3 +251,108 @@ def test_spine_graph_equality(z3_spine):
     )
     assert z3_spine.morphism_sets_equal(other)
     assert translation_spine(3).morphism_sets_equal(translation_spine(3))
+
+
+def is_groupoid(spine: GroupoidSpine) -> bool:
+    """Brute-force oracle for a spine whose relation is I x I: every family
+    is a non-empty, duplicate-free list of bijections X_i -> X_j, and the
+    families hold every identity, inverse and composite."""
+    objs, sets, mor = spine.objects, spine.sets, spine.morphisms
+    assert spine.pairs == {(i, j) for i in objs for j in objs}
+    for (i, j), fams in mor.items():
+        if not fams or len(set(fams)) != len(fams):
+            return False
+        for f in fams:
+            if (
+                (f.source, f.target) != (i, j)
+                or f.domain() != set(sets[i].elements)
+                or f.image() != set(sets[j].elements)
+            ):
+                return False
+    members = {pair: set(fams) for pair, fams in mor.items()}
+    return (
+        all(identity_map(sets[o]) in members[(o, o)] for o in objs)
+        and all(invert(f) in members[(j, i)] for (i, j), fams in mor.items() for f in fams)
+        and all(
+            compose(f, g) in members[(i, k)]
+            for i in objs
+            for j in objs
+            for k in objs
+            for f in mor[(i, j)]
+            for g in mor[(j, k)]
+        )
+    )
+
+
+class TestVertexGroupValidation:
+    """A document whose relation is I x I is checked through its vertex group
+    first; the axiom sweeps run only when that check fails."""
+
+    @given(
+        st.sampled_from([g for _, g in catalog_upto(12)]),
+        st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 10**6)),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_brute_force(self, group, objects, seed, extra, data):
+        spine = extend_to_groupoid(gen_group_action_spine(group, objects)).extended
+        if seed is not None:
+            spine = perturb_spine(spine, seed)
+        # a drawn family order moves the tree maps and the first map of G
+        morphisms = {
+            pair: data.draw(st.permutations(fams))
+            for pair, fams in sorted(spine.morphisms.items())
+        }
+        if extra:  # a drawn bijection added to a drawn family
+            i, j = data.draw(st.sampled_from(spine.sorted_pairs()))
+            images = data.draw(st.permutations(spine.sets[j].elements))
+            f = FiniteMap(i, j, dict(zip(spine.sets[i].elements, images)))
+            if f not in morphisms[(i, j)]:
+                morphisms[(i, j)].append(f)
+        spine = GroupoidSpine(spine.objects, spine.sets, spine.pairs, morphisms)
+        assert validate_spine(spine).ok == is_groupoid(spine)
+
+    def test_identity_without_closure_is_caught(self):
+        # every Mor(i, j) is {id, (0 1 2)}: it holds the identity and maps
+        # onto itself under every t_i^-1, g, t_j, but is not closed
+        objs, points = ["1", "2", "3"], ["0", "1", "2"]
+        sets = {o: FiniteSet(o, points) for o in objs}
+        pairs = [(i, j) for i in objs for j in objs]
+        morphisms = {
+            (i, j): (
+                FiniteMap(i, j, {x: x for x in points}),
+                FiniteMap(i, j, {"0": "1", "1": "2", "2": "0"}),
+            )
+            for i, j in pairs
+        }
+        spine = GroupoidSpine(objs, sets, pairs, morphisms)
+        assert not is_groupoid(spine)
+        expected = ["validation: fail (36 violations)"]
+        expected += [
+            f"  axiom2 MissingInverse: inverse of Mor({i},{j})[1] is absent "
+            f"from Mor({j},{i})"
+            for i, j in pairs
+        ]
+        expected += [
+            f"  axiom3 ClosureViolation: composite of Mor({i},{j})[1] then "
+            f"Mor({j},{k})[1] is absent from Mor({i},{k})"
+            for i, j in pairs
+            for k in objs
+        ]
+        assert validate_spine(spine).render_lines() == expected
+
+    def test_closed_s4_on_five_objects_skips_the_sweep(self, monkeypatch):
+        full = extend_to_groupoid(gen_group_action_spine(symmetric_group(4), 5)).extended
+        calls = []
+        compose_indexed = model.compose_indexed
+
+        def counted(f, g):
+            calls.append(1)
+            return compose_indexed(f, g)
+
+        monkeypatch.setattr(model, "compose_indexed", counted)
+        assert validate_spine(full).ok
+        # |G|^2 + 2.|I|^2.|G|; the axiom-3 sweep makes |I|^3.|G|^2 = 72 000
+        assert len(calls) <= 24**2 + 2 * 5**2 * 24

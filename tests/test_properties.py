@@ -3,7 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinekit.catalog import catalog_upto, cyclic_group, is_isomorphic, symmetric_group
+from spinekit.catalog import (
+    catalog,
+    catalog_upto,
+    classify_group,
+    cyclic_group,
+    is_isomorphic,
+    symmetric_group,
+)
 from spinekit.cosets import (
     AmbientGroup,
     coset_test,
@@ -12,7 +19,9 @@ from spinekit.cosets import (
     partition_check,
 )
 from spinekit.errors import NotACoset
-from spinekit.groups import relabel_group
+from spinekit.extension import extend_to_groupoid
+from spinekit.generators import gen_group_action_spine
+from spinekit.groups import extract_group, group_on_fiber, relabel_group
 from spinekit.model import (
     FiniteMap,
     compose,
@@ -215,3 +224,12 @@ def test_structure_checks_agree_with_the_five_way_test(amb, data):
     else:
         with pytest.raises(NotACoset):
             fiber_coset_structure(amb, xset, [0])
+
+
+@given(st.sampled_from([g for _, g in catalog()]), st.data())
+@settings(max_examples=30, deadline=None)
+def test_fiber_group_has_the_acting_groups_class(group, data):
+    # `extract` prints the acting group's class for the fiber group
+    action = extract_group(extend_to_groupoid(gen_group_action_spine(group, 1)), "1")
+    e = data.draw(st.sampled_from(action.carrier.elements))
+    assert classify_group(group_on_fiber(action, e)) == classify_group(action.group)
