@@ -226,12 +226,12 @@ class IsoClass:
 def classify_group(g: GroupTable) -> IsoClass:
     """Match a table against the catalog up to isomorphism.
 
-    Unmatched groups, among them every group above order 24, report
-    unclassified with their order profile.
+    Unmatched groups report unclassified with their order profile; above
+    order 24 no entry can match, so the catalog is not built.
     """
     n = len(g)
     profile = g.order_profile()
-    for name, candidate in catalog():
+    for name, candidate in catalog() if n <= CLASSIFY_LIMIT else ():
         if len(candidate) != n or candidate.order_profile() != profile:
             continue
         if is_isomorphic(g, candidate):

@@ -33,11 +33,12 @@ def _require(cond: bool, message: str, path: str) -> None:
 
 
 def _check_label(label: Any, path: str) -> str:
-    _require(isinstance(label, str), f"expected a string, got {type(label).__name__}", path)
+    if isinstance(label, str) and label != "" and "|" not in label:
+        return label  # the common case builds no message
+    if not isinstance(label, str):
+        raise SchemaError(f"expected a string, got {type(label).__name__}", path)
     _require(label != "", "labels may not be empty", path)
-    if "|" in label:
-        raise SchemaError(f"label {label!r} contains the reserved character '|'", path)
-    return label
+    raise SchemaError(f"label {label!r} contains the reserved character '|'", path)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:

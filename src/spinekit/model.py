@@ -267,32 +267,34 @@ class ValidationReport:
 
 
 def _spans_vertex_group(objs: Sequence[str], graphs: dict, indexed: dict) -> bool:
-    """Whether sound, duplicate-free families on all of I x I form a
-    groupoid: iff G = Mor(o0, o0) is closed under composition and each
-    Mor(i, j) has |G| maps and holds every t_i^-1, g, t_j (maps listed in
-    the order they apply), t_i the first map of Mor(o0, i).
+    """Whether sound, duplicate-free families on a relation that holds every
+    increasing pair are a groupoid restricted to their pairs: iff
+    G = {f, t_l^-1 : f in Mor(o0, l)}, l the last object, is closed under
+    composition and each present Mor(i, j) has |G| maps and holds every
+    t_i^-1, g, t_j (maps listed in the order they apply), where t_o0 = 1 and
+    t_i is the first map of Mor(o0, i).
 
     If so, G is a finite set of bijections closed under composition, hence a
     group, and those |G| distinct maps are all of Mor(i, j); t_i^-1, g, t_j
-    then t_j^-1, h, t_k is t_i^-1, gh, t_k (axiom 3), and axioms 1 and 2
-    follow from g = 1 and g^-1 alike. Conversely f in Mor(i, j) gives
-    t_i, f, t_j^-1 in G. At most |G|^2 + 2 |I|^2 |G| compositions.
+    then t_j^-1, h, t_k is t_i^-1, gh, t_k (axiom 3 where (i, k) is a pair),
+    and axioms 1 and 2 follow from g = 1 and g^-1 alike. At most
+    |G|^2 + 2 (|I| + |R|) |G| compositions, R the relation.
     """
-    o0 = objs[0]
-    group = graphs[(o0, o0)]
+    o0, last = objs[0], objs[-1]
+    tree = {o: indexed[(o0, o)][0][1] for o in objs[1:]}
+    tree[o0] = tuple(range(len(indexed[(o0, last)][0][1])))
+    back = invert_indexed(tree[last])
+    group = {compose_indexed(f, back) for _, f in indexed[(o0, last)]}
     if any(compose_indexed(g, h) not in group for g in group for h in group):
         return False
-    tree = {o: indexed[(o0, o)][0][1] for o in objs}
-    for i in objs:
-        back = invert_indexed(tree[i])
-        from_i = [compose_indexed(back, g) for g in group]
-        for j in objs:
-            maps = graphs[(i, j)]
-            if len(maps) != len(group) or any(
-                compose_indexed(h, tree[j]) not in maps for h in from_i
-            ):
-                return False
-    return True
+    from_ = {
+        i: [compose_indexed(invert_indexed(tree[i]), g) for g in group] for i in objs
+    }
+    return all(
+        len(maps) == len(group)
+        and all(compose_indexed(h, tree[j]) in maps for h in from_[i])
+        for (i, j), maps in graphs.items()
+    )
 
 
 def validate_spine(spine: GroupoidSpine) -> ValidationReport:
@@ -302,15 +304,15 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
     bijectivity agreement of each map with its carriers, non-emptiness and
     duplicate-freeness of each family, then the three closure axioms
     (identity, inverse, composition). Composition and inverse checks skip
-    maps that already failed structurally. When the relation is I x I and
-    every check up to the identities passed, the spine is first checked
-    through its vertex group; the inverse and composition sweeps run only
-    when that check fails, so they alone report violations.
+    maps that already failed structurally. The vertex-group check stands in
+    for both sweeps once every check up to the identities passed, when the
+    composition sweep has a triple; they run only when it fails, so they
+    alone report violations.
     """
     out: list[Violation] = []
     objs = spine.objects
-    idx = {o: n for n, o in enumerate(objs)}
     pairs = spine.pairs
+    pair_order = spine.sorted_pairs()
 
     if not pairs:
         out.append(
@@ -334,7 +336,7 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
                 )
 
     sound: dict[tuple[str, str], list[int]] = {}
-    for pair in spine.sorted_pairs():
+    for pair in pair_order:
         i, j = pair
         fams = spine.morphisms[pair]
         sound[pair] = []
@@ -434,19 +436,24 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
     elem_index = {o: element_index(spine.sets[o].elements) for o in objs}
     indexed: dict[tuple[str, str], list[tuple[int, Indexed]]] = {}
     graphs: dict[tuple[str, str], set[Indexed]] = {}
-    for pair in spine.sorted_pairs():
+    for pair in pair_order:
         i, j = pair
         src, index, fams = spine.sets[i].elements, elem_index[j], spine.morphisms[pair]
         indexed[pair] = [(n, encode(fams[n], src, index)) for n in sound[pair]]
         graphs[pair] = {t for _, t in indexed[pair]}
 
-    # what `extend --out` writes: every check so far passed on I x I
-    full = len(pairs) == len(objs) ** 2
-    if not out and full and _spans_vertex_group(objs, graphs, indexed):
+    # the composable triples (i, j), (j, k), (i, k) that axiom 3 sweeps
+    triples = [
+        (pa, pb, (pa[0], pb[1]))
+        for pa in pair_order
+        for pb in pair_order
+        if pb[0] == pa[1] and (pa[0], pb[1]) in pairs
+    ]
+    if not out and triples and _spans_vertex_group(objs, graphs, indexed):
         return ValidationReport(ok=True, violations=())
 
     # axiom 2: inverses across symmetric pairs
-    for pair in spine.sorted_pairs():
+    for pair in pair_order:
         i, j = pair
         back = (j, i)
         if back not in pairs:
@@ -465,31 +472,22 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
                 )
 
     # axiom 3: composites across composable pair triples
-    pair_order = spine.sorted_pairs()
     compose_ = compose_indexed  # a local name for the quadratic sweep
-    for pa in pair_order:
-        i, j = pa
-        for pb in pair_order:
-            if pb[0] != j:
-                continue
-            k = pb[1]
-            pc = (i, k)
-            if pc not in pairs:
-                continue
-            targets = graphs[pc]
-            for nf, tf in indexed[pa]:
-                for ng, tg in indexed[pb]:
-                    if compose_(tf, tg) not in targets:
-                        out.append(
-                            Violation(
-                                "ClosureViolation",
-                                3,
-                                pc,
-                                (nf, ng),
-                                None,
-                                f"composite of Mor({i},{j})[{nf}] then "
-                                f"Mor({j},{k})[{ng}] is absent from Mor({i},{k})",
-                            )
+    for pa, pb, pc in triples:
+        (i, j), k, targets = pa, pb[1], graphs[pc]
+        for nf, tf in indexed[pa]:
+            for ng, tg in indexed[pb]:
+                if compose_(tf, tg) not in targets:
+                    out.append(
+                        Violation(
+                            "ClosureViolation",
+                            3,
+                            pc,
+                            (nf, ng),
+                            None,
+                            f"composite of Mor({i},{j})[{nf}] then "
+                            f"Mor({j},{k})[{ng}] is absent from Mor({i},{k})",
                         )
+                    )
 
     return ValidationReport(ok=not out, violations=tuple(out))

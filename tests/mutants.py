@@ -1,0 +1,135 @@
+"""Mutation gate: the oracles must catch deliberate breakage of the engine.
+
+    python3 tests/mutants.py
+
+Each mutant is one (file, old, new, test selection) entry: `old` is a
+snippet of src/spinekit/<file>, `new` replaces it, and the selection is the
+pytest arguments that must then fail. Every run works on a fresh temporary
+copy of src/ and tests/, with hypothesis on a fixed seed. First the
+unmutated copy must pass every selection; then each `old` must occur
+exactly once in its file, so a mutant whose code has moved fails the gate
+instead of being skipped; then each mutant is applied alone, one after
+another, and its selection must fail. Exits non-zero on any failure. Needs
+pytest and hypothesis.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600  # a mutant that makes its tests hang counts as caught
+
+CLOSURE = ["tests/test_closure_oracle.py"]
+VERTEX_GROUP = ["tests/test_model.py::TestVertexGroupValidation"]
+STRUCTURE = ["tests/test_cosets.py", "tests/test_properties.py"]
+
+MUTANTS = [
+    # the group closure stops after the first coset of a new generator; this
+    # also breaks the catalog, whose A4 the closure builds
+    (
+        "model.py",
+        "    for h in new:  # grows while it is scanned\n",
+        "    for h in new[:0]:  # grows while it is scanned\n",
+        CLOSURE,
+    ),
+    # the groupoid closure adjoins one loop per pair
+    ("extension.py", "        for f in maps:\n", "        for f in maps[:1]:\n", CLOSURE),
+    # Mor(i, j) built as G, t_i^-1, t_j: t_i^-1 on the wrong side
+    (
+        "extension.py",
+        "compose_indexed(back[i], g) for g in group",
+        "compose_indexed(g, back[i]) for g in group",
+        CLOSURE,
+    ),
+    # local linearity decides right cosets where it should decide left ones
+    (
+        "cosets.py",
+        "cosets = [_coset(amb, m, amb.op) for m in members]",
+        "cosets = [_coset(amb, m, lambda a, b: amb.op(b, a)) for m in members]",
+        STRUCTURE,
+    ),
+    # the fiber structure skips the check that its input is a left coset
+    (
+        "cosets.py",
+        "    if _coset(amb, xset, amb.op) is None:\n",
+        "    if False:\n",
+        STRUCTURE,
+    ),
+    # the vertex-group check without the closure of G
+    (
+        "model.py",
+        "    if any(compose_indexed(g, h) not in group for g in group for h in group):\n",
+        "    if False:\n",
+        VERTEX_GROUP,
+    ),
+    # the vertex-group check without |Mor(i, j)| = |G|
+    (
+        "model.py",
+        "        len(maps) == len(group)\n        and all(",
+        "        all(",
+        VERTEX_GROUP,
+    ),
+]
+
+
+def run_selection(src: Path, selection: list[str]) -> tuple[bool, str]:
+    """Whether the selection passes on a fresh copy of `src` and tests/, and
+    pytest's last line of output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(src, work / "src")
+        shutil.copytree(ROOT / "tests", work / "tests")
+        shutil.copy(ROOT / "pyproject.toml", work)
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                "--hypothesis-seed=0", *selection]
+        try:
+            proc = subprocess.run(argv, cwd=work, env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return False, f"timed out after {TIMEOUT_S} s"
+        return proc.returncode == 0, (proc.stdout.strip().splitlines() or [""])[-1]
+
+
+def main() -> int:
+    start = time.perf_counter()
+    src = ROOT / "src"
+    failures: list[str] = []
+    for sel in sorted({tuple(sel) for *_, sel in MUTANTS}):
+        ok, last = run_selection(src, list(sel))
+        print(("ok   " if ok else "FAIL ") + f"unmutated: {' '.join(sel)}: {last}")
+        if not ok:
+            failures.append(f"unmutated {' '.join(sel)}")
+    for file, old, _, _ in MUTANTS:
+        count = (src / "spinekit" / file).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            print(f"FAIL {file}: {old.strip()!r} occurs {count} times")
+            failures.append(f"{file}: {old.strip()!r}")
+    if failures:
+        print(f"{len(failures)} failure(s); no mutant was run")
+        return 1
+    for file, old, new, sel in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            mutated = Path(tmp) / "src"
+            shutil.copytree(src, mutated)
+            path = mutated / "spinekit" / file
+            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+            passed, last = run_selection(mutated, sel)
+        what = f"{file}: {old.strip().splitlines()[0]}"
+        print(("FAIL survived: " if passed else "ok   killed: ") + f"{what}: {last}")
+        if passed:
+            failures.append(what)
+    print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

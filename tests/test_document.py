@@ -123,6 +123,36 @@ class TestSchemaDiagnostics:
         with pytest.raises(SchemaError, match=r"\|"):
             load_spine(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            (7, "expected a string, got int"),
+            ("", "labels may not be empty"),
+            ("a|b", "label 'a|b' contains the reserved character '|'"),
+        ],
+        ids=["non-string", "empty", "pipe"],
+    )
+    @pytest.mark.parametrize(
+        "where, path",
+        [
+            ("object", "objects[1]"),
+            ("element", 'sets."1"[2]'),
+            ("value", 'morphisms."1|2"[1]'),
+        ],
+    )
+    def test_bad_label_message_and_path(self, label, message, where, path):
+        doc = self.base_doc()
+        if where == "object":
+            doc["objects"][1] = label
+        elif where == "element":
+            doc["sets"]["1"][2] = label
+        else:
+            doc["morphisms"]["1|2"][1]["2"] = label
+        with pytest.raises(SchemaError) as exc:
+            load_spine(json.dumps(doc))
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_pair_key_mismatch(self):
         doc = self.base_doc()
         doc["morphisms"]["2|1"] = []

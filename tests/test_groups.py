@@ -5,6 +5,7 @@ from itertools import permutations, product as iproduct
 import pytest
 
 import spinekit.catalog as catalog_module
+import spinekit.groups as groups_module
 from conftest import translation_spine, trivial_spine
 from spinekit.catalog import (
     IsoClass,
@@ -216,6 +217,21 @@ class TestClassify:
         assert not cls.classified
         assert cls.name == "unclassified(order=25)"
         assert cls.profile == ((1, 1), (5, 4), (25, 20))
+
+    def test_above_catalog_builds_no_table(self, monkeypatch):
+        # no catalog entry has order 25, so none is built to compare with
+        c25 = cyclic_group(25)
+        catalog_module.catalog.cache_clear()
+        calls, tabulate = [], groups_module.tabulate
+
+        def counted(*args):
+            calls.append(1)
+            return tabulate(*args)
+
+        monkeypatch.setattr(groups_module, "tabulate", counted)
+        monkeypatch.setattr(catalog_module, "tabulate", counted)
+        assert classify_group(c25).name == "unclassified(order=25)"
+        assert calls == []
 
     def test_catalog_module_is_a_package_attribute(self):
         import spinekit

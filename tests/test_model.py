@@ -9,8 +9,13 @@ import spinekit.model as model
 from conftest import shift_map, translation_spine, trivial_spine
 from spinekit.catalog import catalog_upto, symmetric_group
 from spinekit.errors import TargetMismatch
-from spinekit.extension import extend_to_groupoid
-from spinekit.generators import gen_group_action_spine, perturb_spine
+from spinekit.extension import extend_to_groupoid, symmetric_closure
+from spinekit.generators import (
+    gen_group_action_spine,
+    gen_latin_square_family,
+    latin_family_spine,
+    perturb_spine,
+)
 from spinekit.model import (
     FiniteMap,
     FiniteSet,
@@ -254,11 +259,15 @@ def test_spine_graph_equality(z3_spine):
 
 
 def is_groupoid(spine: GroupoidSpine) -> bool:
-    """Brute-force oracle for a spine whose relation is I x I: every family
-    is a non-empty, duplicate-free list of bijections X_i -> X_j, and the
-    families hold every identity, inverse and composite."""
+    """Brute-force oracle: the relation is non-empty and holds every
+    increasing pair, every family is a non-empty, duplicate-free list of
+    bijections X_i -> X_j, and the families hold the identity on each
+    diagonal pair present, the inverse wherever the reverse pair is present
+    and the composite wherever (i, k) is present."""
     objs, sets, mor = spine.objects, spine.sets, spine.morphisms
-    assert spine.pairs == {(i, j) for i in objs for j in objs}
+    increasing = {(a, b) for n, a in enumerate(objs) for b in objs[n + 1 :]}
+    if not spine.pairs or not increasing <= spine.pairs:
+        return False
     for (i, j), fams in mor.items():
         if not fams or len(set(fams)) != len(fams):
             return False
@@ -271,33 +280,55 @@ def is_groupoid(spine: GroupoidSpine) -> bool:
                 return False
     members = {pair: set(fams) for pair, fams in mor.items()}
     return (
-        all(identity_map(sets[o]) in members[(o, o)] for o in objs)
-        and all(invert(f) in members[(j, i)] for (i, j), fams in mor.items() for f in fams)
+        all(identity_map(sets[i]) in members[(i, j)] for i, j in mor if i == j)
+        and all(
+            invert(f) in members[(j, i)]
+            for (i, j), fams in mor.items()
+            if (j, i) in members
+            for f in fams
+        )
         and all(
             compose(f, g) in members[(i, k)]
-            for i in objs
-            for j in objs
-            for k in objs
+            for (i, j) in mor
+            for (j2, k) in mor
+            if j2 == j and (i, k) in members
             for f in mor[(i, j)]
             for g in mor[(j, k)]
         )
     )
 
 
+@st.composite
+def spines(draw) -> GroupoidSpine:
+    """Catalog group-action spines as `gen` writes them (order <= 12, 1-4
+    objects), their symmetric closures and their closures, and non-coset
+    Latin families of orders 5 and 6."""
+    shape = draw(st.sampled_from(["input", "symmetric", "closed", "latin"]))
+    if shape == "latin":
+        order, seed = draw(st.sampled_from([5, 6])), draw(st.integers(0, 40))
+        return latin_family_spine(gen_latin_square_family(order, False, seed))
+    group = draw(st.sampled_from([g for _, g in catalog_upto(12)]))
+    spine = gen_group_action_spine(group, draw(st.integers(1, 4)))
+    if shape == "symmetric":
+        return symmetric_closure(spine)
+    if shape == "closed":
+        return extend_to_groupoid(spine).extended
+    return spine
+
+
 class TestVertexGroupValidation:
-    """A document whose relation is I x I is checked through its vertex group
-    first; the axiom sweeps run only when that check fails."""
+    """A spine whose checks up to the identities pass and whose relation has
+    a composable triple is checked through its vertex group first; the axiom
+    sweeps run only when that check fails."""
 
     @given(
-        st.sampled_from([g for _, g in catalog_upto(12)]),
-        st.integers(1, 4),
+        spines(),
         st.one_of(st.none(), st.integers(0, 10**6)),
         st.booleans(),
         st.data(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_agrees_with_brute_force(self, group, objects, seed, extra, data):
-        spine = extend_to_groupoid(gen_group_action_spine(group, objects)).extended
+    @settings(max_examples=120, deadline=None)
+    def test_agrees_with_brute_force(self, spine, seed, extra, data):
         if seed is not None:
             spine = perturb_spine(spine, seed)
         # a drawn family order moves the tree maps and the first map of G
@@ -343,8 +374,45 @@ class TestVertexGroupValidation:
         ]
         assert validate_spine(spine).render_lines() == expected
 
-    def test_closed_s4_on_five_objects_skips_the_sweep(self, monkeypatch):
-        full = extend_to_groupoid(gen_group_action_spine(symmetric_group(4), 5)).extended
+    def test_increasing_pairs_without_closure_are_caught(self):
+        # as above on the increasing pairs only: G = {id, (0 1 2)} again
+        objs, points = ["1", "2", "3"], ["0", "1", "2"]
+        sets = {o: FiniteSet(o, points) for o in objs}
+        pairs = [("1", "2"), ("1", "3"), ("2", "3")]
+        morphisms = {
+            (i, j): (
+                FiniteMap(i, j, {x: x for x in points}),
+                FiniteMap(i, j, {"0": "1", "1": "2", "2": "0"}),
+            )
+            for i, j in pairs
+        }
+        spine = GroupoidSpine(objs, sets, pairs, morphisms)
+        assert not is_groupoid(spine)
+        assert validate_spine(spine).render_lines() == [
+            "validation: fail (1 violations)",
+            "  axiom3 ClosureViolation: composite of Mor(1,2)[1] then "
+            "Mor(2,3)[1] is absent from Mor(1,3)",
+        ]
+
+    def test_family_larger_than_the_vertex_group_is_caught(self):
+        # Mor(1, 2) holds t_1^-1, g, t_2 for every g in G = Z3, and a swap
+        spine = translation_spine(3, 3)
+        morphisms = {pair: list(fams) for pair, fams in spine.morphisms.items()}
+        swap = FiniteMap("1", "2", {"0": "1", "1": "0", "2": "2"})
+        morphisms[("1", "2")].append(swap)
+        spine = GroupoidSpine(spine.objects, spine.sets, spine.pairs, morphisms)
+        assert not is_groupoid(spine)
+        expected = ["validation: fail (3 violations)"]
+        expected += [
+            f"  axiom3 ClosureViolation: composite of Mor(1,2)[3] then "
+            f"Mor(2,3)[{n}] is absent from Mor(1,3)"
+            for n in range(3)
+        ]
+        assert validate_spine(spine).render_lines() == expected
+
+    @staticmethod
+    def compose_calls(monkeypatch, spine: GroupoidSpine) -> int:
+        """The number of `compose_indexed` calls a passing validation makes."""
         calls = []
         compose_indexed = model.compose_indexed
 
@@ -353,6 +421,16 @@ class TestVertexGroupValidation:
             return compose_indexed(f, g)
 
         monkeypatch.setattr(model, "compose_indexed", counted)
-        assert validate_spine(full).ok
+        assert validate_spine(spine).ok
+        return len(calls)
+
+    def test_closed_s4_on_five_objects_skips_the_sweep(self, monkeypatch):
+        full = extend_to_groupoid(gen_group_action_spine(symmetric_group(4), 5)).extended
         # |G|^2 + 2.|I|^2.|G|; the axiom-3 sweep makes |I|^3.|G|^2 = 72 000
-        assert len(calls) <= 24**2 + 2 * 5**2 * 24
+        assert self.compose_calls(monkeypatch, full) <= 24**2 + 2 * 5**2 * 24
+
+    def test_s4_input_on_five_objects_skips_the_sweep(self, monkeypatch):
+        spine = gen_group_action_spine(symmetric_group(4), 5)
+        # |G|^2 + 2.(|I| + |R|).|G| with 10 increasing pairs; the axiom-3
+        # sweep makes 10 triples at |G|^2 = 5760
+        assert self.compose_calls(monkeypatch, spine) <= 24**2 + 2 * (5 + 10) * 24
