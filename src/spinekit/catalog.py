@@ -139,13 +139,9 @@ def catalog_upto(order: int) -> tuple[tuple[str, GroupTable], ...]:
 
 
 def generating_sequence(g: GroupTable) -> list[str]:
-    """A small generating set, chosen greedily in element order."""
-    gens: list[str] = []
-    span = {g.identity}
-    for e in g.elements:
-        if e not in span:
-            adjoin(span, gens, e, g.op)
-    return gens
+    """A small generating set, chosen greedily in element order: the one
+    the table's construction checked associativity over."""
+    return list(g._gens)
 
 
 def _hom_from_images(

@@ -228,6 +228,7 @@ def load_group(text: str | bytes) -> GroupTable:
     )
     for n, e in enumerate(elements):
         _check_label(e, f"elements[{n}]")
+    _check_label(doc["identity"], "identity")
     raw = doc["product"]
     _require(isinstance(raw, dict), "product must be an object", "product")
     product: dict[tuple[str, str], str] = {}

@@ -8,6 +8,7 @@ diagonal morphisms, so tables are deterministic across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import NotRegular, UnknownElement, UnknownObject
@@ -15,6 +16,7 @@ from .extension import ExtensionResult, _regularity_unchecked
 from .model import (
     FiniteSet,
     Indexed,
+    adjoin,
     compose_indexed,
     element_index,
     encode,
@@ -25,8 +27,17 @@ from .model import (
 class GroupTable:
     """A finite group as a Cayley table over labeled elements.
 
-    Construction verifies the group axioms exhaustively: associativity,
-    two-sided identity, and two-sided inverses.
+    Construction verifies the group axioms exactly from a generating set:
+    totality (no product key outside elements x elements), a two-sided
+    identity and two-sided inverses directly, associativity by Light's test.
+    The generators are taken greedily in element order with `adjoin` over
+    the table, so every element is a product of generators even before
+    associativity is known. The test checks (x.s).y = x.(s.y) for each
+    generator s and all x, y: n^2 per generator. The good middles hold the
+    identity and are closed under the product, since for good s and t
+    (x.(s.t)).y = ((x.s).t).y = (x.s).(t.y) = x.(s.(t.y)) = x.((s.t).y);
+    so they are the whole table. Only on failure does the n^3 sweep run, to
+    name the first failing triple.
     """
 
     elements: tuple[str, ...]
@@ -47,35 +58,38 @@ class GroupTable:
         if identity not in elems:
             raise ValueError(f"identity {identity!r} is not an element")
         prod = {(str(a), str(b)): str(c) for (a, b), c in product.items()}
-        eset = set(elems)
-        for a in elems:
-            for b in elems:
-                c = prod.get((a, b))
-                if c is None or c not in eset:
-                    raise ValueError(f"product table is not total at ({a!r},{b!r})")
+        index = element_index(elems)
+        rows = [[index.get(prod.get((a, b))) for b in elems] for a in elems]
+        for a, row in zip(elems, rows):
+            if None in row:
+                b = elems[row.index(None)]
+                raise ValueError(f"product table is not total at ({a!r},{b!r})")
         for a in elems:
             if prod[(identity, a)] != a or prod[(a, identity)] != a:
                 raise ValueError(f"{identity!r} is not neutral at {a!r}")
-        inv = {}
-        for a in elems:
-            for b in elems:
-                if prod[(a, b)] == identity and prod[(b, a)] == identity:
-                    inv[a] = b
-                    break
-        if len(inv) != len(elems):
-            missing = [a for a in elems if a not in inv]
+        two_sided = lambda a, b: prod[(a, b)] == identity == prod[(b, a)]
+        inv = {a: next((b for b in elems if two_sided(a, b)), None) for a in elems}
+        if None in inv.values():
+            missing = [a for a in elems if inv[a] is None]
             raise ValueError(f"elements without inverses: {missing}")
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    if prod[(prod[(a, b)], c)] != prod[(a, prod[(b, c)])]:
-                        raise ValueError(
-                            f"product is not associative at ({a!r},{b!r},{c!r})"
-                        )
+        span, gens = {index[identity]}, []
+        for i in range(len(elems)):
+            if i not in span:
+                adjoin(span, gens, i, lambda x, y: rows[x][y])
+        if not all(rows[x[s]] == [x[z] for z in rows[s]] for s in gens for x in rows):
+            for a, b, c in iproduct(elems, repeat=3):
+                if prod[(prod[(a, b)], c)] != prod[(a, prod[(b, c)])]:
+                    raise ValueError(
+                        f"product is not associative at ({a!r},{b!r},{c!r})"
+                    )
+        if len(prod) != len(elems) ** 2:
+            key = next(k for k in prod if k[0] not in index or k[1] not in index)
+            raise ValueError(f"product key {key!r} is not a pair of elements")
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "product", prod)
         object.__setattr__(self, "inverse", inv)
+        object.__setattr__(self, "_gens", tuple(elems[i] for i in gens))
 
     def op(self, a: str, b: str) -> str:
         return self.product[(a, b)]
@@ -114,9 +128,14 @@ class GroupTable:
 class GroupAction:
     """A group acting on a finite carrier.
 
-    Construction verifies that the identity acts trivially, that the action
-    respects the product, and that the action is regular: every (x, y) is
-    achieved by exactly one group element.
+    Construction verifies exactly, from the group's generating set, that the
+    identity acts trivially, that the action respects the product, and that
+    it is regular: every (x, y) is achieved by exactly one group element.
+    (g.h).x = g.(h.x) is checked for the generators h only, |G|.#gens.|X|:
+    the good h hold the identity and are closed under the product, since
+    (g.(h.k)).x = ((g.h).k).x = (g.h).(k.x) = g.(h.(k.x)) = g.((h.k).x).
+    Regularity is |G| = |X| and g -> g.x reaching |X| points for each x,
+    |G|.|X|. On failure the full loops run, to name the first failure.
     """
 
     group: GroupTable
@@ -130,26 +149,23 @@ class GroupAction:
         act: Mapping[tuple[str, str], str],
     ):
         act = {(str(g), str(x)): str(y) for (g, x), y in act.items()}
-        points = set(carrier.elements)
-        for g in group.elements:
-            for x in carrier.elements:
-                y = act.get((g, x))
-                if y is None or y not in points:
-                    raise ValueError(f"action is not total at ({g!r},{x!r})")
-        for x in carrier.elements:
+        elems, points = group.elements, carrier.elements
+        point_set = set(points)
+        for g, x in iproduct(elems, points):
+            if act.get((g, x)) not in point_set:
+                raise ValueError(f"action is not total at ({g!r},{x!r})")
+        for x in points:
             if act[(group.identity, x)] != x:
                 raise ValueError(f"identity moves {x!r}")
-        for g in group.elements:
-            for h in group.elements:
-                gh = group.op(g, h)
-                for x in carrier.elements:
-                    if act[(gh, x)] != act[(g, act[(h, x)])]:
-                        raise ValueError(
-                            f"action incompatible with product at ({g!r},{h!r},{x!r})"
-                        )
-        for x in carrier.elements:
-            for y in carrier.elements:
-                hits = [g for g in group.elements if act[(g, x)] == y]
+        bad = lambda g, h, x: act[(group.op(g, h), x)] != act[(g, act[(h, x)])]
+        if any(bad(*t) for t in iproduct(elems, group._gens, points)):
+            g, h, x = next(t for t in iproduct(elems, elems, points) if bad(*t))
+            raise ValueError(f"action incompatible with product at ({g!r},{h!r},{x!r})")
+        if len(elems) != len(points) or any(
+            len({act[(g, x)] for g in elems}) != len(points) for x in points
+        ):
+            for x, y in iproduct(points, repeat=2):
+                hits = [g for g in elems if act[(g, x)] == y]
                 if len(hits) != 1:
                     raise ValueError(
                         f"action is not regular: {len(hits)} elements send "

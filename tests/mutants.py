@@ -29,6 +29,7 @@ TIMEOUT_S = 600  # a mutant that makes its tests hang counts as caught
 CLOSURE = ["tests/test_closure_oracle.py"]
 VERTEX_GROUP = ["tests/test_model.py::TestVertexGroupValidation"]
 STRUCTURE = ["tests/test_cosets.py", "tests/test_properties.py"]
+GROUPS = ["tests/test_groups.py::TestAxiomChecks"]
 
 MUTANTS = [
     # the group closure stops after the first coset of a new generator; this
@@ -76,6 +77,22 @@ MUTANTS = [
         "        all(",
         VERTEX_GROUP,
     ),
+    # Light's test over the first generator only
+    (
+        "groups.py",
+        "for s in gens for x in rows",
+        "for s in gens[:1] for x in rows",
+        GROUPS,
+    ),
+    # action compatibility checked for the first generator only
+    (
+        "groups.py",
+        "iproduct(elems, group._gens, points)",
+        "iproduct(elems, group._gens[:1], points)",
+        GROUPS,
+    ),
+    # regularity without |G| = |X|: each g -> g.x still reaches every point
+    ("groups.py", "if len(elems) != len(points) or any(", "if any(", GROUPS),
 ]
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import json
 import subprocess
 import sys
 
@@ -258,6 +259,29 @@ class TestCosetAndPartition:
         path.write_text(serialize_group(cyclic_group(4)))
         code, out, _ = run(capsys, "coset", str(path), "--set", "0,2")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "edit, err",
+        [
+            # the identity is a label string, never a JSON number
+            (
+                lambda doc: doc.update(identity=0),
+                "error: identity: expected a string, got int\n",
+            ),
+            # every product key names a pair of elements
+            (
+                lambda doc: doc["product"].update({"zz|q": "1"}),
+                "error: $: product key ('zz', 'q') is not a pair of elements\n",
+            ),
+        ],
+        ids=["numeric-identity", "stray-product-key"],
+    )
+    def test_group_file_is_not_coerced(self, capsys, tmp_path, edit, err):
+        doc = json.loads(serialize_group(cyclic_group(3)))
+        edit(doc)
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "coset", str(path), "--set", "0") == (2, "", err)
 
     def test_bad_group_spec(self, capsys):
         code, _, err = run(capsys, "coset", "S9", "--set", "0")

@@ -3,6 +3,7 @@
 from itertools import permutations, product as iproduct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spinekit.catalog as catalog_module
 import spinekit.groups as groups_module
@@ -30,6 +31,7 @@ from spinekit.generators import (
     latin_family_spine,
 )
 from spinekit.groups import (
+    GroupAction,
     GroupTable,
     extract_group,
     group_on_fiber,
@@ -273,6 +275,112 @@ class TestIsomorphism:
             assert is_isomorphic(g, g), name
 
 
+# e, a, b with a.a = b.b = e and a.b = b.a = b: the identity and inverses
+# hold, and (x.a).y = x.(a.y) for all x, y, but (a.b).b = e differs from
+# a.(b.b) = a. The greedy generators are a, then b.
+NON_ASSOCIATIVE = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+
+
+def magma(rows: list[list[int]]) -> tuple[list[str], dict]:
+    """Labels "0", "1", ... and the product x.y = rows[x][y]."""
+    labels = [str(i) for i in range(len(rows))]
+    return labels, {
+        (labels[i], labels[j]): labels[c]
+        for i, row in enumerate(rows)
+        for j, c in enumerate(row)
+    }
+
+
+def first_non_associative(labels, prod):
+    """Oracle: the first (a, b, c) with (a.b).c != a.(b.c), over all n^3."""
+    for a, b, c in iproduct(labels, repeat=3):
+        if prod[(prod[(a, b)], c)] != prod[(a, prod[(b, c)])]:
+            return a, b, c
+    return None
+
+
+@st.composite
+def magmas_with_identity(draw):
+    """Tables on 3 to 5 elements with "0" as two-sided identity: a group of
+    that order with up to two entries redrawn, or any such table."""
+    n = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        group = draw(st.sampled_from([g for _, g in catalog_upto(5) if len(g) == n]))
+        index = {e: i for i, e in enumerate(group.elements)}
+        rows = [[index[group.op(a, b)] for b in group.elements] for a in group.elements]
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+            rows[i][j] = draw(st.integers(0, n - 1))
+    else:
+        rows = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        rows[0][i] = rows[i][0] = i
+    return rows
+
+
+class TestAxiomChecks:
+    """The generator-set checks against the exhaustive loops, and the
+    messages the loops name on failure."""
+
+    @given(magmas_with_identity())
+    @example(NON_ASSOCIATIVE)
+    @settings(max_examples=300, deadline=None)
+    def test_light_agrees_with_brute_force(self, rows):
+        labels, prod = magma(rows)
+        two_sided = lambda a, b: prod[(a, b)] == "0" == prod[(b, a)]
+        witness = first_non_associative(labels, prod)
+        if not all(any(two_sided(a, b) for b in labels) for a in labels):
+            with pytest.raises(ValueError, match="elements without inverses"):
+                GroupTable(labels, "0", prod)
+        elif witness:
+            with pytest.raises(ValueError) as caught:
+                GroupTable(labels, "0", prod)
+            message = "product is not associative at ({!r},{!r},{!r})"
+            assert str(caught.value) == message.format(*witness)
+        else:
+            assert GroupTable(labels, "0", prod).product == prod
+
+    def test_non_associative_table(self):
+        labels, prod = magma(NON_ASSOCIATIVE)
+        assert first_non_associative(labels, prod) == ("1", "2", "2")
+        with pytest.raises(ValueError) as caught:
+            GroupTable(labels, "0", prod)
+        assert str(caught.value) == "product is not associative at ('1','2','2')"
+
+    def test_product_key_outside_elements(self):
+        g = cyclic_group(3)
+        with pytest.raises(ValueError) as caught:
+            GroupTable(g.elements, g.identity, {**g.product, ("zz", "q"): "1"})
+        assert str(caught.value) == "product key ('zz', 'q') is not a pair of elements"
+
+    def test_incompatible_action(self):
+        # V4 is generated by 0.1 then 1.0. 0.1 acts by an involution s and
+        # passes for every g and x; 1.0 acts by a 4-cycle t, whose square is
+        # not the identity, and 1.1 by t.s, so the first generator alone
+        # cannot see the failure
+        v4 = klein_group()
+        assert generating_sequence(v4) == ["0.1", "1.0"]
+        points = ["a", "b", "c", "d"]
+        s = dict(zip(points, "badc"))
+        t = dict(zip(points, "bcda"))
+        acts = {"0.0": {x: x for x in points}, "0.1": s, "1.0": t}
+        acts["1.1"] = {x: t[s[x]] for x in points}
+        act = {(g, x): acts[g][x] for g in acts for x in points}
+        with pytest.raises(ValueError) as caught:
+            GroupAction(v4, FiniteSet("X", points), act)
+        message = "action incompatible with product at ('0.1','1.0','a')"
+        assert str(caught.value) == message
+
+    def test_non_regular_action(self):
+        # Z4 acts on two points by parity: compatible, every point reached
+        # from every point, but |G| > |X|
+        act = {(str(g), str(x)): str((g + x) % 2) for g in range(4) for x in range(2)}
+        with pytest.raises(ValueError) as caught:
+            GroupAction(cyclic_group(4), FiniteSet("X", ["0", "1"]), act)
+        message = "action is not regular: 2 elements send '0' to '0'"
+        assert str(caught.value) == message
+
+
 def span(g: GroupTable, gens: list[str]) -> set[str]:
     """Oracle: every product of generators, found breadth first."""
     out, frontier = {g.identity}, [g.identity]
@@ -288,12 +396,21 @@ def span(g: GroupTable, gens: list[str]) -> set[str]:
 
 class TestCatalogBuilders:
     def test_generating_sequence_generates(self):
-        for name, g in catalog():
+        above = [
+            ("D16", dihedral_group(16)),
+            ("C4×C12", abelian_group(4, 12)),
+            ("Dic16", dicyclic_group(16)),
+            ("C4×C4×C4", abelian_group(4, 4, 4)),
+        ]
+        for name, g in [*catalog(), *above]:
             gens = generating_sequence(g)
             assert span(g, gens) == set(g.elements), name
-            # greedy: each generator lies outside the span of the earlier ones
-            for n, s in enumerate(gens):
-                assert s not in span(g, gens[:n]), name
+            # greedy in element order: each element outside the span so far
+            greedy: list[str] = []
+            for e in g.elements:
+                if e not in span(g, greedy):
+                    greedy.append(e)
+            assert gens == greedy, name
 
     def test_alternating_group_4_is_the_even_permutations(self):
         def parity(p):
