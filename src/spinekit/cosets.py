@@ -2,7 +2,8 @@
 characterization, equal-or-disjoint partition tests, fiber structure of
 cosets under coordinate projections, and coset detection for set families.
 
-Members of G^n are tuples of element labels with componentwise product.
+Members of G^n are tuples of element labels with componentwise product;
+the tests run on them encoded as tuples of element indices.
 The "infinitesimal" sets these tests shadow are infinitary; here a family
 member is just a finite set, so the analogy should not be over-read.
 """
@@ -10,14 +11,16 @@ member is just a finite set, so the analogy should not be over-read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product as iproduct
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
+from itertools import product as iproduct
+from operator import getitem, itemgetter
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EmptySet, NotACoset, TheoremViolation, UnknownElement
 from .groups import GroupTable
 
 GTuple = tuple[str, ...]
-_Product = Callable[[GTuple, GTuple], GTuple]
+ITuple = tuple[int, ...]  # a member of G^n as element indices
+_Table = Sequence[Sequence[int]]  # _rows[a][b] = _cols[b][a]: the index of a.b
 
 
 @dataclass(frozen=True)
@@ -31,9 +34,15 @@ class AmbientGroup:
     def __init__(self, group: GroupTable, power: int = 1):
         if power < 1:
             raise ValueError("power must be at least 1")
+        elems = group.elements
+        index = {e: n for n, e in enumerate(elems)}
+        rows = tuple(tuple(index[group.op(a, b)] for b in elems) for a in elems)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "_index", {e: n for n, e in enumerate(group.elements)})
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_cols", tuple(zip(*rows)))
+        object.__setattr__(self, "_inv", tuple(index[group.inv(a)] for a in elems))
 
     def op(self, a: GTuple, b: GTuple) -> GTuple:
         return tuple(self.group.op(x, y) for x, y in zip(a, b))
@@ -52,13 +61,19 @@ class AmbientGroup:
         return tuple(self._index[x] for x in a)
 
     def check_member(self, a: GTuple) -> GTuple:
+        return self._decode(self._encode(a))
+
+    def _encode(self, a: GTuple) -> ITuple:
         a = tuple(str(x) for x in a)
         if len(a) != self.power:
             raise UnknownElement(f"{a!r} does not have {self.power} components")
         for x in a:
             if x not in self._index:
                 raise UnknownElement(f"{x!r} is not a group element")
-        return a
+        return tuple(self._index[x] for x in a)
+
+    def _decode(self, a: Iterable[int]) -> GTuple:
+        return tuple(self.group.elements[i] for i in a)
 
     def is_subgroup(self, h: frozenset[GTuple]) -> bool:
         # in a finite group, a set closed under the product holds the inverses
@@ -92,24 +107,48 @@ class CosetReport:
         )
 
 
-def _translates_partition(
-    amb: AmbientGroup, xs: frozenset[GTuple], mul: _Product
-) -> bool:
-    seen = {frozenset(mul(g, x) for x in xs) for g in amb.all_tuples()}
-    return all(not (a & b) for a, b in combinations(seen, 2))
+def _columns(amb: AmbientGroup, xl: Sequence[ITuple], table: _Table) -> list[list[ITuple]]:
+    """cols[c][v]: the c-th coordinates of v.X (table amb._rows) or of X.v
+    (table amb._cols), one per member of xl, in xl's order."""
+    cols = []
+    for c in range(amb.power):
+        at = [x[c] for x in xl]
+        pick = itemgetter(*at) if len(at) > 1 else lambda row, i=at[0]: (row[i],)
+        cols.append([pick(row) for row in table])
+    return cols
+
+
+def _translate(cols: list[list[ITuple]], g: Sequence[int]) -> Iterator[ITuple]:
+    """The members of g.X (or X.g) from the columns of X."""
+    return zip(*map(getitem, cols, g))
+
+
+def _translates_partition(amb: AmbientGroup, xl: Sequence[ITuple], table: _Table) -> bool:
+    """Whether the translates of X by all of G^n are equal or disjoint: the
+    distinct ones are disjoint iff their sizes add up to their union's."""
+    seen = {frozenset(zip(*t)) for t in iproduct(*_columns(amb, xl, table))}
+    return len(frozenset().union(*seen)) == len(xl) * len(seen)
 
 
 def _coset(
-    amb: AmbientGroup, xs: Collection[GTuple], mul: _Product
+    amb: AmbientGroup, xs: Collection[ITuple], table: _Table
 ) -> Optional[tuple[frozenset[GTuple], GTuple]]:
-    """(H, a) when H = mul(a^-1, X) is a subgroup for the least member a of
-    X, else None. `mul` is amb.op for left cosets and the flipped product
-    for right ones. A coset is a coset of one subgroup through each of its
-    members, so the least member decides."""
-    a = min(xs, key=amb.tuple_key)
-    a_inv = amb.inv(a)
-    h = frozenset(mul(a_inv, x) for x in xs)
-    return (h, a) if amb.is_subgroup(h) else None
+    """(H, a), decoded, when H = a^-1.X is a subgroup for the least member a
+    of X, else None; with table amb._cols, H = X.a^-1 and right cosets are
+    decided. A coset is a coset of one subgroup through each of its
+    members, so the least member decides. H holds a^-1.a, the identity, and
+    is closed when h.H = (h.a^-1).X lies in H for each h in H (for right
+    cosets H.h = X.(a^-1.h))."""
+    xl = list(xs)
+    cols = _columns(amb, xl, table)
+    a = min(xl)
+    a_inv = [amb._inv[v] for v in a]
+    h = frozenset(_translate(cols, a_inv))
+    closed = all(
+        h.issuperset(_translate(cols, [table[u][v] for u, v in zip(k, a_inv)]))
+        for k in h
+    )
+    return (frozenset(map(amb._decode, h)), amb._decode(a)) if closed else None
 
 
 def coset_test(amb: AmbientGroup, xs: Iterable[GTuple]) -> CosetReport:
@@ -119,30 +158,32 @@ def coset_test(amb: AmbientGroup, xs: Iterable[GTuple]) -> CosetReport:
     member a, and a is the translator. A disagreement among the verdicts is
     impossible and raises TheoremViolation.
     """
-    xset = frozenset(amb.check_member(x) for x in xs)
+    xset = frozenset(amb._encode(x) for x in xs)
     if not xset:
         raise EmptySet("coset test needs a non-empty set")
 
-    right = lambda g, x: amb.op(x, g)
-    left = _coset(amb, xset, amb.op)
+    xl = list(xset)
+    rows, inv = amb._rows, amb._inv
+    left = _coset(amb, xl, rows)
+    # (x.y^-1).X inside X, for all x, y: every product x.y^-1.z
+    cols = _columns(amb, xl, rows)
     xyz = all(
-        amb.op(amb.op(x, amb.inv(y)), z) in xset
-        for x in xset
-        for y in xset
-        for z in xset
+        xset.issuperset(_translate(cols, [rows[u][inv[v]] for u, v in zip(x, y)]))
+        for x in xl
+        for y in xl
     )
 
     verdicts = (
-        _translates_partition(amb, xset, amb.op),
-        _translates_partition(amb, xset, right),
+        _translates_partition(amb, xl, rows),
+        _translates_partition(amb, xl, amb._cols),
         left is not None,
-        _coset(amb, xset, right) is not None,
+        _coset(amb, xl, amb._cols) is not None,
         xyz,
     )
     if len(set(verdicts)) != 1:
         raise TheoremViolation(
             f"coset characterization verdicts disagree: {verdicts} "
-            f"on {sorted(xset)}"
+            f"on {sorted(map(amb._decode, xset))}"
         )
     return CosetReport(*verdicts, *(left or (None, None)))
 
@@ -197,19 +238,19 @@ def fiber_coset_structure(
     proj = tuple(proj)
     if not proj or any(c < 0 or c >= amb.power for c in proj):
         raise ValueError(f"projection coordinates {proj} out of range")
-    xset = frozenset(amb.check_member(x) for x in xs)
+    xset = frozenset(amb._encode(x) for x in xs)
     if not xset:
         raise EmptySet("coset test needs a non-empty set")
-    if _coset(amb, xset, amb.op) is None:
+    if _coset(amb, xset, amb._rows) is None:
         raise NotACoset("the input set is not a left coset")
-    by_image: dict[GTuple, set[GTuple]] = {}
+    by_image: dict[GTuple, list[ITuple]] = {}
     for x in xset:
-        by_image.setdefault(tuple(x[c] for c in proj), set()).add(x)
+        by_image.setdefault(amb._decode(x[c] for c in proj), []).append(x)
 
     common: Optional[frozenset[GTuple]] = None
     fibers: list[tuple[GTuple, GTuple]] = []
     for image in sorted(by_image):
-        coset = _coset(amb, by_image[image], amb.op)
+        coset = _coset(amb, by_image[image], amb._rows)
         if coset is None:
             raise TheoremViolation(
                 f"fiber over {image} of a coset is not itself a coset"
@@ -247,10 +288,10 @@ def family_local_linearity(
     member is a left coset."""
     if not family:
         raise EmptySet("local linearity needs a non-empty family")
-    members = [frozenset(amb.check_member(x) for x in m) for m in family]
+    members = [frozenset(amb._encode(x) for x in m) for m in family]
     if any(not m for m in members):
         raise EmptySet("family members must be non-empty")
-    cosets = [_coset(amb, m, amb.op) for m in members]
+    cosets = [_coset(amb, m, amb._rows) for m in members]
     verdicts = tuple(c is not None for c in cosets)
     subgroups = tuple(None if c is None else c[0] for c in cosets)
     return LinearityReport(verdicts, subgroups, all(verdicts), True)

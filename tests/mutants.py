@@ -52,17 +52,28 @@ MUTANTS = [
     # local linearity decides right cosets where it should decide left ones
     (
         "cosets.py",
-        "cosets = [_coset(amb, m, amb.op) for m in members]",
-        "cosets = [_coset(amb, m, lambda a, b: amb.op(b, a)) for m in members]",
+        "cosets = [_coset(amb, m, amb._rows) for m in members]",
+        "cosets = [_coset(amb, m, amb._cols) for m in members]",
         STRUCTURE,
     ),
     # the fiber structure skips the check that its input is a left coset
     (
         "cosets.py",
-        "    if _coset(amb, xset, amb.op) is None:\n",
+        "    if _coset(amb, xset, amb._rows) is None:\n",
         "    if False:\n",
         STRUCTURE,
     ),
+    # the translate sweep over the first coordinate's columns only
+    (
+        "cosets.py",
+        "iproduct(*_columns(amb, xl, table))",
+        "iproduct(*_columns(amb, xl, table)[:1])",
+        STRUCTURE,
+    ),
+    # the xyz check for the first y only: the verdict cannot change (K.X in X
+    # for K = X.y^-1 already makes X a coset), but the sweep is no longer
+    # literal
+    ("cosets.py", "        for y in xl\n", "        for y in xl[:1]\n", STRUCTURE),
     # the vertex-group check without the closure of G
     (
         "model.py",

@@ -3,11 +3,13 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinekit import cosets
 from spinekit.catalog import cyclic_group, symmetric_group
 from spinekit.cosets import (
     AmbientGroup,
+    CosetReport,
     coset_test,
     family_local_linearity,
     fiber_coset_structure,
@@ -170,6 +172,23 @@ class TestFiberStructure:
         report = fiber_coset_structure(amb, x, proj=[1])
         assert report.subgroup == frozenset((str(a), "0") for a in h1)
 
+    def test_fibers_in_label_order(self):
+        # Z12 labels sort "10" and "11" before "2", unlike their indices
+        amb = AmbientGroup(cyclic_group(12), 2)
+        # the coset (1, 5) + <(1, 2), (0, 6)>
+        x = [
+            (str((a + 1) % 12), str((2 * a + b + 5) % 12))
+            for a in range(12)
+            for b in (0, 6)
+        ]
+        report = fiber_coset_structure(amb, x, proj=(0,))
+        assert report.subgroup == frozenset({("0", "0"), ("0", "6")})
+        translators = "3 5 5 1 1 3 5 1 3 5 1 3".split()
+        labels = sorted(str(t) for t in range(12))
+        assert report.fibers == tuple(
+            ((t,), (t, u)) for t, u in zip(labels, translators)
+        )
+
     def test_bad_projection(self):
         amb = AmbientGroup(cyclic_group(4), 2)
         with pytest.raises(ValueError):
@@ -240,3 +259,98 @@ class TestLocalLinearity:
             family_local_linearity(amb, [])
         with pytest.raises(EmptySet):
             family_local_linearity(amb, [[]])
+
+
+# The string-label sweeps coset_test ran before it worked on element
+# indices, kept as an oracle: every translate by all of G^n, and the
+# literal x.y^-1.z loop.
+
+
+def oracle_translates_partition(amb, xs, mul):
+    seen = {frozenset(mul(g, x) for x in xs) for g in amb.all_tuples()}
+    return all(not (a & b) for a, b in combinations(seen, 2))
+
+
+def oracle_coset(amb, xs, mul):
+    a = min(xs, key=amb.tuple_key)
+    a_inv = amb.inv(a)
+    h = frozenset(mul(a_inv, x) for x in xs)
+    return (h, a) if amb.is_subgroup(h) else None
+
+
+def oracle_report(amb, xs):
+    xset = frozenset(amb.check_member(x) for x in xs)
+    right = lambda g, x: amb.op(x, g)
+    left = oracle_coset(amb, xset, amb.op)
+    xyz = all(
+        amb.op(amb.op(x, amb.inv(y)), z) in xset
+        for x in xset
+        for y in xset
+        for z in xset
+    )
+    return CosetReport(
+        oracle_translates_partition(amb, xset, amb.op),
+        oracle_translates_partition(amb, xset, right),
+        left is not None,
+        oracle_coset(amb, xset, right) is not None,
+        xyz,
+        *(left or (None, None)),
+    )
+
+
+Z6_4 = AmbientGroup(cyclic_group(6), 4)
+Z4_5 = AmbientGroup(cyclic_group(4), 5)
+S3_4 = AmbientGroup(symmetric_group(3), 4)
+# non-abelian, and labels whose string order is not their index order
+Z12_2 = AmbientGroup(cyclic_group(12), 2)
+S3_2 = AmbientGroup(symmetric_group(3), 2)
+
+
+def generated(amb, gens):
+    out, frontier = {amb.identity()}, [amb.identity()]
+    while frontier:
+        products = {amb.op(a, s) for a in frontier for s in gens}
+        frontier = [c for c in products if c not in out]
+        out.update(frontier)
+    return sorted(out, key=amb.tuple_key)
+
+
+@st.composite
+def coset_inputs(draw):
+    """An ambient power and a drawn subset, left coset or right coset of a
+    subgroup generated by up to two drawn elements (by the first alone
+    when two generate more than 24, to keep the oracle's sweep short)."""
+    amb = draw(st.sampled_from([Z6_4, Z4_5, S3_4, Z12_2, S3_2]))
+    element = st.tuples(*[st.sampled_from(amb.group.elements)] * amb.power)
+    kind = draw(st.sampled_from(["subset", "left", "right"]))
+    if kind == "subset":
+        return amb, draw(st.lists(element, min_size=1, max_size=8, unique=True))
+    gens = draw(st.lists(element, max_size=2))
+    h = generated(amb, gens)
+    if len(h) > 24:
+        h = generated(amb, gens[:1])
+    u = draw(element)
+    return amb, [amb.op(u, x) if kind == "left" else amb.op(x, u) for x in h]
+
+
+@given(coset_inputs())
+@example((Z6_4, [("1", "2", str(2 * t % 6), str(3 * t % 6)) for t in range(6)]))
+@example((Z4_5, [tuple("01230"), tuple("11111"), tuple("30221")]))
+@example((S3_4, [(x, "021", x, "102") for x in ("012", "120", "201")]))
+@example((Z12_2, [("10", "2"), ("3", "11"), ("7", "7")]))
+@example((S3_2, [(a, b) for a in ("012", "021") for b in ("102", "120")]))
+@settings(max_examples=30, deadline=None)
+def test_coset_report_matches_the_label_sweeps(case):
+    amb, xs = case
+    assert coset_test(amb, xs) == oracle_report(amb, xs)
+
+
+def test_xyz_closure_tests_every_pair(monkeypatch):
+    # the xyz verdict is literal: one translate (x.y^-1).X per pair (x, y),
+    # besides the 1 + |H| of each coset decision; on a coset none stops early
+    calls = []
+    real = cosets._translate
+    monkeypatch.setattr(cosets, "_translate", lambda *a: calls.append(a) or real(*a))
+    xs = [(a, b) for a in ("012", "021") for b in ("102", "120")]
+    assert coset_test(S3_2, xs).is_coset
+    assert len(calls) == 2 * (1 + len(xs)) + len(xs) ** 2

@@ -274,6 +274,52 @@ class TestIsomorphism:
         for name, g in catalog_upto(8):
             assert is_isomorphic(g, g), name
 
+    def test_agrees_with_the_homomorphism_check(self):
+        # no two catalog entries share order and profile, so the pairs of
+        # equal profile are each entry with itself, the relabelings and
+        # two non-isomorphic pairs of orders 16 and 32
+        pairs = [
+            (g, h)
+            for _, g in catalog()
+            for _, h in catalog()
+            if len(g) == len(h) and g.order_profile() == h.order_profile()
+        ]
+        for g in (dihedral_group(16), abelian_group(4, 12), dicyclic_group(16)):
+            for d in g.elements[1::23]:
+                pairs += [(relabel_group(g, d), g), (g, relabel_group(g, d))]
+        for a, b in (
+            (abelian_group(4, 4), direct_product(cyclic_group(2), dicyclic_group(2))),
+            (abelian_group(2, 4, 4), direct_product(klein_group(), dicyclic_group(2))),
+        ):
+            pairs += [(a, b), (b, a)]
+        for g, h in pairs:
+            assert is_isomorphic(g, h) == isomorphic_oracle(g, h)
+
+
+def isomorphic_oracle(g: GroupTable, h: GroupTable) -> bool:
+    """The generator-image search that re-checked phi(a.b) = phi(a).phi(b)
+    over all n^2 pairs once every generator had an image."""
+    if len(g) != len(h) or g.order_profile() != h.order_profile():
+        return False
+    gens = generating_sequence(g)
+
+    def assign(images):
+        phi = catalog_module._hom_from_images(g, h, gens[: len(images)], images)
+        if phi is None:
+            return False
+        if len(images) == len(gens):
+            return len(phi) == len(g) and all(
+                phi[g.op(a, b)] == h.op(phi[a], phi[b])
+                for a in g.elements
+                for b in g.elements
+            )
+        order = g.order_of(gens[len(images)])
+        return any(
+            assign(images + [c]) for c in h.elements if h.order_of(c) == order
+        )
+
+    return assign([])
+
 
 # e, a, b with a.a = b.b = e and a.b = b.a = b: the identity and inverses
 # hold, and (x.a).y = x.(a.y) for all x, y, but (a.b).b = e differs from
