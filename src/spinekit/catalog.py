@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import eq, itemgetter
 
 from .groups import GroupTable, permutation_group, tabulate
 from .model import Indexed, adjoin, compose_indexed
@@ -165,10 +166,19 @@ def _hom_from_images(
     return phi
 
 
+_swap = itemgetter(1, 0)  # (a, b) -> (b, a)
+
+
 def _commuting_pairs(g: GroupTable) -> int:
     """The number of pairs (a, b) with ab = ba, which is |G| times the
-    number of conjugacy classes (Erdős and Turán); an isomorphism invariant."""
-    return sum(g.op(a, b) == g.op(b, a) for a in g.elements for b in g.elements)
+    number of conjugacy classes (Erdős and Turán); an isomorphism invariant.
+    Read off the product dict on first use and kept on the table."""
+    count = getattr(g, "_commuting", None)
+    if count is None:
+        prod = g.product
+        count = sum(map(eq, prod.values(), map(prod.__getitem__, map(_swap, prod))))
+        object.__setattr__(g, "_commuting", count)
+    return count
 
 
 def is_isomorphic(g: GroupTable, h: GroupTable) -> bool:

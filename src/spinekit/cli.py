@@ -14,6 +14,7 @@ the number of generators the closure adjoined (see
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -295,6 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    every command gets a fresh namespace."""
+    return build_parser()
+
+
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a piped reader quitting
 
 # Exception classes -> (rendering or None for silence, stream, exit code),
@@ -330,9 +338,8 @@ _HANDLED = tuple(cls for classes, *_ in _ERRORS for cls in classes)
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

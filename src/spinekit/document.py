@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from json.encoder import encode_basestring
+from operator import add
 from typing import Any, Optional
 
 from .errors import (
@@ -84,24 +86,68 @@ def _load_object(text: str | bytes, keys: set[str], required: tuple[str, ...]) -
     return doc
 
 
+class _Quoted(dict):
+    """Labels to their quoted JSON text, escaped by the C escaper that
+    json.dumps uses with ensure_ascii=False. A label not stored yet (an
+    object, a pair key, an image outside its carrier) is escaped on lookup."""
+
+    def __missing__(self, label: str) -> str:
+        return encode_basestring(label)
+
+
+def _layout(brackets: str, items: list[str], depth: int) -> str:
+    """A JSON array or object of rendered items (object items as
+    '"key": value') `depth` levels deep, laid out as json.dumps lays it
+    out with indent=2."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
 def serialize_spine(spine: GroupoidSpine, meta: Optional[dict] = None) -> str:
     """Canonical document text: objects in spine order, pairs in canonical
-    order, morphism lists verbatim, mapping keys in carrier order."""
-    doc: dict[str, Any] = {"format_version": FORMAT_VERSION}
-    doc["objects"] = list(spine.objects)
-    doc["sets"] = {o: list(spine.sets[o].elements) for o in spine.objects}
+    order, morphism lists verbatim, mapping keys in carrier order.
+
+    The text is exactly json.dumps(doc, indent=2, ensure_ascii=False) of
+    that document, written directly, because with an indent json.dumps
+    runs its pure-Python encoder over every key and bracket. Each carrier
+    label is quoted once, each map's images are read in carrier order at C
+    level, and meta still goes through json.dumps.
+    """
+    quote = _Quoted(
+        (x, encode_basestring(x)) for s in spine.sets.values() for x in s.elements
+    ).__getitem__
     pairs = spine.sorted_pairs()
-    doc["pairs"] = [[i, j] for i, j in pairs]
-    doc["morphisms"] = {
-        f"{i}|{j}": [
-            {x: f(x) for x in spine.sets[i].elements}
+
+    def family(i: str, j: str) -> str:
+        elements = spine.sets[i].elements
+        keys = [quote(x) + ": " for x in elements]
+        maps = [
+            _layout("{}", list(map(add, keys, map(quote, map(f._dict.__getitem__, elements)))), 3)
             for f in spine.morphisms[(i, j)]
         ]
-        for i, j in pairs
-    }
+        return _layout("[]", maps, 2)
+
+    # a dict display, as the document was built before: on colliding keys
+    # (labels holding "|") the later family wins at the earlier position
+    morphisms = {f"{i}|{j}": family(i, j) for i, j in pairs}
+    sets = [
+        f"{quote(o)}: " + _layout("[]", list(map(quote, spine.sets[o].elements)), 2)
+        for o in spine.objects
+    ]
+    pair_lists = [_layout("[]", [quote(i), quote(j)], 2) for i, j in pairs]
+    fields = [
+        f'"format_version": {FORMAT_VERSION}',
+        '"objects": ' + _layout("[]", list(map(quote, spine.objects)), 1),
+        '"sets": ' + _layout("{}", sets, 1),
+        '"pairs": ' + _layout("[]", pair_lists, 1),
+        '"morphisms": ' + _layout("{}", [f"{quote(k)}: {v}" for k, v in morphisms.items()], 1),
+    ]
     if meta is not None:
-        doc["meta"] = meta
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        text = json.dumps(meta, indent=2, ensure_ascii=False)
+        fields.append('"meta": ' + text.replace("\n", "\n  "))
+    return _layout("{}", fields, 0) + "\n"
 
 
 def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
@@ -149,6 +195,7 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
 
     raw_mor = doc["morphisms"]
     _require(isinstance(raw_mor, dict), "morphisms must be an object", "morphisms")
+    carriers = {o: set(s.elements) for o, s in sets.items()}
     morphisms: dict[tuple[str, str], list[FiniteMap]] = {}
     for key, fams in raw_mor.items():
         path = f'morphisms."{key}"'
@@ -157,13 +204,21 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
         i, j = parts
         _require((i, j) in pairs, f"({i},{j}) is not a listed pair", path)
         _require(isinstance(fams, list), "must be a list of mappings", path)
+        source, target = carriers[i], carriers[j]
         maps = []
         for n, mapping in enumerate(fams):
             mpath = f"{path}[{n}]"
             _require(isinstance(mapping, dict), "each morphism must be an object", mpath)
-            for x, y in mapping.items():
-                _check_label(x, mpath)
-                _check_label(y, mpath)
+            # labels drawn from the carriers were checked with the sets; any
+            # other mapping takes the per-entry checks and their messages
+            try:
+                checked = mapping.keys() == source and target.issuperset(mapping.values())
+            except TypeError:  # an unhashable value
+                checked = False
+            if not checked:
+                for x, y in mapping.items():
+                    _check_label(x, mpath)
+                    _check_label(y, mpath)
             try:
                 maps.append(FiniteMap(i, j, mapping))
             except ValueError as exc:

@@ -30,6 +30,7 @@ CLOSURE = ["tests/test_closure_oracle.py"]
 VERTEX_GROUP = ["tests/test_model.py::TestVertexGroupValidation"]
 STRUCTURE = ["tests/test_cosets.py", "tests/test_properties.py"]
 GROUPS = ["tests/test_groups.py::TestAxiomChecks"]
+DOCUMENT = ["tests/test_document.py"]
 
 MUTANTS = [
     # the group closure stops after the first coset of a new generator; this
@@ -104,6 +105,20 @@ MUTANTS = [
     ),
     # regularity without |G| = |X|: each g -> g.x still reaches every point
     ("groups.py", "if len(elems) != len(points) or any(", "if any(", GROUPS),
+    # the reader takes every mapping as drawn from the carriers
+    (
+        "document.py",
+        "checked = mapping.keys() == source and target.issuperset(mapping.values())",
+        "checked = True",
+        DOCUMENT,
+    ),
+    # the writer quotes labels without escaping them
+    (
+        "document.py",
+        "from json.encoder import encode_basestring\n",
+        "encode_basestring = lambda e: '\"' + e + '\"'\n",
+        DOCUMENT,
+    ),
 ]
 
 

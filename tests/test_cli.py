@@ -380,6 +380,23 @@ class TestDeterminism:
         b = run(capsys, "coset", "S3", "--set", "012,120,201")
         assert a == b
 
+    def test_one_parser_keeps_no_options_between_commands(self, capsys, z5_doc, tmp_path):
+        out = tmp_path / "full.json"
+        assert run(capsys, "extend", z5_doc, "--out", str(out))[0] == 0
+        out.unlink()
+        assert run(capsys, "extend", z5_doc)[0] == 0
+        assert not out.exists()
+        gen = ["gen", "--kind", "latin-square", "--order", "5"]
+        non_coset = run(capsys, *gen, "--no-coset", "--seed", "3")
+        coset = run(capsys, *gen)
+        assert json.loads(non_coset[1])["meta"]["generator"]["want_coset"] is False
+        assert json.loads(coset[1])["meta"]["generator"]["want_coset"] is True
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinekit", *gen], capture_output=True, text=True
+        )
+        assert coset == (proc.returncode, proc.stdout, proc.stderr)
+        assert run(capsys, "extract", z5_doc)[0] == 2  # --object is still required
+
 
 class TestValidateOnce:
     @pytest.fixture

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import translation_spine, trivial_spine
 from spinekit.catalog import catalog_upto, cyclic_group, symmetric_group
@@ -30,6 +30,7 @@ from spinekit.generators import (
     latin_family_spine,
     perturb_spine,
 )
+from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine, validate_spine
 
 
 def generator_outputs():
@@ -392,3 +393,146 @@ def test_serialize_load_round_trip_for_every_generator_kind(generated):
     spine, meta = generated
     text = serialize_spine(spine, meta=meta)
     assert serialize_spine(*load_spine(text)) == text
+
+
+def serialize_oracle(spine, meta=None):
+    """The document writer before the direct emitter: the whole document
+    through json.dumps with indent=2."""
+    doc = {"format_version": 1}
+    doc["objects"] = list(spine.objects)
+    doc["sets"] = {o: list(spine.sets[o].elements) for o in spine.objects}
+    pairs = spine.sorted_pairs()
+    doc["pairs"] = [[i, j] for i, j in pairs]
+    doc["morphisms"] = {
+        f"{i}|{j}": [{x: f(x) for x in spine.sets[i].elements} for f in spine.morphisms[(i, j)]]
+        for i, j in pairs
+    }
+    if meta is not None:
+        doc["meta"] = meta
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII, the JSON-legal line
+# separators U+2028/U+2029, a lone surrogate, and "|", whose pair keys collide
+HOSTILE = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "\u2029",
+                     "\ud800", "😀", "|", "a", "b", "%", "/"]),
+    min_size=1,
+    max_size=3,
+)
+
+meta_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | HOSTILE,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(HOSTILE, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def hostile_spine(draw):
+    """A spine built through the API, unvalidated: hostile labels, carriers
+    of one element or more, families of any size (empty ones too), and
+    images that may lie outside the target carrier."""
+    objects = draw(st.lists(HOSTILE, min_size=1, max_size=3, unique=True))
+    sets = {
+        o: FiniteSet(o, draw(st.lists(HOSTILE, min_size=1, max_size=4, unique=True)))
+        for o in objects
+    }
+    pairs = draw(
+        st.lists(st.sampled_from([(i, j) for i in objects for j in objects]), unique=True)
+    )
+    morphisms = {}
+    for i, j in pairs:
+        source = sets[i].elements
+        images = HOSTILE | st.sampled_from(sets[j].elements)
+        morphisms[(i, j)] = [
+            FiniteMap(i, j, dict(zip(source, draw(
+                st.lists(images, min_size=len(source), max_size=len(source), unique=True)
+            ))))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+    return GroupoidSpine(objects, sets, pairs, morphisms)
+
+
+class TestWriterOracle:
+    @given(hostile_spine(), st.none() | st.just({}) | st.just([]) | meta_values)
+    @settings(max_examples=200, deadline=None)
+    @example(  # pair keys collide: ("1", "2|3") and ("1|2", "3") both give "1|2|3"
+        GroupoidSpine(
+            ["1", "1|2", "3", "2|3"],
+            {o: FiniteSet(o, ["x"]) for o in ["1", "1|2", "3", "2|3"]},
+            [("1|2", "3"), ("1", "2|3")],
+            {("1|2", "3"): [FiniteMap("1|2", "3", {"x": "y"})], ("1", "2|3"): []},
+        ),
+        {"nested": {"deep": [1.5, None, True, {}, []]}, "": -0.0},
+    )
+    def test_matches_json_dumps(self, spine, meta):
+        assert serialize_spine(spine, meta) == serialize_oracle(spine, meta)
+
+    def test_generated_documents_match_json_dumps(self):
+        for spine in generator_outputs():
+            meta = {"generator": {"kind": "x", "seed": 1}}
+            assert serialize_spine(spine, meta) == serialize_oracle(spine, meta)
+
+    def test_map_undefined_on_a_carrier_element(self):
+        sets = {"1": FiniteSet("1", ["a", "b", "c"]), "2": FiniteSet("2", ["a", "b", "c"])}
+        spine = GroupoidSpine(
+            ["1", "2"], sets, [("1", "2")],
+            {("1", "2"): [FiniteMap("1", "2", {"a": "b", "c": "a"})]},
+        )
+        with pytest.raises(KeyError) as want:
+            serialize_oracle(spine)
+        with pytest.raises(KeyError) as got:
+            serialize_spine(spine)
+        assert got.value.args == want.value.args == ("b",)
+
+
+class TestReaderFallback:
+    """Mappings that fail the carrier test take the per-entry checks, with
+    the messages and paths those give."""
+
+    def load_with(self, mapping):
+        doc = json.loads(serialize_spine(translation_spine(3, 2)))
+        doc["morphisms"]["1|2"][1] = mapping
+        return load_spine(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({"0": "1", "1": 2, "2": "0"}, "expected a string, got int"),
+            ({"0": "1", "1": ["2"], "2": "0"}, "expected a string, got list"),
+            ({"0": "1", "1": {"2": "2"}, "2": "0"}, "expected a string, got dict"),
+            ({"0": "1", "": "2", "2": "0"}, "labels may not be empty"),
+            ({"0": "1", "1|": "2", "2": "0"}, "label '1|' contains the reserved character '|'"),
+            ({"0": "1", "1": "", "2": "0"}, "labels may not be empty"),
+            ({"0": "1", "1": "2", "2": "0", "9": "a|b"},
+             "label 'a|b' contains the reserved character '|'"),
+            ({"0": "1", "1": "1", "2": "0"}, "map '1'->'2' is not injective"),
+        ],
+        ids=["int-value", "list-value", "dict-value", "empty-key", "pipe-key",
+             "empty-value", "extra-key-then-bad-value", "not-injective"],
+    )
+    def test_message_and_path(self, mapping, message):
+        with pytest.raises(SchemaError) as exc:
+            self.load_with(mapping)
+        assert exc.value.path == 'morphisms."1|2"[1]'
+        assert str(exc.value) == f'morphisms."1|2"[1]: {message}'
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"0": "1", "1": "2"},
+            {"0": "1", "1": "2", "2": "0", "9": "9"},
+            {"0": "1", "1": "2", "9": "0"},
+            {"0": "1", "1": "2", "2": "zz"},
+        ],
+        ids=["missing-key", "extra-key", "foreign-key", "foreign-value"],
+    )
+    def test_labels_off_the_carriers_load_verbatim(self, mapping):
+        spine, _ = self.load_with(mapping)
+        assert spine.morphisms[("1", "2")][1].graph == tuple(sorted(mapping.items()))
+        assert not validate_spine(spine).ok

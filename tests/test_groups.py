@@ -295,6 +295,16 @@ class TestIsomorphism:
         for g, h in pairs:
             assert is_isomorphic(g, h) == isomorphic_oracle(g, h)
 
+    def test_commuting_pairs_counted_once_on_first_use(self):
+        g = direct_product(abelian_group(4, 2), dicyclic_group(2))
+        assert not hasattr(g, "_commuting")  # construction does not pay for it
+        expected = sum(g.op(a, b) == g.op(b, a) for a in g.elements for b in g.elements)
+        assert catalog_module._commuting_pairs(g) == expected == 64 * 40  # |G| times 8 · 5 classes
+        assert g._commuting == expected
+        for name, h in catalog():
+            literal = sum(h.op(a, b) == h.op(b, a) for a in h.elements for b in h.elements)
+            assert catalog_module._commuting_pairs(h) == literal, name
+
 
 def isomorphic_oracle(g: GroupTable, h: GroupTable) -> bool:
     """The generator-image search that re-checked phi(a.b) = phi(a).phi(b)
