@@ -22,7 +22,15 @@ from .errors import (
     ValidationError,
 )
 from .groups import GroupTable
-from .model import FiniteMap, FiniteSet, GroupoidSpine, validate_spine
+from .model import (
+    FiniteMap,
+    FiniteSet,
+    GroupoidSpine,
+    element_index,
+    encode,
+    map_from_graph,
+    validate_spine,
+)
 
 FORMAT_VERSION = 1
 
@@ -89,10 +97,25 @@ def _load_object(text: str | bytes, keys: set[str], required: tuple[str, ...]) -
 class _Quoted(dict):
     """Labels to their quoted JSON text, escaped by the C escaper that
     json.dumps uses with ensure_ascii=False. A label not stored yet (an
-    object, a pair key, an image outside its carrier) is escaped on lookup."""
+    object or a pair key) is escaped on lookup."""
 
     def __missing__(self, label: str) -> str:
         return encode_basestring(label)
+
+
+class _Positions(dict):
+    """A target carrier's `element_index`, with its labels quoted in
+    `quoted`. An image outside the carrier is appended to both on first
+    lookup, so that it is written verbatim."""
+
+    def __init__(self, labels: tuple[str, ...], quote) -> None:
+        super().__init__(element_index(labels))
+        self.quoted = list(map(quote, labels))
+
+    def __missing__(self, label: str) -> int:
+        self[label] = len(self.quoted)
+        self.quoted.append(encode_basestring(label))
+        return self[label]
 
 
 def _layout(brackets: str, items: list[str], depth: int) -> str:
@@ -112,19 +135,22 @@ def serialize_spine(spine: GroupoidSpine, meta: Optional[dict] = None) -> str:
     The text is exactly json.dumps(doc, indent=2, ensure_ascii=False) of
     that document, written directly, because with an indent json.dumps
     runs its pure-Python encoder over every key and bracket. Each carrier
-    label is quoted once, each map's images are read in carrier order at C
-    level, and meta still goes through json.dumps.
+    label is quoted once, each map is written from its indexed form over
+    the carriers (`encode`), and meta still goes through json.dumps.
     """
     quote = _Quoted(
         (x, encode_basestring(x)) for s in spine.sets.values() for x in s.elements
     ).__getitem__
     pairs = spine.sorted_pairs()
 
+    positions = {o: _Positions(s.elements, quote) for o, s in spine.sets.items()}
+
     def family(i: str, j: str) -> str:
-        elements = spine.sets[i].elements
+        elements, index = spine.sets[i].elements, positions[j]
         keys = [quote(x) + ": " for x in elements]
+        image = index.quoted.__getitem__
         maps = [
-            _layout("{}", list(map(add, keys, map(quote, map(f._dict.__getitem__, elements)))), 3)
+            _layout("{}", list(map(add, keys, map(image, encode(f, elements, index)))), 3)
             for f in spine.morphisms[(i, j)]
         ]
         return _layout("[]", maps, 2)
@@ -219,8 +245,8 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
                 for x, y in mapping.items():
                     _check_label(x, mpath)
                     _check_label(y, mpath)
-            try:
-                maps.append(FiniteMap(i, j, mapping))
+            try:  # every label is a str, by the set test or the checks
+                maps.append(map_from_graph(i, j, tuple(sorted(mapping.items()))))
             except ValueError as exc:
                 raise SchemaError(str(exc), mpath) from None
         morphisms[(i, j)] = maps

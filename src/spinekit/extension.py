@@ -21,9 +21,10 @@ from .model import (
     Indexed,
     adjoin,
     compose_indexed,
-    decode,
     element_index,
     encode,
+    graph_keys,
+    indexed_map,
     invert,
     invert_indexed,
     validate_spine,
@@ -147,7 +148,9 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
     return GroupoidSpine(spine.objects, spine.sets, pairs, morphisms)
 
 
-def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
+def _close_to_groupoid(
+    spine: GroupoidSpine,
+) -> tuple[GroupoidSpine, int, dict[tuple[str, str], list[Indexed]]]:
     """Compute the groupoid generated by all morphisms of a spine in which
     every increasing pair is present.
 
@@ -159,8 +162,10 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
     f: i -> j is t_i^-1, (t_i, f, t_j^-1), t_j, so an input family with |G|
     distinct maps is already all of Mor(i, j) and keeps its own maps.
     Returns the closed spine (pairs = I x I, morphism lists sorted by graph
-    key) and 1 + the number of generators adjoined, with pairs scanned in
-    canonical order and maps in graph-key order.
+    key), 1 + the number of generators adjoined, with pairs scanned in
+    canonical order and maps in graph-key order, and each input family's
+    indexed forms in that order. Every other family is built of
+    `indexed_map`s, ordered by graph keys computed from their indexed forms.
     """
     objs = spine.objects
     o0 = objs[0]
@@ -195,13 +200,15 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[GroupoidSpine, int]:
             if len(kept) == len(group):
                 morphisms[(i, j)] = tuple(kept.values())
                 continue
-            maps = (
-                decode(compose_indexed(h, tree[j]), i, j, elems[i], elems[j])
-                for h in from_i
+            maps = sorted(
+                (compose_indexed(h, tree[j]) for h in from_i),
+                key=graph_keys(elems[i], elems[j]),
             )
-            morphisms[(i, j)] = tuple(sorted(maps, key=FiniteMap.graph_key))
+            morphisms[(i, j)] = tuple(
+                indexed_map(i, j, elems[i], elems[j], index[j], t) for t in maps
+            )
     closed = GroupoidSpine(objs, spine.sets, list(morphisms), morphisms)
-    return closed, 1 + len(gens)
+    return closed, 1 + len(gens), ordered
 
 
 def _extend_unchecked(spine: GroupoidSpine) -> ExtensionResult:
@@ -210,11 +217,20 @@ def _extend_unchecked(spine: GroupoidSpine) -> ExtensionResult:
     On non-regular input the generated groupoid is still well-defined and
     the conservativity comparison against the original pairs stays honest.
     """
-    closed, iterations = _close_to_groupoid(spine)
+    closed, iterations, ordered = _close_to_groupoid(spine)
+    index = {o: element_index(s.elements) for o, s in spine.sets.items()}
     added: dict[tuple[str, str], tuple[FiniteMap, ...]] = {}
     for pair in spine.sorted_pairs():
-        before = {f.graph for f in spine.morphisms[pair]}
-        gained = [f for f in closed.morphisms[pair] if f.graph not in before]
+        i, j = pair
+        before = set(ordered[pair])
+        # the inputs lie in the closure, so as many distinct inputs as
+        # output maps (a family kept verbatim) leave nothing gained
+        if len(before) == len(closed.morphisms[pair]):
+            continue
+        src = spine.sets[i].elements
+        gained = [
+            f for f in closed.morphisms[pair] if encode(f, src, index[j]) not in before
+        ]
         if gained:
             added[pair] = tuple(gained)
     return ExtensionResult(

@@ -20,6 +20,7 @@ from .model import (
     compose_indexed,
     element_index,
     encode,
+    graph_keys,
 )
 
 
@@ -234,8 +235,10 @@ def extract_group(ext: ExtensionResult, obj: str) -> GroupAction:
         raise NotRegular(_regularity_unchecked(spine))
     elems = spine.sets[obj].elements
     index = element_index(elems)
+    graph_key = graph_keys(elems, elems)
     key_of = {
-        encode(f, elems, index): f.graph_key() for f in spine.morphisms[(obj, obj)]
+        t: graph_key(t)
+        for t in (encode(f, elems, index) for f in spine.morphisms[(obj, obj)])
     }
     table = permutation_group(key_of, tuple(range(len(elems))))
     act = {(k, x): elems[y] for t, k in key_of.items() for x, y in zip(elems, t)}

@@ -11,6 +11,7 @@ morphisms per pair. Larger inputs run but are untested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import TargetMismatch
@@ -42,23 +43,36 @@ class FiniteMap:
     The mapping must be injective; whether its domain and image agree with
     the named carrier sets is checked by spine validation, since a map on
     its own does not know the carriers.
+
+    A map built by `indexed_map` holds only its indexed form and carriers;
+    its graph is built when first read, and it behaves as the map built
+    from that graph in every other respect.
     """
 
     source: str
     target: str
     graph: tuple[tuple[str, str], ...] = field(compare=True)
 
+    # (source elements, target elements, target element_index, indexed form)
+    # of a map built by `indexed_map`
+    _indexed = None
+
     def __init__(self, source: str, target: str, mapping: Mapping[str, str]):
-        object.__setattr__(self, "source", str(source))
-        object.__setattr__(self, "target", str(target))
-        pairs = tuple(sorted((str(x), str(y)) for x, y in mapping.items()))
-        object.__setattr__(self, "graph", pairs)
-        values = [y for _, y in pairs]
-        if len(set(values)) != len(values):
-            raise ValueError(
-                f"map {self.source!r}->{self.target!r} is not injective"
-            )
-        object.__setattr__(self, "_dict", dict(pairs))
+        _set_graph(
+            self,
+            str(source),
+            str(target),
+            tuple(sorted((str(x), str(y)) for x, y in mapping.items())),
+        )
+
+    def __getattr__(self, name: str):
+        # reached only while an indexed map's graph is unread
+        if name not in ("graph", "_dict") or self._indexed is None:
+            raise AttributeError(name)
+        src, tgt, _, t = self._indexed
+        graph = tuple(sorted(zip(src, map(tgt.__getitem__, t))))
+        self.__dict__.update(graph=graph, _dict=dict(graph))
+        return self.__dict__[name]
 
     @property
     def mapping(self) -> dict[str, str]:
@@ -75,10 +89,27 @@ class FiniteMap:
 
     def graph_key(self) -> str:
         """Canonical key: the sorted pointwise listing of the map."""
-        return ",".join(f"{x}>{y}" for x, y in self.graph)
+        return ",".join(map(">".join, self.graph))
 
     def __repr__(self) -> str:
         return f"FiniteMap({self.source!r}->{self.target!r}, {self.graph_key()})"
+
+
+def _set_graph(f: FiniteMap, source: str, target: str, graph: tuple) -> None:
+    """Give f its endpoints and sorted graph, all labels already strings;
+    raises ValueError when the graph is not injective."""
+    f.__dict__.update(source=source, target=target, graph=graph)
+    if len(set(map(itemgetter(1), graph))) != len(graph):
+        raise ValueError(f"map {source!r}->{target!r} is not injective")
+    f.__dict__["_dict"] = dict(graph)
+
+
+def map_from_graph(source: str, target: str, graph: tuple) -> FiniteMap:
+    """The FiniteMap source -> target with this sorted graph of string
+    labels, as the constructor builds it after coercing labels to str."""
+    f = object.__new__(FiniteMap)
+    _set_graph(f, source, target, graph)
+    return f
 
 
 def identity_map(s: FiniteSet) -> FiniteMap:
@@ -120,7 +151,11 @@ def element_index(elements: Sequence[str]) -> dict[str, int]:
 
 def encode(f: FiniteMap, src: Sequence[str], index: Mapping[str, int]) -> Indexed:
     """Indexed form of f, given the source elements in order and the
-    target's `element_index`."""
+    target's `element_index`. A map built by `indexed_map` over equal
+    carriers returns its stored form without reading its graph."""
+    held = f._indexed
+    if held is not None and held[0] == src and held[2] == index:
+        return held[3]
     image = f._dict
     return tuple([index[image[x]] for x in src])
 
@@ -130,7 +165,33 @@ def decode(
 ) -> FiniteMap:
     """The FiniteMap source -> target whose indexed form over the element
     orders src and tgt is t."""
-    return FiniteMap(source, target, {x: tgt[y] for x, y in zip(src, t)})
+    return map_from_graph(source, target, tuple(sorted(zip(src, map(tgt.__getitem__, t)))))
+
+
+def indexed_map(
+    source: str,
+    target: str,
+    src: tuple[str, ...],
+    tgt: tuple[str, ...],
+    index: Mapping[str, int],
+    t: Indexed,
+) -> FiniteMap:
+    """`decode(t, source, target, src, tgt)` holding t, the carriers and
+    the target's `element_index` instead of its graph, which is built when
+    first read. Raises ValueError when t is not injective."""
+    if len(set(t)) != len(t):
+        raise ValueError(f"map {source!r}->{target!r} is not injective")
+    f = object.__new__(FiniteMap)
+    f.__dict__.update(source=source, target=target, _indexed=(src, tgt, index, t))
+    return f
+
+
+def graph_keys(src: Sequence[str], tgt: Sequence[str]) -> Callable[[Indexed], str]:
+    """The function taking an indexed form t over the element orders src
+    and tgt to `graph_key` of its decoded map, without decoding it."""
+    order = sorted(range(len(src)), key=src.__getitem__)
+    segs = [[f"{src[x]}>{y}" for y in tgt] for x in order]
+    return lambda t: ",".join(map(list.__getitem__, segs, map(t.__getitem__, order)))
 
 
 def compose_indexed(f: Indexed, g: Indexed) -> Indexed:

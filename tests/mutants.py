@@ -31,6 +31,7 @@ VERTEX_GROUP = ["tests/test_model.py::TestVertexGroupValidation"]
 STRUCTURE = ["tests/test_cosets.py", "tests/test_properties.py"]
 GROUPS = ["tests/test_groups.py::TestAxiomChecks"]
 DOCUMENT = ["tests/test_document.py"]
+INDEXED_MAP = ["tests/test_model.py::TestIndexedMap"]
 
 MUTANTS = [
     # the group closure stops after the first coset of a new generator; this
@@ -43,6 +44,20 @@ MUTANTS = [
     ),
     # the groupoid closure adjoins one loop per pair
     ("extension.py", "        for f in maps:\n", "        for f in maps[:1]:\n", CLOSURE),
+    # new families sorted by their raw index tuples, not by graph key
+    (
+        "extension.py",
+        "key=graph_keys(elems[i], elems[j]),",
+        "key=lambda t: t,",
+        CLOSURE,
+    ),
+    # encode returns an indexed map's stored form over any carriers
+    (
+        "model.py",
+        "if held is not None and held[0] == src and held[2] == index:",
+        "if held is not None:",
+        INDEXED_MAP,
+    ),
     # Mor(i, j) built as G, t_i^-1, t_j: t_i^-1 on the wrong side
     (
         "extension.py",

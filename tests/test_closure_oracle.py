@@ -1,10 +1,15 @@
-"""The groupoid closure against a brute-force frontier closure.
+"""The groupoid closure against a brute-force frontier closure, and its
+output step against the decode-and-sort one it replaced.
 
 `frontier_closure` is the closure the engine used before the vertex-group
 construction: adjoin inverses on missing reverse pairs, seed missing
 diagonals through the least other object, then compose every new map with
 every map on every triple (i, j, k) until a round adds nothing. Its work
 grows with the square of the output, so the inputs here stay small.
+
+`decode_and_sort_closure` is the vertex-group closure as it was before its
+output maps kept their indexed forms: every new map decoded into a
+FiniteMap, every new family sorted by `FiniteMap.graph_key`.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_bijections_spine, translation_spine
-from spinekit.catalog import catalog_upto, symmetric_group
+from spinekit.catalog import catalog_upto, cyclic_group, symmetric_group
+from spinekit.document import serialize_spine
 from spinekit.extension import (
     _close_to_groupoid,
     _extend_unchecked,
@@ -27,6 +33,7 @@ from spinekit.model import (
     FiniteMap,
     FiniteSet,
     GroupoidSpine,
+    adjoin,
     compose_indexed,
     decode,
     element_index,
@@ -104,14 +111,16 @@ def assert_matches_oracle(spine: GroupoidSpine, result) -> None:
     assert result.conservative == (not result.added_morphisms)
 
 
-def relabel_carriers(spine: GroupoidSpine, data) -> GroupoidSpine:
+def relabel_carriers(spine: GroupoidSpine, data, pool=None) -> GroupoidSpine:
     """The same spine seen through a drawn bijection of each carrier onto
-    fresh labels, listed in a drawn order, so that carriers differ and the
-    maps of a pair no longer form a group of permutations of one label set."""
+    fresh labels (drawn from `pool` when given), listed in a drawn order, so
+    that carriers differ and the maps of a pair no longer form a group of
+    permutations of one label set."""
     sigma, sets = {}, {}
     for o in spine.objects:
         elems = spine.sets[o].elements
-        labels = data.draw(st.permutations([f"{o}.{x}" for x in elems]))
+        fresh = [f"{o}.{x}" for x in elems] if pool is None else pool
+        labels = data.draw(st.permutations(fresh))[: len(elems)]
         sigma[o] = dict(zip(elems, labels))
         sets[o] = FiniteSet(o, data.draw(st.permutations(labels)))
     morphisms = {
@@ -176,7 +185,7 @@ def test_complete_families_keep_their_own_maps():
     spine = gen_group_action_spine(symmetric_group(3), 3)
     full = extend_to_groupoid(spine).extended
     for source in (spine, full):
-        closed, _ = _close_to_groupoid(source)
+        closed, _, _ = _close_to_groupoid(source)
         for pair, fams in source.morphisms.items():
             own = sorted(fams, key=FiniteMap.graph_key)
             kept = closed.morphisms[pair]
@@ -194,3 +203,89 @@ def test_repeated_map_in_a_family():
         assert_matches_oracle(spine, result)
         for fams in result.extended.morphisms.values():
             assert len({f.graph for f in fams}) == len(fams) == 3
+
+
+def decode_and_sort_closure(spine: GroupoidSpine):
+    """(closed morphisms, iterations, added maps per input pair) as
+    `extension._extend_unchecked` computed them before the closure kept
+    its output indexed."""
+    objs = spine.objects
+    o0 = objs[0]
+    elems = {o: spine.sets[o].elements for o in objs}
+    index = {o: element_index(elems[o]) for o in objs}
+    identity = tuple(range(len(elems[o0])))
+    inputs = {
+        (i, j): sorted(spine.morphisms[(i, j)], key=FiniteMap.graph_key)
+        for i, j in spine.sorted_pairs()
+    }
+    ordered = {
+        (i, j): [encode(f, elems[i], index[j]) for f in fams]
+        for (i, j), fams in inputs.items()
+    }
+    tree = {o0: identity} | {o: ordered[(o0, o)][0] for o in objs[1:]}
+    back = {o: invert_indexed(t) for o, t in tree.items()}
+    group, gens = {identity}, []
+    for (i, j), maps in ordered.items():
+        for f in maps:
+            loop = compose_indexed(compose_indexed(tree[i], f), back[j])
+            if loop not in group:
+                adjoin(group, gens, loop, compose_indexed)
+    morphisms = {}
+    for i in objs:
+        from_i = [compose_indexed(back[i], g) for g in group]
+        for j in objs:
+            kept = dict(zip(ordered.get((i, j), ()), inputs.get((i, j), ())))
+            if len(kept) == len(group):
+                morphisms[(i, j)] = tuple(kept.values())
+                continue
+            maps = (
+                decode(compose_indexed(h, tree[j]), i, j, elems[i], elems[j])
+                for h in from_i
+            )
+            morphisms[(i, j)] = tuple(sorted(maps, key=FiniteMap.graph_key))
+    added = {}
+    for pair in spine.sorted_pairs():
+        before = {f.graph for f in spine.morphisms[pair]}
+        gained = [f for f in morphisms[pair] if f.graph not in before]
+        if gained:
+            added[pair] = tuple(gained)
+    return morphisms, 1 + len(gens), added
+
+
+# labels whose graph keys sort apart from their carrier order and from their
+# indices: separators inside labels, a prefix beside its extensions, digits
+# that sort apart from their values, non-ASCII
+HOSTILE = ["1", "1!", "10", "2", ",", ">", "a,b", "a>b", ",>", "é", "Ω>", "ü,1"]
+
+
+def hostile_spine(data) -> GroupoidSpine:
+    """A drawn order-5 non-coset Latin family, S3 or Z6 action spine on 2-3
+    objects, or all-bijection spine, its carriers relabeled onto hostile
+    labels."""
+    kind = data.draw(st.sampled_from(["latin", "action", "all"]))
+    if kind == "latin":
+        seed = data.draw(st.integers(0, 10**6))
+        spine = latin_family_spine(gen_latin_square_family(5, False, seed))
+    elif kind == "action":
+        group = data.draw(st.sampled_from([symmetric_group(3), cyclic_group(6)]))
+        spine = gen_group_action_spine(group, data.draw(st.integers(2, 3)))
+    else:
+        spine = all_bijections_spine(3, data.draw(st.integers(2, 3)))
+    return relabel_carriers(spine, data, HOSTILE)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_decode_and_sort(data):
+    spine = hostile_spine(data)
+    result = _extend_unchecked(spine)
+    morphisms, iterations, added = decode_and_sort_closure(spine)
+    closed = result.extended
+    assert result.iterations == iterations
+    assert closed.morphisms == morphisms  # the same maps, in the same order
+    assert result.added_morphisms == added
+    for pair, fams in morphisms.items():
+        got = [f.graph_key() for f in closed.morphisms[pair]]
+        assert got == [f.graph_key() for f in fams], pair
+    oracle = GroupoidSpine(closed.objects, closed.sets, closed.pairs, morphisms)
+    assert serialize_spine(closed) == serialize_spine(oracle)

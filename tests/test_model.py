@@ -60,6 +60,94 @@ class TestFiniteMap:
         assert f("x") == "y" and f("z") == "x"
 
 
+# labels whose graph keys interleave: separators inside labels, a prefix
+# beside its extensions, digits that sort apart from their values, non-ASCII
+HOSTILE = [",", ">", "1", "1!", "10", "2", "a,b", "a>b", ",>", "é", "Ω>", "x y"]
+
+
+@st.composite
+def carriers_and_map(draw):
+    """Source and target element orders over hostile labels, and an
+    indexed map between them."""
+    n = draw(st.integers(1, 6))
+    src = tuple(draw(st.permutations(HOSTILE))[:n])
+    tgt = tuple(draw(st.permutations(HOSTILE))[:n])
+    return src, tgt, tuple(draw(st.permutations(range(n))))
+
+
+class TestIndexedMap:
+    """`model.indexed_map` holds an indexed form; its graph is built when
+    first read, through any entry point."""
+
+    READS = [
+        lambda f: f.graph,
+        lambda f: f.mapping,
+        lambda f: f.domain(),
+        lambda f: f.image(),
+        lambda f: f.graph_key(),
+        lambda f: repr(f),
+        lambda f: hash(f),
+        lambda f: [f(x) for x, _ in f.graph],
+    ]
+
+    @staticmethod
+    def pair(src, tgt, t):
+        index = model.element_index(tgt)
+        lazy = model.indexed_map("a", "b", src, tgt, index, t)
+        eager = FiniteMap("a", "b", {x: tgt[y] for x, y in zip(src, t)})
+        return lazy, eager
+
+    @given(carriers_and_map())
+    @settings(max_examples=200)
+    def test_equals_the_eager_map(self, case):
+        src, tgt, t = case
+        for read in self.READS:  # each read first, on a fresh map
+            lazy, eager = self.pair(src, tgt, t)
+            assert read(lazy) == read(eager)
+            assert lazy == eager and eager == lazy
+        lazy, eager = self.pair(src, tgt, t)
+        assert hash(lazy) == hash(eager) and len({lazy, eager}) == 1
+        assert (lazy.source, lazy.target) == (eager.source, eager.target)
+        assert model.decode(t, "a", "b", src, tgt) == eager
+
+    @given(carriers_and_map())
+    @settings(max_examples=200)
+    def test_graph_key_from_the_indexed_form(self, case):
+        src, tgt, t = case
+        lazy, eager = self.pair(src, tgt, t)
+        literal = ",".join(f"{x}>{y}" for x, y in eager.graph)
+        assert model.graph_keys(src, tgt)(t) == eager.graph_key() == literal
+        assert "graph" not in vars(lazy)
+
+    @given(carriers_and_map(), st.data())
+    @settings(max_examples=200)
+    def test_encode_checks_the_carriers(self, case, data):
+        src, tgt, t = case
+        lazy, eager = self.pair(src, tgt, t)
+        assert model.encode(lazy, src, model.element_index(tgt)) == t
+        assert "graph" not in vars(lazy)  # the stored form, not a decode
+        for s, g in [
+            (data.draw(st.permutations(src)), tgt),
+            (src, data.draw(st.permutations(tgt))),
+        ]:
+            index = model.element_index(g)
+            assert model.encode(lazy, s, index) == model.encode(eager, s, index)
+
+    def test_encode_takes_the_general_path_on_other_orders(self):
+        lazy, eager = self.pair(("1", "10", "1!"), ("x", "y", "z"), (2, 0, 1))
+        for src, tgt in [
+            (("1!", "10", "1"), ("x", "y", "z")),
+            (("1", "10", "1!"), ("z", "y", "x")),
+        ]:
+            index = model.element_index(tgt)
+            assert model.encode(lazy, src, index) == model.encode(eager, src, index)
+            assert model.encode(lazy, src, index) != (2, 0, 1)
+
+    def test_rejects_non_injective(self):
+        with pytest.raises(ValueError, match="'a'->'b' is not injective"):
+            model.indexed_map("a", "b", ("x", "y"), ("u", "v"), {"u": 0, "v": 1}, (0, 0))
+
+
 class TestCompose:
     def test_identity_then_swap(self):
         ident = FiniteMap("a", "a", {"a": "a", "b": "b"})
