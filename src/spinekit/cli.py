@@ -8,7 +8,10 @@ more is written). All reports go to stdout and are deterministic: objects,
 elements, and morphisms print in canonical order, so two runs on the same
 input are byte-identical. `extend` prints `iterations: n`, where n - 1 is
 the number of generators the closure adjoined (see
-`extension._close_to_groupoid`).
+`extension._close_to_groupoid`). Each command validates its input once.
+`extract` reads the group straight off a document that validation found to
+be a groupoid on every pair (what `extend --out` writes), since it is its
+own closure; any other document is extended first, as `extend` would.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .generators import (
     latin_family_spine,
     perturb_spine,
 )
-from .groups import GroupTable, extract_group, group_on_fiber, relabel_group
+from .groups import GroupTable, _extract, group_on_fiber, relabel_group
 from .model import validate_spine
 
 GROUP_SPEC_HELP = (
@@ -123,8 +126,7 @@ def cmd_extend(args) -> int:
 
 def cmd_extract(args) -> int:
     spine, _ = load_spine(_read(args.file))
-    result = extend_to_groupoid(spine)
-    action = extract_group(result, args.object)
+    action = _extract(spine, args.object)
     # a bad --identity must fail before anything is printed
     fiber = None if args.identity is None else group_on_fiber(action, args.identity)
     cls = classify_group(action.group)

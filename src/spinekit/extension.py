@@ -88,15 +88,17 @@ def check_regularity(spine: GroupoidSpine) -> RegularityReport:
     """Count, for every pair and every (x, y), the morphisms sending x to y.
 
     Passes iff every count is exactly one; otherwise reports the first ten
-    violating triples in canonical order.
+    violating triples in canonical order. A spine that validation read as a
+    vertex group is decided from that group, without counting.
     """
     report = validate_spine(spine)
     if not report.ok:
         raise InvalidSpine(report)
-    return _regularity_unchecked(spine)
+    return _regularity(spine, report._group)
 
 
 def _regularity_unchecked(spine: GroupoidSpine) -> RegularityReport:
+    """The literal per-pair counts of `check_regularity`, on any spine."""
     violations: list[RegularityViolation] = []
     mor = _encode_morphisms(spine)
     for pair in spine.sorted_pairs():
@@ -118,6 +120,44 @@ def _regularity_unchecked(spine: GroupoidSpine) -> RegularityReport:
     return RegularityReport(not violations, tuple(violations))
 
 
+def _sharply_transitive(group: set[Indexed]) -> bool:
+    """Whether a valid spine whose vertex group at o0 is G, as validation
+    or the closure found it, is regular: iff |G| = |X_o0| and the orbit of
+    point 0 under G has |G| points, O(|G|).
+
+    Each present Mor(i, j) is t_i^-1, G, t_j (maps listed in the order they
+    apply, t_i the tree map o0 -> i), so f = t_i^-1, g, t_j sends x to y iff
+    g sends t_i^-1(x) to t_j^-1(y), and distinct g give distinct f. Hence
+    each (x, y) is hit once in every pair iff each point pair of X_o0 is
+    hit by exactly one g: iff G is sharply transitive on X_o0. That holds
+    iff G has |X_o0| elements and point 0 a trivial stabilizer (an orbit of
+    |G| points), since a transitive group's stabilizers are conjugate.
+    """
+    size = len(group)
+    return size == len(next(iter(group))) and len({g[0] for g in group}) == size
+
+
+def _regularity(spine: GroupoidSpine, group: set[Indexed] | None) -> RegularityReport:
+    """The regularity report of a valid spine whose vertex group at o0 is
+    `group` (None when unknown). The per-pair counts run only when there is
+    no group, or to name the failures of a spine that is not regular."""
+    if group is not None and _sharply_transitive(group):
+        return RegularityReport(True, ())
+    return _regularity_unchecked(spine)
+
+
+def _valid_regular(spine: GroupoidSpine) -> set[Indexed] | None:
+    """The vertex group that validation found on a valid regular spine, or
+    None; raises InvalidSpine or NotRegular, with its report, otherwise."""
+    report = validate_spine(spine)
+    if not report.ok:
+        raise InvalidSpine(report)
+    reg = _regularity(spine, report._group)
+    if not reg.regular:
+        raise NotRegular(reg)
+    return report._group
+
+
 def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
     """Enlarge the pair relation to its symmetric closure.
 
@@ -126,12 +166,7 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
     regular spine (regularity is what makes the result closed under
     composition).
     """
-    report = validate_spine(spine)
-    if not report.ok:
-        raise InvalidSpine(report)
-    reg = _regularity_unchecked(spine)
-    if not reg.regular:
-        raise NotRegular(reg)
+    _valid_regular(spine)
     if all((j, i) in spine.pairs for i, j in spine.pairs):
         return spine
     pairs = set(spine.pairs)
@@ -150,7 +185,7 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
 
 def _close_to_groupoid(
     spine: GroupoidSpine,
-) -> tuple[GroupoidSpine, int, dict[tuple[str, str], list[Indexed]]]:
+) -> tuple[GroupoidSpine, int, dict[tuple[str, str], list[Indexed]], set[Indexed]]:
     """Compute the groupoid generated by all morphisms of a spine in which
     every increasing pair is present.
 
@@ -163,8 +198,8 @@ def _close_to_groupoid(
     distinct maps is already all of Mor(i, j) and keeps its own maps.
     Returns the closed spine (pairs = I x I, morphism lists sorted by graph
     key), 1 + the number of generators adjoined, with pairs scanned in
-    canonical order and maps in graph-key order, and each input family's
-    indexed forms in that order. Every other family is built of
+    canonical order and maps in graph-key order, each input family's
+    indexed forms in that order, and G. Every other family is built of
     `indexed_map`s, ordered by graph keys computed from their indexed forms.
     """
     objs = spine.objects
@@ -208,16 +243,17 @@ def _close_to_groupoid(
                 indexed_map(i, j, elems[i], elems[j], index[j], t) for t in maps
             )
     closed = GroupoidSpine(objs, spine.sets, list(morphisms), morphisms)
-    return closed, 1 + len(gens), ordered
+    return closed, 1 + len(gens), ordered, group
 
 
-def _extend_unchecked(spine: GroupoidSpine) -> ExtensionResult:
-    """Extension without the regularity gate or the theorem assertion.
+def _extend_unchecked(spine: GroupoidSpine) -> tuple[ExtensionResult, set[Indexed]]:
+    """Extension without the regularity gate or the theorem assertion, and
+    the vertex group at o0 that the closure built.
 
     On non-regular input the generated groupoid is still well-defined and
     the conservativity comparison against the original pairs stays honest.
     """
-    closed, iterations, ordered = _close_to_groupoid(spine)
+    closed, iterations, ordered, group = _close_to_groupoid(spine)
     index = {o: element_index(s.elements) for o, s in spine.sets.items()}
     added: dict[tuple[str, str], tuple[FiniteMap, ...]] = {}
     for pair in spine.sorted_pairs():
@@ -233,12 +269,13 @@ def _extend_unchecked(spine: GroupoidSpine) -> ExtensionResult:
         ]
         if gained:
             added[pair] = tuple(gained)
-    return ExtensionResult(
+    result = ExtensionResult(
         extended=closed,
         conservative=not added,
         added_morphisms=added,
         iterations=iterations,
     )
+    return result, group
 
 
 def extend_to_groupoid(spine: GroupoidSpine) -> ExtensionResult:
@@ -248,21 +285,23 @@ def extend_to_groupoid(spine: GroupoidSpine) -> ExtensionResult:
     regular; a failure of either guarantee is an implementation bug and
     raises TheoremViolation. With two objects no guarantee exists and the
     result reports conservativity per instance.
+    Input and output regularity are read off the vertex groups that
+    validation and the closure found (see `_regularity`).
     """
-    report = validate_spine(spine)
-    if not report.ok:
-        raise InvalidSpine(report)
-    reg = _regularity_unchecked(spine)
-    if not reg.regular:
-        raise NotRegular(reg)
-    result = _extend_unchecked(spine)
+    _valid_regular(spine)
+    return _extend_regular(spine)
+
+
+def _extend_regular(spine: GroupoidSpine) -> ExtensionResult:
+    """`extend_to_groupoid` on a spine already found valid and regular."""
+    result, group = _extend_unchecked(spine)
     if len(spine.objects) >= 3:
         if not result.conservative:
             raise TheoremViolation(
                 "closure of a regular spine on >= 3 objects added morphisms "
                 f"on original pairs: {sorted(result.added_morphisms)}"
             )
-        ext_reg = _regularity_unchecked(result.extended)
+        ext_reg = _regularity(result.extended, group)
         if not ext_reg.regular:
             raise TheoremViolation(
                 "extension of a regular spine on >= 3 objects is not regular: "

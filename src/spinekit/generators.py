@@ -221,7 +221,7 @@ def perturb_spine(spine: GroupoidSpine, seed: int = 0) -> GroupoidSpine:
     regularity; the seeded choice is redrawn (deterministically) in the
     rare case a mutation of an already-irregular spine fails neither check.
     """
-    from .extension import _regularity_unchecked
+    from .extension import _regularity
 
     report = validate_spine(spine)
     if not report.ok:
@@ -229,8 +229,7 @@ def perturb_spine(spine: GroupoidSpine, seed: int = 0) -> GroupoidSpine:
     rng = random.Random(seed)
     for _ in range(50):
         mutant = _mutate_once(spine, rng)
-        if not validate_spine(mutant).ok:
-            return mutant
-        if not _regularity_unchecked(mutant).regular:
+        found = validate_spine(mutant)
+        if not found.ok or not _regularity(mutant, found._group).regular:
             return mutant
     raise SearchExhausted("no failing single mutation found for this spine")

@@ -12,9 +12,15 @@ from itertools import product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import NotRegular, UnknownElement, UnknownObject
-from .extension import ExtensionResult, _regularity_unchecked
+from .extension import (
+    ExtensionResult,
+    _extend_regular,
+    _regularity_unchecked,
+    _valid_regular,
+)
 from .model import (
     FiniteSet,
+    GroupoidSpine,
     Indexed,
     adjoin,
     compose_indexed,
@@ -223,16 +229,33 @@ def extract_group(ext: ExtensionResult, obj: str) -> GroupAction:
 
     Elements are the canonical graph keys of the diagonal maps; the product
     of two keys is the key of the composite (right factor applied first).
-    Raises NotRegular, with the extended spine's regularity report, when
-    the extension was not conservative (only two-object spines get there:
-    the group then outgrows the carrier), and ValueError when the diagonal
-    family lacks the identity or is not closed under composition.
+    Raises UnknownObject first, then NotRegular, with the extended spine's
+    regularity report, when the extension was not conservative (only
+    two-object spines get there: the group then outgrows the carrier), and
+    ValueError when the diagonal family lacks the identity or is not closed
+    under composition.
     """
     spine = ext.extended
+    if obj in spine.objects and not ext.conservative:
+        raise NotRegular(_regularity_unchecked(spine))
+    return _diagonal_action(spine, obj)
+
+
+def _extract(spine: GroupoidSpine, obj: str) -> GroupAction:
+    """`extract_group(extend_to_groupoid(spine), obj)`, validating once and
+    failing in the same order; a spine that validation found to be a
+    groupoid on all of I x I is its own closure and is read directly."""
+    closed = len(spine.pairs) == len(spine.objects) ** 2
+    if _valid_regular(spine) is not None and closed:
+        return _diagonal_action(spine, obj)
+    return extract_group(_extend_regular(spine), obj)
+
+
+def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
+    """`extract_group` on a closed regular spine: the action of Mor(obj, obj)
+    on X_obj. Raises UnknownObject for an object not in the spine."""
     if obj not in spine.objects:
         raise UnknownObject(f"object {obj!r} is not in the spine")
-    if not ext.conservative:
-        raise NotRegular(_regularity_unchecked(spine))
     elems = spine.sets[obj].elements
     index = element_index(elems)
     graph_key = graph_keys(elems, elems)

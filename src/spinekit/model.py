@@ -319,6 +319,10 @@ class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...]
 
+    # the vertex group G at o0 (a set of indexed maps) of a spine that the
+    # vertex-group check passed; see `_spans_vertex_group`
+    _group = None
+
     def render_lines(self) -> list[str]:
         if self.ok:
             return ["validation: pass"]
@@ -327,9 +331,10 @@ class ValidationReport:
         return lines
 
 
-def _spans_vertex_group(objs: Sequence[str], graphs: dict, indexed: dict) -> bool:
-    """Whether sound, duplicate-free families on a relation that holds every
-    increasing pair are a groupoid restricted to their pairs: iff
+def _spans_vertex_group(objs: Sequence[str], graphs: dict, indexed: dict) -> set | None:
+    """G if sound, duplicate-free families on a relation that holds every
+    increasing pair are a groupoid restricted to their pairs, else None:
+    they are one iff
     G = {f, t_l^-1 : f in Mor(o0, l)}, l the last object, is closed under
     composition and each present Mor(i, j) has |G| maps and holds every
     t_i^-1, g, t_j (maps listed in the order they apply), where t_o0 = 1 and
@@ -347,15 +352,16 @@ def _spans_vertex_group(objs: Sequence[str], graphs: dict, indexed: dict) -> boo
     back = invert_indexed(tree[last])
     group = {compose_indexed(f, back) for _, f in indexed[(o0, last)]}
     if any(compose_indexed(g, h) not in group for g in group for h in group):
-        return False
+        return None
     from_ = {
         i: [compose_indexed(invert_indexed(tree[i]), g) for g in group] for i in objs
     }
-    return all(
+    spans = all(
         len(maps) == len(group)
         and all(compose_indexed(h, tree[j]) in maps for h in from_[i])
         for (i, j), maps in graphs.items()
     )
+    return group if spans else None
 
 
 def validate_spine(spine: GroupoidSpine) -> ValidationReport:
@@ -368,7 +374,8 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
     maps that already failed structurally. The vertex-group check stands in
     for both sweeps once every check up to the identities passed, when the
     composition sweep has a triple; they run only when it fails, so they
-    alone report violations.
+    alone report violations. A report that the vertex-group check passed
+    carries G, as `_group`.
     """
     out: list[Violation] = []
     objs = spine.objects
@@ -510,8 +517,10 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
         for pb in pair_order
         if pb[0] == pa[1] and (pa[0], pb[1]) in pairs
     ]
-    if not out and triples and _spans_vertex_group(objs, graphs, indexed):
-        return ValidationReport(ok=True, violations=())
+    if not out and triples and (group := _spans_vertex_group(objs, graphs, indexed)):
+        report = ValidationReport(ok=True, violations=())
+        report.__dict__["_group"] = group
+        return report
 
     # axiom 2: inverses across symmetric pairs
     for pair in pair_order:

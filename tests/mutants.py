@@ -8,9 +8,10 @@ pytest arguments that must then fail. Every run works on a fresh temporary
 copy of src/ and tests/, with hypothesis on a fixed seed. First the
 unmutated copy must pass every selection; then each `old` must occur
 exactly once in its file, so a mutant whose code has moved fails the gate
-instead of being skipped; then each mutant is applied alone, one after
-another, and its selection must fail. Exits non-zero on any failure. Needs
-pytest and hypothesis.
+instead of being skipped; then each mutant is applied alone and its
+selection must fail. Selections and mutants run one per CPU at a time
+(`os.cpu_count()`), and results print in the order listed. Exits non-zero
+on any failure. Needs pytest and hypothesis.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +34,8 @@ STRUCTURE = ["tests/test_cosets.py", "tests/test_properties.py"]
 GROUPS = ["tests/test_groups.py::TestAxiomChecks"]
 DOCUMENT = ["tests/test_document.py"]
 INDEXED_MAP = ["tests/test_model.py::TestIndexedMap"]
+REGULARITY = ["tests/test_extension.py::TestRegularityFromVertexGroup"]
+EXTRACT = ["tests/test_cli.py::TestExtractReusesClosure"]
 
 MUTANTS = [
     # the group closure stops after the first coset of a new generator; this
@@ -64,6 +68,22 @@ MUTANTS = [
         "compose_indexed(back[i], g) for g in group",
         "compose_indexed(g, back[i]) for g in group",
         CLOSURE,
+    ),
+    # regularity read off G without the orbit check: V4 = <(p q), (r s)> on
+    # four points has |G| = |X| but two orbits
+    (
+        "extension.py",
+        "return size == len(next(iter(group))) and len({g[0] for g in group}) == size",
+        "return size == len(next(iter(group)))",
+        REGULARITY,
+    ),
+    # extract reads the group off any spine with a vertex group, closed on
+    # all of I x I or not
+    (
+        "groups.py",
+        "if _valid_regular(spine) is not None and closed:",
+        "if _valid_regular(spine) is not None:",
+        EXTRACT,
     ),
     # local linearity decides right cosets where it should decide left ones
     (
@@ -156,34 +176,42 @@ def run_selection(src: Path, selection: list[str]) -> tuple[bool, str]:
         return proc.returncode == 0, (proc.stdout.strip().splitlines() or [""])[-1]
 
 
+def run_mutant(src: Path, file: str, old: str, new: str, sel: list[str]) -> tuple[bool, str]:
+    """`run_selection` on a copy of `src` with `old` replaced by `new` in
+    spinekit/<file>."""
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / "src"
+        shutil.copytree(src, mutated)
+        path = mutated / "spinekit" / file
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        return run_selection(mutated, sel)
+
+
 def main() -> int:
     start = time.perf_counter()
     src = ROOT / "src"
     failures: list[str] = []
-    for sel in sorted({tuple(sel) for *_, sel in MUTANTS}):
-        ok, last = run_selection(src, list(sel))
-        print(("ok   " if ok else "FAIL ") + f"unmutated: {' '.join(sel)}: {last}")
-        if not ok:
-            failures.append(f"unmutated {' '.join(sel)}")
-    for file, old, _, _ in MUTANTS:
-        count = (src / "spinekit" / file).read_text(encoding="utf-8").count(old)
-        if count != 1:
-            print(f"FAIL {file}: {old.strip()!r} occurs {count} times")
-            failures.append(f"{file}: {old.strip()!r}")
-    if failures:
-        print(f"{len(failures)} failure(s); no mutant was run")
-        return 1
-    for file, old, new, sel in MUTANTS:
-        with tempfile.TemporaryDirectory() as tmp:
-            mutated = Path(tmp) / "src"
-            shutil.copytree(src, mutated)
-            path = mutated / "spinekit" / file
-            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-            passed, last = run_selection(mutated, sel)
-        what = f"{file}: {old.strip().splitlines()[0]}"
-        print(("FAIL survived: " if passed else "ok   killed: ") + f"{what}: {last}")
-        if passed:
-            failures.append(what)
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        selections = sorted({tuple(sel) for *_, sel in MUTANTS})
+        results = pool.map(lambda sel: run_selection(src, list(sel)), selections)
+        for sel, (ok, last) in zip(selections, results):
+            print(("ok   " if ok else "FAIL ") + f"unmutated: {' '.join(sel)}: {last}")
+            if not ok:
+                failures.append(f"unmutated {' '.join(sel)}")
+        for file, old, _, _ in MUTANTS:
+            count = (src / "spinekit" / file).read_text(encoding="utf-8").count(old)
+            if count != 1:
+                print(f"FAIL {file}: {old.strip()!r} occurs {count} times")
+                failures.append(f"{file}: {old.strip()!r}")
+        if failures:
+            print(f"{len(failures)} failure(s); no mutant was run")
+            return 1
+        results = pool.map(lambda mutant: run_mutant(src, *mutant), MUTANTS)
+        for (file, old, _, _), (passed, last) in zip(MUTANTS, results):
+            what = f"{file}: {old.strip().splitlines()[0]}"
+            print(("FAIL survived: " if passed else "ok   killed: ") + f"{what}: {last}")
+            if passed:
+                failures.append(what)
     print(f"{len(MUTANTS) - len(failures)} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.0f} s")
     return 1 if failures else 0

@@ -426,6 +426,48 @@ class TestValidateOnce:
         assert len(validate_calls) == 1
 
 
+class TestExtractReusesClosure:
+    """`extract` on a document that is already a groupoid on every pair reads
+    the group off it; any other document is closed once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import spinekit
+
+        calls = {"_close_to_groupoid": 0, "_regularity_unchecked": 0}
+        for name in calls:
+            original = getattr(spinekit.extension, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("spinekit") and (
+                    getattr(module, name, None) is original
+                ):
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "identity", [[], ["--identity", "3"]], ids=["plain", "identity"]
+    )
+    def test_closed_document_is_not_closed_again(
+        self, capsys, z5_doc, tmp_path, calls, identity
+    ):
+        full = str(tmp_path / "full.json")
+        assert run(capsys, "extend", z5_doc, "--out", full)[0] == 0
+        calls.update(dict.fromkeys(calls, 0))
+        code, out, _ = run(capsys, "extract", full, "--object", "1", *identity)
+        assert code == 0 and "group order: 5" in out
+        assert calls == {"_close_to_groupoid": 0, "_regularity_unchecked": 0}
+
+    def test_raw_document_is_closed_once(self, capsys, z5_doc, calls):
+        code, out, _ = run(capsys, "extract", z5_doc, "--object", "1")
+        assert code == 0 and "group order: 5" in out
+        assert calls == {"_close_to_groupoid": 1, "_regularity_unchecked": 0}
+
+
 class TestSoftLimit:
     def test_z64_on_eight_objects_end_to_end(self, capsys, tmp_path):
         # the README's soft limit: 64-element carriers on 8 objects

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,30 @@ IRREGULAR = """{
   ]}
 }
 """
+
+
+def closed_groupoid(points: str, perms: list[str]) -> str:
+    """The document of the groupoid on objects 1, 2, 3 whose every Mor(i, j)
+    is the permutation group `perms` of the one-letter points; each
+    permutation lists the images of the points in order. It validates
+    whenever `perms` is a group."""
+    objects = ["1", "2", "3"]
+    family = [dict(zip(points, images)) for images in perms]
+    return json.dumps({
+        "format_version": 1,
+        "objects": objects,
+        "sets": {o: list(points) for o in objects},
+        "pairs": [[i, j] for i in objects for j in objects],
+        "morphisms": {f"{i}|{j}": family for i in objects for j in objects},
+    })
+
+
+# S3 acting naturally on 3 points: a closed groupoid that is not regular,
+# since |G| = 6 > 3
+S3_NATURAL = closed_groupoid("abc", ["abc", "acb", "bac", "bca", "cab", "cba"])
+
+# V4 = <(p q), (r s)> on 4 points: |G| = |X|, but the action is intransitive
+V4_INTRANSITIVE = closed_groupoid("pqrs", ["pqrs", "qprs", "pqsr", "qpsr"])
 
 # Input documents, each made by one `gen` invocation into the work directory.
 INPUTS = {
@@ -72,6 +97,19 @@ CASES = dict(
         ("extract-perturbed", ["extract", "@mutant.json", "--object", "1"]),
         ("extract-irregular", ["extract", "@irregular.json", "--object", "1"]),
         ("extract-latin5", ["extract", "@latin5.json", "--object", "1"]),
+        ("extract-latin5-unknown-object", ["extract", "@latin5.json", "--object", "9"]),
+        ("extract-z5ext-object1", ["extract", "@z5ext.json", "--object", "1"]),
+        ("extract-z5ext-identity", [
+            "extract", "@z5ext.json", "--object", "1", "--identity", "3",
+        ]),
+        ("extract-z5ext-unknown-object", ["extract", "@z5ext.json", "--object", "9"]),
+        ("extract-s3nat", ["extract", "@s3nat.json", "--object", "1"]),
+        ("extract-s3nat-unknown-object", ["extract", "@s3nat.json", "--object", "9"]),
+        ("extend-s3nat", ["extend", "@s3nat.json"]),
+        ("regularity-s3nat", ["regularity", "@s3nat.json"]),
+        ("extract-v4", ["extract", "@v4.json", "--object", "2"]),
+        ("extend-v4", ["extend", "@v4.json"]),
+        ("regularity-v4", ["regularity", "@v4.json"]),
         ("coset-z6-subgroup", ["coset", "Z6", "--set", "0,2,4"]),
         ("coset-z6-translate", ["coset", "Z6", "--set", "1,4"]),
         ("coset-z6-false", ["coset", "Z6", "--set", "0,1,3"]),
@@ -173,6 +211,18 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
+    "extend-s3nat": (
+        1,
+        "c16127331fa0879f3cee53136f8dd9fdfa64e76c0253d6f1a5ecf7777b6fad83",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "extend-v4": (
+        1,
+        "4b869a23b5ecc337bf959da410ff9b3eabf73eee8fd3fb291a4021b3c4f08b59",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
     "extend-z5": (
         0,
         "bf763a8941dcae030d09175d3785138b85ec9868204a9d7de4c770af12f70138",
@@ -191,6 +241,12 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
+    "extract-latin5-unknown-object": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f9180e7e143f02534c357bbeaf490c886d21e0a367810f3d1b6c9e06f581cf13",
+        None,
+    ),
     "extract-perturbed": (
         1,
         "58a44338f74016baa54846d60d7f89600405128c1499901cc47425dbac48fc37",
@@ -203,16 +259,52 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
+    "extract-s3nat": (
+        1,
+        "c16127331fa0879f3cee53136f8dd9fdfa64e76c0253d6f1a5ecf7777b6fad83",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "extract-s3nat-unknown-object": (
+        1,
+        "c16127331fa0879f3cee53136f8dd9fdfa64e76c0253d6f1a5ecf7777b6fad83",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
     "extract-unknown-object": (
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "f9180e7e143f02534c357bbeaf490c886d21e0a367810f3d1b6c9e06f581cf13",
         None,
     ),
+    "extract-v4": (
+        1,
+        "4b869a23b5ecc337bf959da410ff9b3eabf73eee8fd3fb291a4021b3c4f08b59",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
     "extract-z5-object2": (
         0,
         "40d01107747f5366c6bcd77fa3a971f3b79b0a69c087410e5c26037cec04b408",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "extract-z5ext-identity": (
+        0,
+        "df249791cf992dcbab21ee300c4bc749e17b6087837e52abfabc4076ec01434e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "extract-z5ext-object1": (
+        0,
+        "9636fd8ba4d9c3f393560ffdc052d82654fd71b06234f23ec546205d62f1b18b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "extract-z5ext-unknown-object": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f9180e7e143f02534c357bbeaf490c886d21e0a367810f3d1b6c9e06f581cf13",
         None,
     ),
     "gen-action-s3-2": (
@@ -389,6 +481,18 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
+    "regularity-s3nat": (
+        1,
+        "c16127331fa0879f3cee53136f8dd9fdfa64e76c0253d6f1a5ecf7777b6fad83",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "regularity-v4": (
+        1,
+        "4b869a23b5ecc337bf959da410ff9b3eabf73eee8fd3fb291a4021b3c4f08b59",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
     "relabel-s4": (
         0,
         "3488c160947d943e01ce97e46fbda4a8a55eee34d1e6ada098cfe898e388141d",
@@ -429,9 +533,12 @@ def workdir(tmp_path_factory) -> Path:
     for name, argv in INPUTS.items():
         assert _run(["gen", *argv, "--out", str(root / name)])[0] == 0
     assert _run(["extend", str(root / "z3x3.json"), "--out", str(root / "z3ext.json")])[0] == 0
+    assert _run(["extend", str(root / "z5.json"), "--out", str(root / "z5ext.json")])[0] == 0
     base = ["gen", "--kind", "perturbed", "--base", str(root / "z3ext.json")]
     assert _run([*base, "--seed", "5", "--out", str(root / "mutant.json")])[0] == 0
     (root / "irregular.json").write_text(IRREGULAR, encoding="utf-8")
+    (root / "s3nat.json").write_text(S3_NATURAL, encoding="utf-8")
+    (root / "v4.json").write_text(V4_INTRANSITIVE, encoding="utf-8")
     (root / "malformed.json").write_text('{"objects": [}', encoding="utf-8")
     return root
 

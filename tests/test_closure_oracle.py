@@ -10,6 +10,10 @@ grows with the square of the output, so the inputs here stay small.
 `decode_and_sort_closure` is the vertex-group closure as it was before its
 output maps kept their indexed forms: every new map decoded into a
 FiniteMap, every new family sorted by `FiniteMap.graph_key`.
+
+`assert_closure_regularity` makes the literal per-pair regularity count on
+every closure here, which `extend_to_groupoid` reads off the closure's
+vertex group instead.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from spinekit.document import serialize_spine
 from spinekit.extension import (
     _close_to_groupoid,
     _extend_unchecked,
+    _regularity,
+    _regularity_unchecked,
     extend_to_groupoid,
 )
 from spinekit.generators import (
@@ -98,7 +104,26 @@ def frontier_closure(spine: GroupoidSpine) -> dict[tuple[str, str], set]:
     }
 
 
+def assert_closure_regularity(spine: GroupoidSpine, result) -> None:
+    """The per-pair counts of the closure agree with its vertex group G =
+    Mor(o0, o0) being sharply transitive, tested point pair by point pair,
+    and with the report `extend_to_groupoid` makes from G; on three or more
+    objects a regular input closes to a regular groupoid."""
+    ext = result.extended
+    counted = _regularity_unchecked(ext)
+    elems = ext.sets[ext.objects[0]].elements
+    index = element_index(elems)
+    group = {encode(f, elems, index) for f in ext.morphisms[(ext.objects[0],) * 2]}
+    points = range(len(elems))
+    sharp = all(sum(g[x] == y for g in group) == 1 for x in points for y in points)
+    assert counted.regular == sharp
+    assert _regularity(ext, group) == counted
+    if len(spine.objects) >= 3 and _regularity_unchecked(spine).regular:
+        assert counted.regular
+
+
 def assert_matches_oracle(spine: GroupoidSpine, result) -> None:
+    assert_closure_regularity(spine, result)
     expected = frontier_closure(spine)
     ext = result.extended
     assert ext.pairs == set(expected)
@@ -149,7 +174,7 @@ def test_group_action_spines(group, objects, data):
 @settings(max_examples=10, deadline=None)
 def test_all_bijection_spines(points, objects):
     spine = all_bijections_spine(points, objects)
-    assert_matches_oracle(spine, _extend_unchecked(spine))
+    assert_matches_oracle(spine, _extend_unchecked(spine)[0])
 
 
 def check_non_coset_latin(order: int, seed: int) -> None:
@@ -185,7 +210,7 @@ def test_complete_families_keep_their_own_maps():
     spine = gen_group_action_spine(symmetric_group(3), 3)
     full = extend_to_groupoid(spine).extended
     for source in (spine, full):
-        closed, _, _ = _close_to_groupoid(source)
+        closed, *_ = _close_to_groupoid(source)
         for pair, fams in source.morphisms.items():
             own = sorted(fams, key=FiniteMap.graph_key)
             kept = closed.morphisms[pair]
@@ -199,7 +224,7 @@ def test_repeated_map_in_a_family():
     for family in [(s0, s1, s1), (s0, s1, s2, s1)]:
         morphisms = dict(base.morphisms) | {("1", "2"): family}
         spine = GroupoidSpine(base.objects, base.sets, base.pairs, morphisms)
-        result = _extend_unchecked(spine)
+        result, _ = _extend_unchecked(spine)
         assert_matches_oracle(spine, result)
         for fams in result.extended.morphisms.values():
             assert len({f.graph for f in fams}) == len(fams) == 3
@@ -278,7 +303,8 @@ def hostile_spine(data) -> GroupoidSpine:
 @settings(max_examples=60, deadline=None)
 def test_closure_matches_decode_and_sort(data):
     spine = hostile_spine(data)
-    result = _extend_unchecked(spine)
+    result, _ = _extend_unchecked(spine)
+    assert_closure_regularity(spine, result)
     morphisms, iterations, added = decode_and_sort_closure(spine)
     closed = result.extended
     assert result.iterations == iterations

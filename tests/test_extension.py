@@ -1,16 +1,33 @@
 """Regularity, symmetric closure, and extension to a groupoid."""
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from conftest import all_bijections_spine, shift_map, trivial_spine
-from spinekit.errors import InvalidSpine, NotRegular
+from spinekit.catalog import catalog_upto, cyclic_group
+from spinekit.errors import InvalidSpine, NotRegular, SearchExhausted
 from spinekit.extension import (
     _extend_unchecked,
+    _regularity,
+    _regularity_unchecked,
+    _sharply_transitive,
     check_regularity,
     extend_to_groupoid,
     symmetric_closure,
 )
-from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine, invert, validate_spine
+from spinekit.generators import gen_group_action_spine, perturb_spine
+from spinekit.groups import _extract, extract_group
+from spinekit.model import (
+    FiniteMap,
+    FiniteSet,
+    GroupoidSpine,
+    adjoin,
+    compose_indexed,
+    decode,
+    invert,
+    invert_indexed,
+    validate_spine,
+)
 
 
 def incidence_counts(spine, pair):
@@ -189,7 +206,7 @@ class TestSymmetricNonRegular:
         spine = all_bijections_spine(points=3, objects=3)
         assert validate_spine(spine).ok
         assert not check_regularity(spine).regular
-        result = _extend_unchecked(spine)
+        result, _ = _extend_unchecked(spine)
         assert result.conservative
         ext = result.extended
         assert validate_spine(ext).ok
@@ -236,3 +253,109 @@ class TestLargeClosures:
         ext = result.extended
         assert len(ext.pairs) == 64
         assert all(len(ext.morphisms[p]) == 64 for p in ext.pairs)
+
+
+def permutation_groupoid(gens, objects: int, trees=None) -> GroupoidSpine:
+    """The groupoid on objects 1..k (all pairs) whose Mor(i, j) is
+    t_i^-1, G, t_j (maps listed in the order they apply): G the group the
+    permutations `gens` of points 0..n-1 generate, t_i = trees[i] (default
+    the identity), object i's carrier labelled "<i>.<x>"."""
+    n = len(gens[0])
+    group, kept = {tuple(range(n))}, []
+    for g in gens:
+        if g not in group:
+            adjoin(group, kept, g, compose_indexed)
+    labels = [str(o) for o in range(1, objects + 1)]
+    trees = trees or [tuple(range(n))] * objects
+    elems = {o: [f"{o}.{x}" for x in range(n)] for o in labels}
+    morphisms = {
+        (i, j): tuple(
+            decode(
+                compose_indexed(compose_indexed(invert_indexed(ti), g), tj),
+                i, j, elems[i], elems[j],
+            )
+            for g in sorted(group)
+        )
+        for i, ti in zip(labels, trees)
+        for j, tj in zip(labels, trees)
+    }
+    sets = {o: FiniteSet(o, elems[o]) for o in labels}
+    return GroupoidSpine(labels, sets, list(morphisms), morphisms)
+
+
+class TestRegularityFromVertexGroup:
+    """Regularity read off the vertex group that validation found, against
+    the literal per-pair counts."""
+
+    S3_NATURAL = [(0, 1, 2), (1, 0, 2), (1, 2, 0)]  # S3 on 3 points: |G| > |X|
+    V4_INTRANSITIVE = [(1, 0, 2, 3), (0, 1, 3, 2)]  # |G| = |X|, two orbits
+
+    @pytest.mark.parametrize("gens", [S3_NATURAL, V4_INTRANSITIVE], ids=["S3", "V4"])
+    def test_closed_groupoid_that_is_not_regular(self, gens):
+        spine = permutation_groupoid(gens, 3)
+        report = validate_spine(spine)
+        assert report.ok and report._group is not None
+        assert not _sharply_transitive(report._group)
+        counted = _regularity_unchecked(spine)
+        assert not counted.regular and check_regularity(spine) == counted
+        with pytest.raises(NotRegular) as exc:
+            extend_to_groupoid(spine)
+        assert exc.value.report == counted
+
+    def test_report_carries_the_group_only_on_the_fast_path(self):
+        # two objects and one pair: no composable triple, so no vertex group
+        two = gen_group_action_spine(cyclic_group(3), 2)
+        assert validate_spine(two).ok and validate_spine(two)._group is None
+        report = validate_spine(permutation_groupoid([(1, 2, 0)], 2))
+        assert report._group == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+        # a private attribute, not a field: equality and repr are unchanged
+        assert report == validate_spine(two)
+        assert repr(report) == "ValidationReport(ok=True, violations=())"
+
+
+def draw_spine(data) -> GroupoidSpine:
+    """A raw or closed catalog action spine on 1-4 objects, a closed
+    groupoid of a random permutation group of order at most 120 on at most
+    6 points, or a `perturb_spine` mutant of one with at most 24 maps per
+    pair."""
+    kind = data.draw(st.sampled_from(["action", "closed-action", "permutations"]))
+    if kind == "permutations":
+        n = data.draw(st.integers(1, 6))
+        perm = st.permutations(range(n)).map(tuple)
+        gens = data.draw(st.lists(perm, min_size=1, max_size=3))
+        objects = data.draw(st.integers(1, 3))
+        trees = data.draw(st.lists(perm, min_size=objects, max_size=objects))
+        spine = permutation_groupoid(gens, objects, trees)
+        if len(spine.morphisms[("1", "1")]) > 120:
+            reject()  # validation checks closure in |G|^2: keep A6 and S6 out
+    else:
+        group = data.draw(st.sampled_from([g for _, g in catalog_upto(12)]))
+        spine = gen_group_action_spine(group, data.draw(st.integers(1, 4)))
+        if kind == "closed-action":
+            spine = extend_to_groupoid(spine).extended
+    # a mutant fails validation, which then sweeps every composable triple
+    if len(next(iter(spine.morphisms.values()))) <= 24 and data.draw(st.booleans()):
+        try:
+            spine = perturb_spine(spine, data.draw(st.integers(0, 10**6)))
+        except (InvalidSpine, SearchExhausted):
+            reject()
+    return spine
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_regularity_from_the_vertex_group(data):
+    spine = draw_spine(data)
+    report = validate_spine(spine)
+    counted = _regularity_unchecked(spine)
+    if report.ok:  # check_regularity past its validation
+        assert _regularity(spine, report._group) == counted
+    if report._group is None:
+        return
+    assert _sharply_transitive(report._group) == counted.regular
+    if counted.regular:  # extract's path, the shortcut on spines closed on I x I
+        ext = extend_to_groupoid(spine)
+        for o in spine.objects:
+            action, extracted = _extract(spine, o), extract_group(ext, o)
+            assert action.group.table_equal(extracted.group)
+            assert action.act == extracted.act
