@@ -19,7 +19,7 @@ from .model import (
     FiniteMap,
     GroupoidSpine,
     Indexed,
-    adjoin,
+    _span_loops,
     compose_indexed,
     element_index,
     encode,
@@ -191,22 +191,19 @@ def _close_to_groupoid(
 
     A connected groupoid is one vertex group carried along a tree: t_i is the
     least map of Mor(o0, i) by graph key, o0 the first object (t_o0 = id).
-    Each input f: i -> j gives the loop t_i, f, t_j^-1 at o0 (maps listed in
-    the order they apply), adjoined as a generator of the vertex group G
-    when not already in it; then Mor(i, j) = t_i^-1, G, t_j. Every input
-    f: i -> j is t_i^-1, (t_i, f, t_j^-1), t_j, so an input family with |G|
-    distinct maps is already all of Mor(i, j) and keeps its own maps.
+    The loops t_i, f, t_j^-1 at o0 of the inputs f: i -> j span the vertex
+    group G (`_span_loops`); then Mor(i, j) = t_i^-1, G, t_j, so an input
+    family with |G| distinct maps is already all of it and keeps its maps.
     Returns the closed spine (pairs = I x I, morphism lists sorted by graph
-    key), 1 + the number of generators adjoined, with pairs scanned in
-    canonical order and maps in graph-key order, each input family's
-    indexed forms in that order, and G. Every other family is built of
-    `indexed_map`s, ordered by graph keys computed from their indexed forms.
+    key), 1 + the number of loops adjoined, with pairs scanned in canonical
+    order and maps in graph-key order, each input family's indexed forms
+    in that order, and G. Every other family is built of `indexed_map`s,
+    ordered by graph keys computed from their indexed forms.
     """
     objs = spine.objects
     o0 = objs[0]
     elems = {o: spine.sets[o].elements for o in objs}
     index = {o: element_index(elems[o]) for o in objs}
-    identity = tuple(range(len(elems[o0])))
 
     inputs = {
         (i, j): sorted(spine.morphisms[(i, j)], key=FiniteMap.graph_key)
@@ -216,16 +213,9 @@ def _close_to_groupoid(
         (i, j): [encode(f, elems[i], index[j]) for f in fams]
         for (i, j), fams in inputs.items()
     }
-    tree = {o0: identity} | {o: ordered[(o0, o)][0] for o in objs[1:]}
+    tree = {o0: tuple(range(len(elems[o0])))} | {o: ordered[(o0, o)][0] for o in objs[1:]}
     back = {o: invert_indexed(t) for o, t in tree.items()}
-
-    group: set[Indexed] = {identity}
-    gens: list[Indexed] = []
-    for (i, j), maps in ordered.items():
-        for f in maps:
-            loop = compose_indexed(compose_indexed(tree[i], f), back[j])
-            if loop not in group:
-                adjoin(group, gens, loop, compose_indexed)
+    group, gens = _span_loops(tree, ordered.items())
 
     morphisms = {}
     for i in objs:

@@ -11,6 +11,7 @@ morphisms per pair. Larger inputs run but are untested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -206,9 +207,11 @@ def invert_indexed(f: Indexed) -> Indexed:
     return tuple(inv)
 
 
-def adjoin(group: set, gens: list, s, mul: Callable) -> None:
+def adjoin(group: set, gens: list, s, mul: Callable, limit: float = inf) -> bool:
     """Enlarge, in place, the finite group `group` generated by `gens` by a
-    new generator s not in it; `mul` is the group's product.
+    new generator s not in it; `mul` is the group's product. Returns whether
+    it stayed within `limit` elements; checked before each new element is
+    multiplied, so a group outgrowing it stops at most |gens| elements past.
 
     The coset group.s is disjoint from the group, so all of it is new; the
     rest follows by multiplying new elements by every generator on the right.
@@ -217,11 +220,29 @@ def adjoin(group: set, gens: list, s, mul: Callable) -> None:
     new = [mul(g, s) for g in group]
     group.update(new)
     for h in new:  # grows while it is scanned
+        if len(group) > limit:
+            return False
         for t in gens:
             k = mul(h, t)
             if k not in group:
                 group.add(k)
                 new.append(k)
+    return len(group) <= limit
+
+
+def _span_loops(tree: dict, families: Iterable, limit: float = inf) -> tuple | None:
+    """(G, loops adjoined), G the group at o0 spanned, in scan order, by the
+    loops t_i, f, t_j^-1 of each (pair (i, j), indexed maps f) of `families`;
+    None once G passes `limit`. `tree` maps o0 first, to 1, then each i to
+    t_i: o0 -> i. Two compositions per map plus about |G| per generator."""
+    back = {o: invert_indexed(t) for o, t in tree.items()}
+    group, gens = {next(iter(tree.values()))}, []
+    for (i, j), maps in families:
+        for f in maps:
+            loop = compose_indexed(compose_indexed(tree[i], f), back[j])
+            if loop not in group and not adjoin(group, gens, loop, compose_indexed, limit):
+                return None
+    return group, gens
 
 
 @dataclass(frozen=True)
@@ -333,35 +354,23 @@ class ValidationReport:
 
 def _spans_vertex_group(objs: Sequence[str], graphs: dict, indexed: dict) -> set | None:
     """G if sound, duplicate-free families on a relation that holds every
-    increasing pair are a groupoid restricted to their pairs, else None:
-    they are one iff
-    G = {f, t_l^-1 : f in Mor(o0, l)}, l the last object, is closed under
-    composition and each present Mor(i, j) has |G| maps and holds every
-    t_i^-1, g, t_j (maps listed in the order they apply), where t_o0 = 1 and
-    t_i is the first map of Mor(o0, i).
+    increasing pair are found to be a groupoid restricted to their pairs,
+    else None: found so iff each has n = |Mor(o0, l)| maps, l the last
+    object, and their loops span a group G of at most n maps (`_span_loops`
+    capped at n), with t_o0 = 1 and t_i the first map of Mor(o0, i).
 
-    If so, G is a finite set of bijections closed under composition, hence a
-    group, and those |G| distinct maps are all of Mor(i, j); t_i^-1, g, t_j
-    then t_j^-1, h, t_k is t_i^-1, gh, t_k (axiom 3 where (i, k) is a pair),
-    and axioms 1 and 2 follow from g = 1 and g^-1 alike. At most
-    |G|^2 + 2 (|I| + |R|) |G| compositions, R the relation.
+    Each f in Mor(i, j) is t_i^-1, (its loop), t_j, so Mor(i, j) is all |G|
+    maps t_i^-1, G, t_j, as Mor(o0, l) makes |G| = n; t_i^-1, g, t_j then
+    t_j^-1, h, t_k is t_i^-1, gh, t_k (axiom 3), axioms 1 and 2 follow from
+    g = 1 and g^-1. A groupoid of hom-sets passes: its loops lie in Mor(o0, o0).
     """
-    o0, last = objs[0], objs[-1]
-    tree = {o: indexed[(o0, o)][0][1] for o in objs[1:]}
-    tree[o0] = tuple(range(len(indexed[(o0, last)][0][1])))
-    back = invert_indexed(tree[last])
-    group = {compose_indexed(f, back) for _, f in indexed[(o0, last)]}
-    if any(compose_indexed(g, h) not in group for g in group for h in group):
+    o0, limit = objs[0], len(graphs[(objs[0], objs[-1])])
+    if any(len(maps) != limit for maps in graphs.values()):
         return None
-    from_ = {
-        i: [compose_indexed(invert_indexed(tree[i]), g) for g in group] for i in objs
-    }
-    spans = all(
-        len(maps) == len(group)
-        and all(compose_indexed(h, tree[j]) in maps for h in from_[i])
-        for (i, j), maps in graphs.items()
-    )
-    return group if spans else None
+    tree = {o0: tuple(range(len(indexed[(o0, objs[-1])][0][1])))}
+    tree |= {o: indexed[(o0, o)][0][1] for o in objs[1:]}
+    span = _span_loops(tree, graphs.items(), limit)
+    return None if span is None else span[0]
 
 
 def validate_spine(spine: GroupoidSpine) -> ValidationReport:
@@ -371,11 +380,12 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
     bijectivity agreement of each map with its carriers, non-emptiness and
     duplicate-freeness of each family, then the three closure axioms
     (identity, inverse, composition). Composition and inverse checks skip
-    maps that already failed structurally. The vertex-group check stands in
-    for both sweeps once every check up to the identities passed, when the
-    composition sweep has a triple; they run only when it fails, so they
-    alone report violations. A report that the vertex-group check passed
-    carries G, as `_group`.
+    maps that already failed structurally. Once every check up to the
+    identities passed and the composition sweep has a triple, the
+    vertex-group check (`_spans_vertex_group`: two compositions per map and
+    about n per generator, n the family size, where the sweeps take n^2 per
+    triple) stands in for both sweeps; they run only when it fails, so they
+    alone report violations. A report it passed carries G, as `_group`.
     """
     out: list[Violation] = []
     objs = spine.objects

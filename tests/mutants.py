@@ -30,6 +30,9 @@ TIMEOUT_S = 600  # a mutant that makes its tests hang counts as caught
 
 CLOSURE = ["tests/test_closure_oracle.py"]
 VERTEX_GROUP = ["tests/test_model.py::TestVertexGroupValidation"]
+# one test only: the class's property test draws order-12 mutants whose span
+# would run to Sym(12) before the spy is reached
+SPAN_CAP = [VERTEX_GROUP[0] + "::test_swapped_map_stops_the_span_at_the_family_size"]
 STRUCTURE = ["tests/test_cosets.py", "tests/test_properties.py"]
 GROUPS = ["tests/test_groups.py::TestAxiomChecks"]
 DOCUMENT = ["tests/test_document.py"]
@@ -46,8 +49,8 @@ MUTANTS = [
         "    for h in new[:0]:  # grows while it is scanned\n",
         CLOSURE,
     ),
-    # the groupoid closure adjoins one loop per pair
-    ("extension.py", "        for f in maps:\n", "        for f in maps[:1]:\n", CLOSURE),
+    # the loop span adjoins one loop per pair
+    ("model.py", "        for f in maps:\n", "        for f in maps[:1]:\n", CLOSURE),
     # new families sorted by their raw index tuples, not by graph key
     (
         "extension.py",
@@ -110,19 +113,22 @@ MUTANTS = [
     # for K = X.y^-1 already makes X a coset), but the sweep is no longer
     # literal
     ("cosets.py", "        for y in xl\n", "        for y in xl[:1]\n", STRUCTURE),
-    # the vertex-group check without the closure of G
+    # the vertex-group check without the family sizes: a closed Z3 groupoid
+    # missing one map of Mor(1, 2) would pass, and the increasing-pairs one
+    # would carry a group and read as regular
     (
         "model.py",
-        "    if any(compose_indexed(g, h) not in group for g in group for h in group):\n",
+        "    if any(len(maps) != limit for maps in graphs.values()):\n",
         "    if False:\n",
         VERTEX_GROUP,
     ),
-    # the vertex-group check without |Mor(i, j)| = |G|
+    # the group closure checks its limit only once it is done: one swapped
+    # map of the Z12 translation spine spans Sym(12), which the spy stops
     (
         "model.py",
-        "        len(maps) == len(group)\n        and all(",
-        "        all(",
-        VERTEX_GROUP,
+        "        if len(group) > limit:\n            return False\n",
+        "",
+        SPAN_CAP,
     ),
     # Light's test over the first generator only
     (

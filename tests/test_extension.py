@@ -315,9 +315,8 @@ class TestRegularityFromVertexGroup:
 
 def draw_spine(data) -> GroupoidSpine:
     """A raw or closed catalog action spine on 1-4 objects, a closed
-    groupoid of a random permutation group of order at most 120 on at most
-    6 points, or a `perturb_spine` mutant of one with at most 24 maps per
-    pair."""
+    groupoid of a random permutation group on at most 6 points, or a
+    `perturb_spine` mutant of one with at most 24 maps per pair."""
     kind = data.draw(st.sampled_from(["action", "closed-action", "permutations"]))
     if kind == "permutations":
         n = data.draw(st.integers(1, 6))
@@ -326,8 +325,6 @@ def draw_spine(data) -> GroupoidSpine:
         objects = data.draw(st.integers(1, 3))
         trees = data.draw(st.lists(perm, min_size=objects, max_size=objects))
         spine = permutation_groupoid(gens, objects, trees)
-        if len(spine.morphisms[("1", "1")]) > 120:
-            reject()  # validation checks closure in |G|^2: keep A6 and S6 out
     else:
         group = data.draw(st.sampled_from([g for _, g in catalog_upto(12)]))
         spine = gen_group_action_spine(group, data.draw(st.integers(1, 4)))

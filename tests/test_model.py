@@ -9,7 +9,7 @@ import spinekit.model as model
 from conftest import shift_map, translation_spine, trivial_spine
 from spinekit.catalog import catalog_upto, symmetric_group
 from spinekit.errors import TargetMismatch
-from spinekit.extension import extend_to_groupoid, symmetric_closure
+from spinekit.extension import check_regularity, extend_to_groupoid, symmetric_closure
 from spinekit.generators import (
     gen_group_action_spine,
     gen_latin_square_family,
@@ -498,6 +498,77 @@ class TestVertexGroupValidation:
         ]
         assert validate_spine(spine).render_lines() == expected
 
+    def test_closed_groupoid_missing_a_map_is_caught(self):
+        # the loops of the other maps span G = Z3 within its 3 maps, so only
+        # the family size rejects Mor(1, 2), which holds 2 of them
+        objs = ["1", "2", "3"]
+        sets = {o: FiniteSet(o, ["0", "1", "2"]) for o in objs}
+        pairs = [(i, j) for i in objs for j in objs]
+        morphisms = {(i, j): [shift_map(i, j, 3, t) for t in range(3)] for i, j in pairs}
+        morphisms[("1", "2")].pop()
+        spine = GroupoidSpine(objs, sets, pairs, morphisms)
+        assert not is_groupoid(spine)
+        witnesses = [
+            ("1,1", 1, "1,2", 1),
+            ("1,1", 2, "1,2", 0),
+            ("1,2", 0, "2,2", 2),
+            ("1,2", 1, "2,2", 1),
+            ("1,3", 0, "3,2", 2),
+            ("1,3", 1, "3,2", 1),
+            ("1,3", 2, "3,2", 0),
+        ]
+        assert validate_spine(spine).render_lines() == [
+            "validation: fail (8 violations)",
+            "  axiom2 MissingInverse: inverse of Mor(2,1)[1] is absent from Mor(1,2)",
+        ] + [
+            f"  axiom3 ClosureViolation: composite of Mor({a})[{m}] then "
+            f"Mor({b})[{n}] is absent from Mor(1,2)"
+            for a, m, b, n in witnesses
+        ]
+
+    def test_increasing_pairs_missing_a_map_keep_no_group(self):
+        # a groupoid restricted to its pairs, but not one vertex group carried
+        # along the tree: the sweeps pass it, and regularity counts its pairs
+        spine = translation_spine(3, 3)
+        morphisms = {pair: list(fams) for pair, fams in spine.morphisms.items()}
+        morphisms[("1", "2")].pop()
+        spine = GroupoidSpine(spine.objects, spine.sets, spine.pairs, morphisms)
+        assert is_groupoid(spine)
+        report = validate_spine(spine)
+        assert report.ok and report._group is None
+        assert check_regularity(spine).render_lines() == [
+            "regularity: fail",
+            "  Mor(1,2) hits (0 -> 2) 0 times, expected exactly 1",
+            "  Mor(1,2) hits (1 -> 0) 0 times, expected exactly 1",
+            "  Mor(1,2) hits (2 -> 1) 0 times, expected exactly 1",
+        ]
+
+    def test_swapped_map_stops_the_span_at_the_family_size(self, monkeypatch):
+        # one swap in the Z12 translation spine: its loop, (0 1) then the
+        # 12-cycle, and the 12-cycle generate Sym(12), which has 12! maps; the
+        # span must stop as soon as G passes the 12 maps of a family
+        spine = translation_spine(12, 3)
+        morphisms = {pair: list(fams) for pair, fams in spine.morphisms.items()}
+        images = {str(x): str((x + 1) % 12) for x in range(12)}
+        images["0"], images["1"] = images["1"], images["0"]
+        morphisms[("1", "2")][1] = FiniteMap("1", "2", images)
+        spine = GroupoidSpine(spine.objects, spine.sets, spine.pairs, morphisms)
+        # the one composable triple's axiom-3 sweep, then a few maps per map
+        # of a family for the span
+        bound = 12**2 + 8 * 12
+        calls = []
+        compose_indexed = model.compose_indexed
+
+        def spy(f, g):
+            calls.append(1)
+            if len(calls) > bound:
+                raise AssertionError(f"validation made over {bound} compositions")
+            return compose_indexed(f, g)
+
+        monkeypatch.setattr(model, "compose_indexed", spy)
+        report = validate_spine(spine)
+        assert not report.ok and report.violations[0].pair == ("1", "3")
+
     @staticmethod
     def compose_calls(monkeypatch, spine: GroupoidSpine) -> int:
         """The number of `compose_indexed` calls a passing validation makes."""
@@ -522,3 +593,18 @@ class TestVertexGroupValidation:
         # |G|^2 + 2.(|I| + |R|).|G| with 10 increasing pairs; the axiom-3
         # sweep makes 10 triples at |G|^2 = 5760
         assert self.compose_calls(monkeypatch, spine) <= 24**2 + 2 * (5 + 10) * 24
+
+    def test_c2_to_the_10_on_20_points_skips_the_closure_sweep(self, monkeypatch):
+        # G = C2^10, the products of the swaps (2k 2k+1), on 3 objects: the
+        # loops take 2.|R|.|G| and the span about |G| per generator, where a
+        # |G|^2 closure check takes 1 048 576
+        objs, points = ["1", "2", "3"], [str(x) for x in range(20)]
+        sets = {o: FiniteSet(o, points) for o in objs}
+        pairs = [("1", "2"), ("1", "3"), ("2", "3")]
+        group = [
+            {str(x): str(x ^ 1 if bits >> (x // 2) & 1 else x) for x in range(20)}
+            for bits in range(2**10)
+        ]
+        morphisms = {(i, j): [FiniteMap(i, j, g) for g in group] for i, j in pairs}
+        spine = GroupoidSpine(objs, sets, pairs, morphisms)
+        assert self.compose_calls(monkeypatch, spine) <= 2 * 3 * 2**10 + (10 + 1) * 2**10
