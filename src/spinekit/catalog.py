@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
-from operator import eq, itemgetter
+from itertools import chain, product as iproduct
+from operator import eq
 
 from .groups import GroupTable, permutation_group, tabulate
 from .model import Indexed, adjoin, compose_indexed
@@ -142,21 +142,21 @@ def catalog_upto(order: int) -> tuple[tuple[str, GroupTable], ...]:
 def generating_sequence(g: GroupTable) -> list[str]:
     """A small generating set, chosen greedily in element order: the one
     the table's construction checked associativity over."""
-    return list(g._gens)
+    return [g.elements[i] for i in g._gens]
 
 
 def _hom_from_images(
-    g: GroupTable, h: GroupTable, gens: list[str], images: list[str]
-) -> dict[str, str] | None:
-    """Close {gens -> images} to a map on the generated subgroup.
-
-    The candidate's graph is the subgroup of g x h generated by the pairs
-    (generator, image). Returns it as a map when it is the graph of an
-    injective function, else None; the map is then a homomorphism on the
-    subgroup the assigned generators generate.
+    g: GroupTable, h: GroupTable, gens: tuple[int, ...], images: list[int]
+) -> dict[int, int] | None:
+    """Close {gens -> images}, element indices of g and h, to a map on the
+    generated subgroup: its graph is the subgroup of g x h generated by the
+    pairs (generator, image). Returns it as a map of indices when it is the
+    graph of an injective function, else None; the map is then a
+    homomorphism on the subgroup the assigned generators generate.
     """
-    mul = lambda x, y: (g.op(x[0], y[0]), h.op(x[1], y[1]))
-    graph, pair_gens = {(g.identity, h.identity)}, []
+    g_rows, h_rows = g._rows, h._rows
+    mul = lambda x, y: (g_rows[x[0]][y[0]], h_rows[x[1]][y[1]])
+    graph, pair_gens = {(g._index[g.identity], h._index[h.identity])}, []
     for pair in zip(gens, images):
         if pair not in graph:
             adjoin(graph, pair_gens, pair, mul)
@@ -166,17 +166,14 @@ def _hom_from_images(
     return phi
 
 
-_swap = itemgetter(1, 0)  # (a, b) -> (b, a)
-
-
 def _commuting_pairs(g: GroupTable) -> int:
     """The number of pairs (a, b) with ab = ba, which is |G| times the
     number of conjugacy classes (Erdős and Turán); an isomorphism invariant.
-    Read off the product dict on first use and kept on the table."""
+    Read off the table's rows and columns on first use and kept on it."""
     count = getattr(g, "_commuting", None)
     if count is None:
-        prod = g.product
-        count = sum(map(eq, prod.values(), map(prod.__getitem__, map(_swap, prod))))
+        rows = g._rows
+        count = sum(map(eq, chain.from_iterable(rows), chain.from_iterable(zip(*rows))))
         object.__setattr__(g, "_commuting", count)
     return count
 
@@ -187,22 +184,20 @@ def is_isomorphic(g: GroupTable, h: GroupTable) -> bool:
     are kept while `_hom_from_images` closes them to an injective phi. On all
     generators phi is total, and its graph is a subgroup of g x h, so
     phi(ab) = phi(a)phi(b): phi is an isomorphism, as |g| = |h|."""
-    if len(g) != len(h):
-        return False
-    if g.order_profile() != h.order_profile():
+    if len(g) != len(h) or g.order_profile() != h.order_profile():
         return False
     if _commuting_pairs(g) != _commuting_pairs(h):
         return False
-    gens = generating_sequence(g)
-    by_order: dict[int, list[str]] = {}
-    for e in h.elements:
-        by_order.setdefault(h.order_of(e), []).append(e)
+    gens = g._gens
+    orders = [g.order_of(g.elements[s]) for s in gens]
+    by_order: dict[int, list[int]] = {}
+    for i, e in enumerate(h.elements):
+        by_order.setdefault(h.order_of(e), []).append(i)
 
-    def assign(images: list[str]) -> bool:
+    def assign(images: list[int]) -> bool:
         if len(images) == len(gens):
             return True
-        nxt = gens[len(images)]
-        for candidate in by_order.get(g.order_of(nxt), ()):
+        for candidate in by_order.get(orders[len(images)], ()):
             if _hom_from_images(g, h, gens[: len(images) + 1], images + [candidate]):
                 if assign(images + [candidate]):
                     return True

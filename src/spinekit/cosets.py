@@ -3,7 +3,7 @@ characterization, equal-or-disjoint partition tests, fiber structure of
 cosets under coordinate projections, and coset detection for set families.
 
 Members of G^n are tuples of element labels with componentwise product;
-the tests run on them encoded as tuples of element indices.
+the tests run on them as index tuples, over the group's own integer table.
 The "infinitesimal" sets these tests shadow are infinitary; here a family
 member is just a finite set, so the analogy should not be over-read.
 """
@@ -25,7 +25,8 @@ _Table = Sequence[Sequence[int]]  # _rows[a][b] = _cols[b][a]: the index of a.b
 
 @dataclass(frozen=True)
 class AmbientGroup:
-    """G^n with componentwise product, for subsets to live in."""
+    """G^n with componentwise product, for subsets to live in. The tables
+    are its group's own; only `_cols`, the transpose of `_rows`, is built."""
 
     group: GroupTable
     power: int
@@ -34,15 +35,12 @@ class AmbientGroup:
     def __init__(self, group: GroupTable, power: int = 1):
         if power < 1:
             raise ValueError("power must be at least 1")
-        elems = group.elements
-        index = {e: n for n, e in enumerate(elems)}
-        rows = tuple(tuple(index[group.op(a, b)] for b in elems) for a in elems)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_cols", tuple(zip(*rows)))
-        object.__setattr__(self, "_inv", tuple(index[group.inv(a)] for a in elems))
+        object.__setattr__(self, "_index", group._index)
+        object.__setattr__(self, "_rows", group._rows)
+        object.__setattr__(self, "_cols", tuple(zip(*group._rows)))
+        object.__setattr__(self, "_inv", group._inv)
 
     def op(self, a: GTuple, b: GTuple) -> GTuple:
         return tuple(self.group.op(x, y) for x, y in zip(a, b))

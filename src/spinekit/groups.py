@@ -7,6 +7,7 @@ diagonal morphisms, so tables are deterministic across runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Iterable, Mapping, Sequence
@@ -34,9 +35,11 @@ from .model import (
 class GroupTable:
     """A finite group as a Cayley table over labeled elements.
 
-    Construction verifies the group axioms exactly from a generating set:
-    totality (no product key outside elements x elements), a two-sided
-    identity and two-sided inverses directly, associativity by Light's test.
+    Construction builds the one integer table every internal reader uses:
+    `_index` numbers the labels, `_rows[a][b]` is the index of a.b, `_inv[a]`
+    that of a^-1. It verifies the axioms on it exactly from a generating set
+    (`_gens`): totality (no product key outside elements x elements), a
+    two-sided identity and inverses directly, associativity by Light's test.
     The generators are taken greedily in element order with `adjoin` over
     the table, so every element is a product of generators even before
     associativity is known. The test checks (x.s).y = x.(s.y) for each
@@ -66,37 +69,39 @@ class GroupTable:
             raise ValueError(f"identity {identity!r} is not an element")
         prod = {(str(a), str(b)): str(c) for (a, b), c in product.items()}
         index = element_index(elems)
-        rows = [[index.get(prod.get((a, b))) for b in elems] for a in elems]
+        rows = tuple(tuple([index.get(prod.get((a, b))) for b in elems]) for a in elems)
         for a, row in zip(elems, rows):
             if None in row:
                 b = elems[row.index(None)]
                 raise ValueError(f"product table is not total at ({a!r},{b!r})")
-        for a in elems:
-            if prod[(identity, a)] != a or prod[(a, identity)] != a:
-                raise ValueError(f"{identity!r} is not neutral at {a!r}")
-        two_sided = lambda a, b: prod[(a, b)] == identity == prod[(b, a)]
-        inv = {a: next((b for b in elems if two_sided(a, b)), None) for a in elems}
-        if None in inv.values():
-            missing = [a for a in elems if inv[a] is None]
+        e, ids = index[identity], range(len(elems))
+        for a, row in enumerate(rows):
+            if rows[e][a] != a or row[e] != a:
+                raise ValueError(f"{identity!r} is not neutral at {elems[a]!r}")
+        two_sided = lambda a, b: rows[a][b] == e == rows[b][a]
+        inv = tuple(next((b for b in ids if two_sided(a, b)), None) for a in ids)
+        if None in inv:
+            missing = [elems[a] for a, b in enumerate(inv) if b is None]
             raise ValueError(f"elements without inverses: {missing}")
-        span, gens = {index[identity]}, []
-        for i in range(len(elems)):
+        span, gens = {e}, []
+        for i in ids:
             if i not in span:
                 adjoin(span, gens, i, lambda x, y: rows[x][y])
-        if not all(rows[x[s]] == [x[z] for z in rows[s]] for s in gens for x in rows):
+        if not all(rows[x[s]] == tuple(map(x.__getitem__, rows[s])) for s in gens for x in rows):
             for a, b, c in iproduct(elems, repeat=3):
                 if prod[(prod[(a, b)], c)] != prod[(a, prod[(b, c)])]:
-                    raise ValueError(
-                        f"product is not associative at ({a!r},{b!r},{c!r})"
-                    )
+                    raise ValueError(f"product is not associative at ({a!r},{b!r},{c!r})")
         if len(prod) != len(elems) ** 2:
             key = next(k for k in prod if k[0] not in index or k[1] not in index)
             raise ValueError(f"product key {key!r} is not a pair of elements")
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "product", prod)
-        object.__setattr__(self, "inverse", inv)
-        object.__setattr__(self, "_gens", tuple(elems[i] for i in gens))
+        object.__setattr__(self, "inverse", {a: elems[b] for a, b in zip(elems, inv)})
+        object.__setattr__(self, "_gens", tuple(gens))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_inv", inv)
 
     def op(self, a: str, b: str) -> str:
         return self.product[(a, b)]
@@ -108,19 +113,16 @@ class GroupTable:
         return len(self.elements)
 
     def order_of(self, a: str) -> int:
-        n, x = 1, a
-        while x != self.identity:
-            x = self.op(x, a)
+        x = self._index[a]
+        row, e, n = self._rows[x], self._index[self.identity], 1
+        while x != e:
+            x = row[x]
             n += 1
         return n
 
     def order_profile(self) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, count) pairs; an isomorphism invariant."""
-        counts: dict[int, int] = {}
-        for a in self.elements:
-            d = self.order_of(a)
-            counts[d] = counts.get(d, 0) + 1
-        return tuple(sorted(counts.items()))
+        return tuple(sorted(Counter(map(self.order_of, self.elements)).items()))
 
     def table_equal(self, other: GroupTable) -> bool:
         """Graph-identical tables: same elements, identity, and products."""
@@ -135,9 +137,11 @@ class GroupTable:
 class GroupAction:
     """A group acting on a finite carrier.
 
-    Construction verifies exactly, from the group's generating set, that the
-    identity acts trivially, that the action respects the product, and that
-    it is regular: every (x, y) is achieved by exactly one group element.
+    Construction turns `act` into one integer table, the index of g.x for
+    each index of g in the group's own table, and verifies on it exactly,
+    from the group's generating set, that the identity acts trivially, that
+    the action respects the product, and that it is regular: every (x, y)
+    is achieved by exactly one group element.
     (g.h).x = g.(h.x) is checked for the generators h only, |G|.#gens.|X|:
     the good h hold the identity and are closed under the product, since
     (g.(h.k)).x = ((g.h).k).x = (g.h).(k.x) = g.(h.(k.x)) = g.((h.k).x).
@@ -157,26 +161,29 @@ class GroupAction:
     ):
         act = {(str(g), str(x)): str(y) for (g, x), y in act.items()}
         elems, points = group.elements, carrier.elements
-        point_set = set(points)
-        for g, x in iproduct(elems, points):
-            if act.get((g, x)) not in point_set:
+        at = element_index(points)
+        table = [[at.get(act.get((g, x))) for x in points] for g in elems]
+        for g, row in zip(elems, table):
+            if None in row:
+                x = points[row.index(None)]
                 raise ValueError(f"action is not total at ({g!r},{x!r})")
-        for x in points:
-            if act[(group.identity, x)] != x:
-                raise ValueError(f"identity moves {x!r}")
-        bad = lambda g, h, x: act[(group.op(g, h), x)] != act[(g, act[(h, x)])]
-        if any(bad(*t) for t in iproduct(elems, group._gens, points)):
+        for x, y in enumerate(table[group._index[group.identity]]):
+            if y != x:
+                raise ValueError(f"identity moves {points[x]!r}")
+        rows, gens = group._rows, group._gens
+        compose = lambda g, h: [table[g][y] for y in table[h]]
+        if any(table[rows[g][h]] != compose(g, h) for g in range(len(elems)) for h in gens):
+            bad = lambda g, h, x: act[(group.op(g, h), x)] != act[(g, act[(h, x)])]
             g, h, x = next(t for t in iproduct(elems, elems, points) if bad(*t))
             raise ValueError(f"action incompatible with product at ({g!r},{h!r},{x!r})")
         if len(elems) != len(points) or any(
-            len({act[(g, x)] for g in elems}) != len(points) for x in points
+            len(set(column)) != len(points) for column in zip(*table)
         ):
             for x, y in iproduct(points, repeat=2):
                 hits = [g for g in elems if act[(g, x)] == y]
                 if len(hits) != 1:
                     raise ValueError(
-                        f"action is not regular: {len(hits)} elements send "
-                        f"{x!r} to {y!r}"
+                        f"action is not regular: {len(hits)} elements send {x!r} to {y!r}"
                     )
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "carrier", carrier)
@@ -268,13 +275,13 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
     return GroupAction(table, spine.sets[obj], act)
 
 
-def _transport(
-    g: GroupTable, phi: Mapping[str, str], elements: Sequence[str]
-) -> GroupTable:
-    """The group on `elements` that the bijection phi from g's elements
-    onto them makes isomorphic to g: phi(a).phi(b) = phi(a.b)."""
-    back = {y: x for x, y in phi.items()}
-    return tabulate([back[y] for y in elements], g.identity, g.op, phi.__getitem__)
+def _transport(g: GroupTable, images: Sequence[str], elements: Sequence[str]) -> GroupTable:
+    """The group on `elements` that the bijection from g's elements onto
+    them, the element of index i going to images[i], makes isomorphic to g:
+    images[a].images[b] = images[a.b], tabulated over g's element indices."""
+    back, rows = {y: i for i, y in enumerate(images)}, g._rows
+    mul = lambda a, b: rows[a][b]
+    return tabulate([back[y] for y in elements], g._index[g.identity], mul, images.__getitem__)
 
 
 def group_on_fiber(ga: GroupAction, e: str) -> GroupTable:
@@ -285,8 +292,8 @@ def group_on_fiber(ga: GroupAction, e: str) -> GroupTable:
     """
     if e not in ga.carrier.elements:
         raise UnknownElement(f"{e!r} is not a carrier element")
-    phi = {g: ga.apply(g, e) for g in ga.group.elements}
-    return _transport(ga.group, phi, ga.carrier.elements)
+    images = [ga.apply(g, e) for g in ga.group.elements]
+    return _transport(ga.group, images, ga.carrier.elements)
 
 
 def relabel_group(g: GroupTable, d: str) -> GroupTable:
@@ -295,4 +302,4 @@ def relabel_group(g: GroupTable, d: str) -> GroupTable:
     original."""
     if d not in g.elements:
         raise UnknownElement(f"{d!r} is not an element")
-    return _transport(g, {x: g.op(x, d) for x in g.elements}, g.elements)
+    return _transport(g, [g.op(x, d) for x in g.elements], g.elements)

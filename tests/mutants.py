@@ -35,6 +35,7 @@ VERTEX_GROUP = ["tests/test_model.py::TestVertexGroupValidation"]
 SPAN_CAP = [VERTEX_GROUP[0] + "::test_swapped_map_stops_the_span_at_the_family_size"]
 STRUCTURE = ["tests/test_cosets.py", "tests/test_properties.py"]
 GROUPS = ["tests/test_groups.py::TestAxiomChecks"]
+COMMUTING = ["tests/test_groups.py::TestIsomorphism::test_same_profile_non_isomorphic"]
 DOCUMENT = ["tests/test_document.py"]
 INDEXED_MAP = ["tests/test_model.py::TestIndexedMap"]
 REGULARITY = ["tests/test_extension.py::TestRegularityFromVertexGroup"]
@@ -137,15 +138,38 @@ MUTANTS = [
         "for s in gens[:1] for x in rows",
         GROUPS,
     ),
+    # Light's test compares a tuple row with a list, which is never equal:
+    # every valid table falls through to the n^3 sweep
+    (
+        "groups.py",
+        "== tuple(map(x.__getitem__, rows[s]))",
+        "== list(map(x.__getitem__, rows[s]))",
+        GROUPS,
+    ),
+    # inverses found one-sided: a.b = e without b.a = e
+    (
+        "groups.py",
+        "two_sided = lambda a, b: rows[a][b] == e == rows[b][a]",
+        "two_sided = lambda a, b: rows[a][b] == e",
+        GROUPS,
+    ),
     # action compatibility checked for the first generator only
     (
         "groups.py",
-        "iproduct(elems, group._gens, points)",
-        "iproduct(elems, group._gens[:1], points)",
+        "for g in range(len(elems)) for h in gens)",
+        "for g in range(len(elems)) for h in gens[:1])",
         GROUPS,
     ),
     # regularity without |G| = |X|: each g -> g.x still reaches every point
     ("groups.py", "if len(elems) != len(points) or any(", "if any(", GROUPS),
+    # the commuting pairs counted by comparing each row with itself: every
+    # group then counts |G|^2, and same-profile groups go to the search
+    (
+        "catalog.py",
+        "chain.from_iterable(zip(*rows))",
+        "chain.from_iterable(rows)",
+        COMMUTING,
+    ),
     # the reader takes every mapping as drawn from the carriers
     (
         "document.py",

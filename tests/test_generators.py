@@ -1,16 +1,19 @@
 """Instance generators: group-action spines, affine configurations,
 Latin-square families, and seeded mutants."""
 
+import random
 from itertools import permutations
 
 import pytest
 
 from conftest import trivial_spine
-from spinekit.catalog import classify_group, cyclic_group, symmetric_group
+import spinekit.generators as generators_module
+from spinekit.catalog import classify_group, cyclic_group, klein_group, symmetric_group
 from spinekit.errors import InvalidSpine, NotPrime, SearchExhausted, TooLarge
-from spinekit.extension import check_regularity, extend_to_groupoid
+from spinekit.extension import _regularity, check_regularity, extend_to_groupoid
 from spinekit.generators import (
     MIN_NON_COSET_ORDER,
+    _mutate_once,
     _xyz_closed,
     gen_affine_config,
     gen_group_action_spine,
@@ -285,3 +288,37 @@ class TestPerturb:
     def test_mutant_of_trivial_spine(self):
         mutant = perturb_spine(trivial_spine(), 0)
         assert not validate_spine(mutant).ok
+
+    @pytest.mark.parametrize("name", ["Z5", "S3", "V4"])
+    def test_same_mutants_as_validating_first(self, name):
+        group = {"Z5": cyclic_group(5), "S3": symmetric_group(3), "V4": klein_group()}[name]
+        base = gen_group_action_spine(group, 3)
+        for seed in range(50):
+            assert perturb_spine(base, seed) == validating_first(base, seed), seed
+
+    def test_a_mutant_of_a_regular_base_is_not_validated(self, monkeypatch):
+        # every mutation of a regular spine breaks a count, so only the base
+        # is validated
+        base = gen_group_action_spine(symmetric_group(3), 3)
+        seen = []
+
+        def spy(spine):
+            seen.append(spine)
+            return validate_spine(spine)
+
+        monkeypatch.setattr(generators_module, "validate_spine", spy)
+        for seed in range(20):
+            perturb_spine(base, seed)
+        assert len(seen) == 20 and all(spine is base for spine in seen)
+
+
+def validating_first(spine, seed):
+    """The rule `perturb_spine` had: validate each mutant, then read its
+    regularity off the vertex group that validation found."""
+    rng = random.Random(seed)
+    for _ in range(50):
+        mutant = _mutate_once(spine, rng)
+        found = validate_spine(mutant)
+        if not found.ok or not _regularity(mutant, found._group).regular:
+            return mutant
+    return None

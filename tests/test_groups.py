@@ -23,6 +23,7 @@ from spinekit.catalog import (
     klein_group,
     symmetric_group,
 )
+from spinekit.cosets import AmbientGroup
 from spinekit.errors import NotRegular, UnknownElement, UnknownObject
 from spinekit.extension import ExtensionResult, extend_to_groupoid
 from spinekit.generators import (
@@ -37,7 +38,7 @@ from spinekit.groups import (
     group_on_fiber,
     relabel_group,
 )
-from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine
+from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine, element_index
 
 
 def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
@@ -314,9 +315,13 @@ def isomorphic_oracle(g: GroupTable, h: GroupTable) -> bool:
     gens = generating_sequence(g)
 
     def assign(images):
-        phi = catalog_module._hom_from_images(g, h, gens[: len(images)], images)
-        if phi is None:
+        # the search runs on element indices: convert at the call
+        found = catalog_module._hom_from_images(
+            g, h, [g._index[a] for a in gens[: len(images)]], [h._index[c] for c in images]
+        )
+        if found is None:
             return False
+        phi = {g.elements[a]: h.elements[b] for a, b in found.items()}
         if len(images) == len(gens):
             return len(phi) == len(g) and all(
                 phi[g.op(a, b)] == h.op(phi[a], phi[b])
@@ -427,6 +432,16 @@ class TestAxiomChecks:
         message = "action incompatible with product at ('0.1','1.0','a')"
         assert str(caught.value) == message
 
+    def test_valid_tables_run_no_triple_sweep(self, monkeypatch):
+        # Light's test compares rows of one type; a tuple never equals a
+        # list, which would send every valid table to the n^3 sweep
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the n^3 associativity sweep ran")
+
+        monkeypatch.setattr(groups_module, "iproduct", no_sweep)
+        for g in (symmetric_group(4), dicyclic_group(6), abelian_group(2, 6)):
+            assert GroupTable(g.elements, g.identity, g.product).table_equal(g)
+
     def test_non_regular_action(self):
         # Z4 acts on two points by parity: compatible, every point reached
         # from every point, but |G| > |X|
@@ -435,6 +450,42 @@ class TestAxiomChecks:
             GroupAction(cyclic_group(4), FiniteSet("X", ["0", "1"]), act)
         message = "action is not regular: 2 elements send '0' to '0'"
         assert str(caught.value) == message
+
+
+class TestSharedTable:
+    """The integer table a GroupTable keeps, and its readers."""
+
+    def test_table_agrees_with_the_labels(self):
+        above = [dicyclic_group(16), direct_product(symmetric_group(4), cyclic_group(2))]
+        for g in [g for _, g in catalog()] + above:
+            assert g._index == element_index(g.elements)
+            index = g._index
+            assert g._rows == tuple(
+                tuple(index[g.op(a, b)] for b in g.elements) for a in g.elements
+            )
+            assert g._inv == tuple(index[g.inv(a)] for a in g.elements)
+        assert sorted(map(len, above)) == [48, 64]
+
+    def test_ambient_group_shares_the_table(self):
+        for g in (cyclic_group(1), symmetric_group(3), dicyclic_group(3)):
+            for n in (1, 2, 3):
+                amb = AmbientGroup(g, n)
+                assert amb._rows is g._rows
+                assert amb._inv is g._inv and amb._index is g._index
+                assert amb._cols == tuple(zip(*g._rows))
+
+    def test_no_label_products(self, monkeypatch):
+        s4, dic = symmetric_group(4), dicyclic_group(6)
+        pairs = [(s4, relabel_group(s4, "1032")), (dic, relabel_group(dic, "b5"))]
+        pairs.append((dihedral_group(12), dic))  # same order, different profile
+
+        def no_op(self, a, b):
+            raise AssertionError("a label product was looked up")
+
+        monkeypatch.setattr(GroupTable, "op", no_op)
+        for g in (s4, dic):
+            AmbientGroup(g, 2)
+        assert [is_isomorphic(g, h) for g, h in pairs] == [True, True, False]
 
 
 def span(g: GroupTable, gens: list[str]) -> set[str]:
