@@ -28,6 +28,7 @@ from .model import (
     GroupoidSpine,
     element_index,
     encode,
+    indexed_map,
     map_from_graph,
     validate_spine,
 )
@@ -181,6 +182,12 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
 
     Raises DocumentSyntaxError for malformed JSON and SchemaError (with a
     path like morphisms."1|3"[2]) for shape problems.
+
+    A mapping whose keys are exactly the source carrier and whose values
+    lie in the target carrier is read straight into its indexed form over
+    the two carriers (`indexed_map`), in source-carrier order, so its
+    graph is built only if something reads it. Any other mapping has each
+    label checked and becomes a `FiniteMap` of its sorted graph.
     """
     doc = _load_object(text, _SPINE_KEYS, ("objects", "sets", "pairs", "morphisms"))
 
@@ -222,6 +229,7 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
     raw_mor = doc["morphisms"]
     _require(isinstance(raw_mor, dict), "morphisms must be an object", "morphisms")
     carriers = {o: set(s.elements) for o, s in sets.items()}
+    positions = {o: element_index(s.elements) for o, s in sets.items()}
     morphisms: dict[tuple[str, str], list[FiniteMap]] = {}
     for key, fams in raw_mor.items():
         path = f'morphisms."{key}"'
@@ -231,6 +239,7 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
         _require((i, j) in pairs, f"({i},{j}) is not a listed pair", path)
         _require(isinstance(fams, list), "must be a list of mappings", path)
         source, target = carriers[i], carriers[j]
+        src, tgt, index = sets[i].elements, sets[j].elements, positions[j]
         maps = []
         for n, mapping in enumerate(fams):
             mpath = f"{path}[{n}]"
@@ -246,7 +255,11 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
                     _check_label(x, mpath)
                     _check_label(y, mpath)
             try:  # every label is a str, by the set test or the checks
-                maps.append(map_from_graph(i, j, tuple(sorted(mapping.items()))))
+                if checked:  # read in source-carrier order, whatever the key order
+                    t = tuple(map(index.__getitem__, map(mapping.__getitem__, src)))
+                    maps.append(indexed_map(i, j, src, tgt, index, t))
+                else:
+                    maps.append(map_from_graph(i, j, tuple(sorted(mapping.items()))))
             except ValueError as exc:
                 raise SchemaError(str(exc), mpath) from None
         morphisms[(i, j)] = maps

@@ -205,14 +205,14 @@ def _close_to_groupoid(
     elems = {o: spine.sets[o].elements for o in objs}
     index = {o: element_index(elems[o]) for o in objs}
 
-    inputs = {
-        (i, j): sorted(spine.morphisms[(i, j)], key=FiniteMap.graph_key)
-        for i, j in spine.sorted_pairs()
-    }
-    ordered = {
-        (i, j): [encode(f, elems[i], index[j]) for f in fams]
-        for (i, j), fams in inputs.items()
-    }
+    inputs, ordered = {}, {}
+    for i, j in spine.sorted_pairs():
+        fams = spine.morphisms[(i, j)]
+        forms = [encode(f, elems[i], index[j]) for f in fams]
+        keys = list(map(graph_keys(elems[i], elems[j], len(forms)), forms))
+        order = sorted(range(len(forms)), key=keys.__getitem__)
+        inputs[(i, j)] = [fams[n] for n in order]
+        ordered[(i, j)] = [forms[n] for n in order]
     tree = {o0: tuple(range(len(elems[o0])))} | {o: ordered[(o0, o)][0] for o in objs[1:]}
     back = {o: invert_indexed(t) for o, t in tree.items()}
     group, gens = _span_loops(tree, ordered.items())
@@ -227,7 +227,7 @@ def _close_to_groupoid(
                 continue
             maps = sorted(
                 (compose_indexed(h, tree[j]) for h in from_i),
-                key=graph_keys(elems[i], elems[j]),
+                key=graph_keys(elems[i], elems[j], len(group)),
             )
             morphisms[(i, j)] = tuple(
                 indexed_map(i, j, elems[i], elems[j], index[j], t) for t in maps

@@ -265,11 +265,9 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
         raise UnknownObject(f"object {obj!r} is not in the spine")
     elems = spine.sets[obj].elements
     index = element_index(elems)
-    graph_key = graph_keys(elems, elems)
-    key_of = {
-        t: graph_key(t)
-        for t in (encode(f, elems, index) for f in spine.morphisms[(obj, obj)])
-    }
+    family = spine.morphisms[(obj, obj)]
+    graph_key = graph_keys(elems, elems, len(family))
+    key_of = {t: graph_key(t) for t in (encode(f, elems, index) for f in family)}
     table = permutation_group(key_of, tuple(range(len(elems))))
     act = {(k, x): elems[y] for t, k in key_of.items() for x, y in zip(elems, t)}
     return GroupAction(table, spine.sets[obj], act)

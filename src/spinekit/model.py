@@ -45,9 +45,10 @@ class FiniteMap:
     the named carrier sets is checked by spine validation, since a map on
     its own does not know the carriers.
 
-    A map built by `indexed_map` holds only its indexed form and carriers;
-    its graph is built when first read, and it behaves as the map built
-    from that graph in every other respect.
+    A map built by `indexed_map` (every map `load_spine` reads from the
+    carriers, and every map the closure builds) holds only its indexed
+    form and carriers; its graph is built when first read, and it behaves
+    as the map built from that graph in every other respect.
     """
 
     source: str
@@ -187,10 +188,21 @@ def indexed_map(
     return f
 
 
-def graph_keys(src: Sequence[str], tgt: Sequence[str]) -> Callable[[Indexed], str]:
+def graph_keys(
+    src: Sequence[str], tgt: Sequence[str], count: int
+) -> Callable[[Indexed], str]:
     """The function taking an indexed form t over the element orders src
-    and tgt to `graph_key` of its decoded map, without decoding it."""
+    and tgt to `graph_key` of its decoded map, without decoding it, for
+    keying `count` forms. Up to |src| forms, each key fills the images
+    into one "x>%s,..." pattern; past that, every "x>y" string is made
+    once, |src|·|tgt| of them, and each key only picks them."""
     order = sorted(range(len(src)), key=src.__getitem__)
+    if count <= len(src):
+        pattern = ",".join(src[x].replace("%", "%%") + ">%s" for x in order)
+        # itemgetter of one index returns the item, not a 1-tuple
+        pick = itemgetter(*order) if len(order) > 1 else tuple
+        image = tgt.__getitem__
+        return lambda t: pattern % tuple(map(image, pick(t)))
     segs = [[f"{src[x]}>{y}" for y in tgt] for x in order]
     return lambda t: ",".join(map(list.__getitem__, segs, map(t.__getitem__, order)))
 
@@ -386,6 +398,12 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
     about n per generator, n the family size, where the sweeps take n^2 per
     triple) stands in for both sweeps; they run only when it fails, so they
     alone report violations. A report it passed carries G, as `_group`.
+
+    Maps are checked and compared as indexed forms over the carriers. An
+    index-backed map over exactly X_i -> X_j, the two of one size, is
+    total and onto as built; any other map has its keys and images
+    compared with the carrier sets. The witnesses of a failure are built
+    only then, so no passing map reads its graph or builds a set.
     """
     out: list[Violation] = []
     objs = spine.objects
@@ -413,11 +431,15 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
                     )
                 )
 
-    sound: dict[tuple[str, str], list[int]] = {}
+    # each family's structurally sound maps, as (position, indexed form)
+    elem_index = {o: element_index(spine.sets[o].elements) for o in objs}
+    carriers = {o: frozenset(spine.sets[o].elements) for o in objs}
+    indexed: dict[tuple[str, str], list[tuple[int, Indexed]]] = {}
     for pair in pair_order:
         i, j = pair
+        xi, xj = spine.sets[i].elements, spine.sets[j].elements
         fams = spine.morphisms[pair]
-        sound[pair] = []
+        sound = indexed[pair] = []
         if not fams:
             out.append(
                 Violation(
@@ -429,7 +451,7 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
                     f"Mor({i},{j}) is empty",
                 )
             )
-        seen: dict[tuple, int] = {}
+        seen: dict[Indexed, int] = {}
         for n, f in enumerate(fams):
             if f.source != i or f.target != j:
                 out.append(
@@ -443,9 +465,14 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
                     )
                 )
                 continue
-            if f.domain() != frozenset(spine.sets[i].elements):
-                missing = sorted(frozenset(spine.sets[i].elements) - f.domain())
-                extra = sorted(f.domain() - frozenset(spine.sets[i].elements))
+            held = f._indexed
+            # an injective indexed form over exactly X_i -> X_j of one size
+            # is total and onto: its stored tuple is the map
+            if held is not None and held[0] == xi and held[1] == xj and len(xi) == len(xj):
+                t = held[3]
+            elif f._dict.keys() != carriers[i]:
+                missing = sorted(carriers[i] - f.domain())
+                extra = sorted(f.domain() - carriers[i])
                 out.append(
                     Violation(
                         "DomainMismatch",
@@ -458,8 +485,10 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
                     )
                 )
                 continue
-            if f.image() != frozenset(spine.sets[j].elements):
-                missed = sorted(frozenset(spine.sets[j].elements) - f.image())
+            # an injective map on X_i is onto X_j iff |X_i| = |X_j| and its
+            # images lie in X_j
+            elif len(xi) != len(xj) or not carriers[j].issuperset(f._dict.values()):
+                missed = sorted(carriers[j] - f.image())
                 out.append(
                     Violation(
                         "NotBijective",
@@ -472,31 +501,31 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
                     )
                 )
                 continue
-            key = f.graph
-            if key in seen:
+            else:
+                t = encode(f, xi, elem_index[j])
+            # over X_i -> X_j the indexed form and the graph determine each other
+            if t in seen:
                 out.append(
                     Violation(
                         "DuplicateMorphism",
                         None,
                         pair,
-                        (seen[key], n),
+                        (seen[t], n),
                         None,
-                        f"Mor({i},{j})[{n}] repeats the graph of index {seen[key]}",
+                        f"Mor({i},{j})[{n}] repeats the graph of index {seen[t]}",
                     )
                 )
                 continue
-            seen[key] = n
-            sound[pair].append(n)
+            seen[t] = n
+            sound.append((n, t))
 
     # axiom 1: identities on diagonal pairs
     for o in objs:
         pair = (o, o)
         if pair not in pairs:
             continue
-        ident = identity_map(spine.sets[o]).graph
-        if not any(
-            spine.morphisms[pair][n].graph == ident for n in sound[pair]
-        ):
+        ident = tuple(range(len(spine.sets[o].elements)))
+        if not any(t == ident for _, t in indexed[pair]):
             out.append(
                 Violation(
                     "MissingIdentity",
@@ -509,16 +538,9 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
                 )
             )
 
-    # Index the structurally sound maps as integer image tuples for the
-    # axiom sweeps (axiom 3 is quadratic in family sizes).
-    elem_index = {o: element_index(spine.sets[o].elements) for o in objs}
-    indexed: dict[tuple[str, str], list[tuple[int, Indexed]]] = {}
-    graphs: dict[tuple[str, str], set[Indexed]] = {}
-    for pair in pair_order:
-        i, j = pair
-        src, index, fams = spine.sets[i].elements, elem_index[j], spine.morphisms[pair]
-        indexed[pair] = [(n, encode(fams[n], src, index)) for n in sound[pair]]
-        graphs[pair] = {t for _, t in indexed[pair]}
+    # the sound maps' indexed forms, as sets, for the axiom sweeps (axiom 3
+    # is quadratic in family sizes)
+    graphs = {pair: {t for _, t in maps} for pair, maps in indexed.items()}
 
     # the composable triples (i, j), (j, k), (i, k) that axiom 3 sweeps
     triples = [

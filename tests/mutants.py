@@ -39,6 +39,10 @@ COMMUTING = ["tests/test_groups.py::TestIsomorphism::test_same_profile_non_isomo
 DOCUMENT = ["tests/test_document.py"]
 INDEXED_MAP = ["tests/test_model.py::TestIndexedMap"]
 REGULARITY = ["tests/test_extension.py::TestRegularityFromVertexGroup"]
+INDEXED_FORM = "tests/test_model.py::TestValidateIndexedForm::"
+READER_FALLBACK = [
+    "tests/test_document.py::TestReaderFallback::test_labels_off_the_carriers_load_verbatim"
+]
 EXTRACT = ["tests/test_cli.py::TestExtractReusesClosure"]
 
 MUTANTS = [
@@ -55,7 +59,7 @@ MUTANTS = [
     # new families sorted by their raw index tuples, not by graph key
     (
         "extension.py",
-        "key=graph_keys(elems[i], elems[j]),",
+        "key=graph_keys(elems[i], elems[j], len(group)),",
         "key=lambda t: t,",
         CLOSURE,
     ),
@@ -176,6 +180,30 @@ MUTANTS = [
         "checked = mapping.keys() == source and target.issuperset(mapping.values())",
         "checked = True",
         DOCUMENT,
+    ),
+    # the reader reads a mapping into its indexed form when its keys are the
+    # source carrier, whatever its values
+    (
+        "document.py",
+        " and target.issuperset(mapping.values())",
+        "",
+        READER_FALLBACK,
+    ),
+    # validation takes an injective indexed form into a larger carrier as
+    # onto
+    (
+        "model.py",
+        " and len(xi) == len(xj):",
+        ":",
+        [INDEXED_FORM + "test_unequal_carriers"],
+    ),
+    # validation takes the stored form of an indexed map over any order of
+    # the carriers as its form over the spine's orders
+    (
+        "model.py",
+        "held[0] == xi and held[1] == xj and ",
+        "",
+        [INDEXED_FORM + "test_permuted_carrier_order"],
     ),
     # the writer quotes labels without escaping them
     (

@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
+import spinekit.cli
 from spinekit.cli import run_command
 from spinekit.document import load_spine, serialize_group, serialize_spine
-from spinekit.catalog import cyclic_group
+from spinekit.catalog import cyclic_group, symmetric_group
 from spinekit.extension import extend_to_groupoid
 from spinekit.generators import gen_group_action_spine, perturb_spine
+from spinekit.model import FiniteMap
 
 
 def run(capsys, *argv):
@@ -466,6 +468,34 @@ class TestExtractReusesClosure:
         code, out, _ = run(capsys, "extract", z5_doc, "--object", "1")
         assert code == 0 and "group order: 5" in out
         assert calls == {"_close_to_groupoid": 1, "_regularity_unchecked": 0}
+
+    def test_closed_document_builds_no_graph(self, capsys, tmp_path, monkeypatch):
+        # every mapping is read into its indexed form, and no layer of
+        # extend or extract reads a map's string graph
+        full, again = str(tmp_path / "full.json"), str(tmp_path / "again.json")
+        closed = extend_to_groupoid(gen_group_action_spine(symmetric_group(4), 5)).extended
+        (tmp_path / "full.json").write_text(serialize_spine(closed))
+        built, loaded = [], []
+        lazy, load = FiniteMap.__getattr__, spinekit.cli.load_spine
+
+        def spy(f, name):
+            built.append(name)
+            return lazy(f, name)
+
+        def kept(text):
+            loaded.append(load(text))
+            return loaded[-1]
+
+        monkeypatch.setattr(FiniteMap, "__getattr__", spy)
+        monkeypatch.setattr(spinekit.cli, "load_spine", kept)
+        assert run(capsys, "extend", full, "--out", again)[0] == 0
+        code, out, _ = run(capsys, "extract", again, "--object", "5", "--identity", "0123")
+        assert code == 0 and "group order: 24" in out and "fiber group at 0123" in out
+        assert built == [] and len(loaded) == 2
+        for spine, _ in loaded:
+            maps = [f for fams in spine.morphisms.values() for f in fams]
+            assert len(maps) == 25 * 24
+            assert all(f._indexed and "graph" not in vars(f) for f in maps)
 
 
 class TestSoftLimit:

@@ -30,7 +30,15 @@ from spinekit.generators import (
     latin_family_spine,
     perturb_spine,
 )
-from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine, validate_spine
+from spinekit.model import (
+    FiniteMap,
+    FiniteSet,
+    GroupoidSpine,
+    element_index,
+    encode,
+    map_from_graph,
+    validate_spine,
+)
 
 
 def generator_outputs():
@@ -489,6 +497,81 @@ class TestWriterOracle:
         with pytest.raises(KeyError) as got:
             serialize_spine(spine)
         assert got.value.args == want.value.args == ("b",)
+
+
+# labels whose graph keys interleave: separators inside labels, a prefix
+# beside its extensions, digits that sort apart from their values, non-ASCII,
+# format markers
+KEY_LABELS = [",", ">", "1", "1!", "10", "2", "a,b", "a>b", ",>", "é", "Ω>", "x y", "%", "%s"]
+
+
+@st.composite
+def shuffled_document(draw):
+    """The text of a two-object document over KEY_LABELS whose maps are
+    injective, every mapping's JSON keys in a drawn order."""
+    src = draw(st.lists(st.sampled_from(KEY_LABELS), min_size=1, max_size=5, unique=True))
+    tgt = draw(st.permutations(KEY_LABELS))[: draw(st.integers(len(src), 6))]
+    sets = {"1": src, "2": tgt}
+    morphisms = {}
+    for i, j in [("1", "1"), ("1", "2"), ("2", "2")]:
+        n = len(sets[i])
+        morphisms[f"{i}|{j}"] = [
+            dict(draw(st.permutations(list(zip(sets[i], draw(st.permutations(sets[j]))[:n])))))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+    doc = {"format_version": 1, "objects": ["1", "2"], "sets": sets,
+           "pairs": [["1", "1"], ["1", "2"], ["2", "2"]], "morphisms": morphisms}
+    return json.dumps(doc, ensure_ascii=draw(st.booleans()))
+
+
+class TestReaderIndexedForm:
+    """A mapping drawn from the carriers is read into its indexed form: the
+    map reads as the map of its sorted graph, whatever the key order."""
+
+    READS = [
+        lambda f: f.graph,
+        lambda f: f.mapping,
+        lambda f: f.domain(),
+        lambda f: f.image(),
+        lambda f: f.graph_key(),
+        lambda f: repr(f),
+        lambda f: hash(f),
+        lambda f: [f(x) for x in sorted(f.mapping)],
+    ]
+
+    @staticmethod
+    def loaded(text):
+        """Each map `load_spine` reads from text, beside the `map_from_graph`
+        map of its mapping's sorted graph."""
+        spine, _ = load_spine(text)
+        raw = json.loads(text)["morphisms"]
+        return [
+            (f, map_from_graph(i, j, tuple(sorted(mapping.items()))))
+            for (i, j), fams in spine.morphisms.items()
+            for f, mapping in zip(fams, raw[f"{i}|{j}"])
+        ]
+
+    @given(shuffled_document())
+    @settings(max_examples=150, deadline=None)
+    def test_reads_as_the_sorted_graph(self, text):
+        for read in self.READS:  # each read first, on a fresh map
+            for f, want in self.loaded(text):
+                assert "graph" not in vars(f)
+                assert read(f) == read(want)
+        for f, want in self.loaded(text):
+            assert f == want and want == f and len({f, want}) == 1
+            assert (f.source, f.target) == (want.source, want.target)
+
+    @given(shuffled_document())
+    @settings(max_examples=150, deadline=None)
+    def test_encode_returns_the_stored_form(self, text):
+        spine, _ = load_spine(text)
+        for (i, j), fams in spine.morphisms.items():
+            src, tgt = spine.sets[i].elements, spine.sets[j].elements
+            for f in fams:
+                t = encode(f, src, element_index(tgt))
+                assert t is f._indexed[3]
+                assert t == tuple(tgt.index(y) for y in map(dict(f.graph).get, src))
 
 
 class TestReaderFallback:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import spinekit.model as model
 from conftest import shift_map, translation_spine, trivial_spine
 from spinekit.catalog import catalog_upto, symmetric_group
+from spinekit.document import load_spine, serialize_spine
 from spinekit.errors import TargetMismatch
 from spinekit.extension import check_regularity, extend_to_groupoid, symmetric_closure
 from spinekit.generators import (
@@ -61,8 +62,9 @@ class TestFiniteMap:
 
 
 # labels whose graph keys interleave: separators inside labels, a prefix
-# beside its extensions, digits that sort apart from their values, non-ASCII
-HOSTILE = [",", ">", "1", "1!", "10", "2", "a,b", "a>b", ",>", "é", "Ω>", "x y"]
+# beside its extensions, digits that sort apart from their values, non-ASCII,
+# format markers
+HOSTILE = [",", ">", "1", "1!", "10", "2", "a,b", "a>b", ",>", "é", "Ω>", "x y", "%", "%s"]
 
 
 @st.composite
@@ -116,7 +118,8 @@ class TestIndexedMap:
         src, tgt, t = case
         lazy, eager = self.pair(src, tgt, t)
         literal = ",".join(f"{x}>{y}" for x, y in eager.graph)
-        assert model.graph_keys(src, tgt)(t) == eager.graph_key() == literal
+        for count in (len(src), len(src) + 1):  # a filled pattern, then picked strings
+            assert model.graph_keys(src, tgt, count)(t) == eager.graph_key() == literal
         assert "graph" not in vars(lazy)
 
     @given(carriers_and_map(), st.data())
@@ -328,6 +331,105 @@ class TestValidate:
         report = validate_spine(broken)
         # +1+0, +0+1, +2+2 now miss +1; +1+1, +2+0, +0+2 miss +2
         assert len([v for v in report.violations if v.kind == "ClosureViolation"]) == 6
+
+
+def eager_form(spine: GroupoidSpine) -> GroupoidSpine:
+    """The spine with every map rebuilt from its graph, none index-backed."""
+    morphisms = {
+        p: [FiniteMap(f.source, f.target, f.mapping) for f in fams]
+        for p, fams in spine.morphisms.items()
+    }
+    return GroupoidSpine(spine.objects, spine.sets, spine.pairs, morphisms)
+
+
+def assert_same_reports(lazy: GroupoidSpine, eager: GroupoidSpine) -> None:
+    assert all(f._indexed is None for fams in eager.morphisms.values() for f in fams)
+    want, got = validate_spine(eager), validate_spine(lazy)
+    assert got == want and got.render_lines() == want.render_lines()
+
+
+class TestValidateIndexedForm:
+    """Index-backed maps are validated on their stored indexed forms; the
+    reports are those of the same maps built from their graphs."""
+
+    @staticmethod
+    def reloaded(spine: GroupoidSpine) -> GroupoidSpine:
+        """The spine as `load_spine` reads it: a map whose keys are its
+        source carrier and whose images lie in its target is index-backed."""
+        return load_spine(serialize_spine(spine))[0]
+
+    def test_unequal_carriers(self):
+        # injective into a larger carrier: not onto
+        sets = {"1": FiniteSet("1", ["a", "b"]), "2": FiniteSet("2", ["x", "y", "z"])}
+        maps = [{"a": "x", "b": "y"}, {"a": "z", "b": "x"}]
+        spine = GroupoidSpine(
+            ["1", "2"], sets, [("1", "2")],
+            {("1", "2"): [FiniteMap("1", "2", m) for m in maps]},
+        )
+        lazy = self.reloaded(spine)
+        assert all(f._indexed is not None for f in lazy.morphisms[("1", "2")])
+        assert_same_reports(lazy, eager_form(spine))
+        assert [v.kind for v in validate_spine(lazy).violations] == ["NotBijective"] * 2
+
+    def test_duplicate_in_a_mixed_family(self):
+        sets = {o: FiniteSet(o, ["p", "q", "r"]) for o in ("1", "2")}
+        elems, index = sets["2"].elements, model.element_index(sets["2"].elements)
+        lazy = lambda t: model.indexed_map("1", "2", elems, elems, index, t)
+        eager = lambda t: FiniteMap("1", "2", {x: elems[y] for x, y in zip(elems, t)})
+        for family, repeats in [
+            ([lazy((1, 2, 0)), eager((1, 2, 0)), eager((2, 0, 1)), lazy((2, 0, 1))],
+             [(0, 1), (2, 3)]),
+            ([eager((0, 1, 2)), lazy((1, 0, 2)), lazy((0, 1, 2)), eager((1, 0, 2))],
+             [(0, 2), (1, 3)]),
+        ]:
+            mixed = GroupoidSpine(["1", "2"], sets, [("1", "2")], {("1", "2"): family})
+            report = validate_spine(mixed)
+            assert [v.indices for v in report.violations] == repeats
+            assert_same_reports(mixed, eager_form(mixed))
+
+    def test_missing_identity(self, z3_spine):
+        spine = extend_to_groupoid(z3_spine).extended
+        morphisms = dict(spine.morphisms)
+        morphisms[("2", "2")] = morphisms[("2", "2")][1:]  # the identity sorts first
+        broken = GroupoidSpine(spine.objects, spine.sets, spine.pairs, morphisms)
+        lazy = self.reloaded(broken)
+        assert any(v.kind == "MissingIdentity" for v in validate_spine(lazy).violations)
+        assert_same_reports(lazy, eager_form(broken))
+
+    def test_permuted_carrier_order(self):
+        # maps built through the API over another order of the carriers:
+        # their stored tuples are not the forms over the spine's orders
+        sets = {o: FiniteSet(o, ["a", "b", "c"]) for o in ("1", "2")}
+        elems, back = sets["1"].elements, ("c", "a", "b")
+
+        def over(src, tgt, i, j, mapping):
+            t = tuple(tgt.index(mapping[x]) for x in src)
+            return model.indexed_map(i, j, src, tgt, model.element_index(tgt), t)
+
+        ident = {x: x for x in elems}
+        shift = dict(zip(elems, elems[1:] + elems[:1]))
+        pairs = [("1", "1"), ("1", "2")]
+        for src, tgt in [(back, elems), (elems, back), (back, back)]:
+            lazy = GroupoidSpine(
+                ["1", "2"], sets, pairs,
+                {(i, j): [over(src, tgt, i, j, m)] for (i, j), m in zip(pairs, [ident, shift])},
+            )
+            eager = GroupoidSpine(
+                ["1", "2"], sets, pairs,
+                {(i, j): [FiniteMap(i, j, m)] for (i, j), m in zip(pairs, [ident, shift])},
+            )
+            assert validate_spine(eager).ok
+            assert_same_reports(lazy, eager)
+
+    def test_perturbed_spines(self):
+        spines = [gen_group_action_spine(g, k) for _, g in catalog_upto(8)[1:] for k in (2, 3)]
+        spines += [latin_family_spine(gen_latin_square_family(5, False, s)) for s in range(3)]
+        for spine in spines:
+            for seed in range(4):
+                mutant = perturb_spine(spine, seed)
+                lazy = self.reloaded(mutant)
+                assert any(f._indexed for fams in lazy.morphisms.values() for f in fams)
+                assert_same_reports(lazy, eager_form(mutant))
 
 
 def test_identity_map_helper():
