@@ -15,7 +15,7 @@ from itertools import chain, product as iproduct
 from operator import eq
 
 from .groups import GroupTable, permutation_group, tabulate
-from .model import Indexed, adjoin, compose_indexed
+from .model import Indexed, adjoin, compose_indexed, indexed_form
 
 CLASSIFY_LIMIT = 24
 
@@ -61,22 +61,24 @@ def _perm_group(perms: set[Indexed]) -> GroupTable:
     """Group of permutations in one-line notation, labeled by digit strings;
     the product p.q applies q first."""
     labels = {p: "".join(str(i) for i in p) for p in perms}
-    return permutation_group(labels, tuple(range(len(next(iter(perms))))))
+    return permutation_group(labels, indexed_form(range(len(next(iter(perms))))))
 
 
 def symmetric_group(n: int) -> GroupTable:
+    if n < 1:
+        raise ValueError("symmetric groups start at degree 1")
     if n > 4:
         raise ValueError("symmetric groups supported up to degree 4")
     from itertools import permutations
 
-    return _perm_group(set(permutations(range(n))))
+    return _perm_group({indexed_form(p) for p in permutations(range(n))})
 
 
 def alternating_group_4() -> GroupTable:
     """A4, generated by the 3-cycles (0 1 2) and (1 2 3)."""
-    group, gens = {(0, 1, 2, 3)}, []
-    adjoin(group, gens, (1, 2, 0, 3), compose_indexed)
-    adjoin(group, gens, (0, 2, 3, 1), compose_indexed)
+    group, gens = {indexed_form(range(4))}, []
+    adjoin(group, gens, indexed_form((1, 2, 0, 3)), compose_indexed)
+    adjoin(group, gens, indexed_form((0, 2, 3, 1)), compose_indexed)
     return _perm_group(group)
 
 

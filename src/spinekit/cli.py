@@ -50,7 +50,7 @@ from .groups import GroupTable, _extract, group_on_fiber, relabel_group
 from .model import validate_spine
 
 GROUP_SPEC_HELP = (
-    "group spec: Zn (cyclic of order n), Sn (symmetric, n <= 4), V4 "
+    "group spec: Zn (cyclic of order n), Sn (symmetric, 1 <= n <= 4), V4 "
     "(Klein four-group), or a path to a group-table JSON file"
 )
 
@@ -60,9 +60,10 @@ def resolve_group_spec(spec: str) -> GroupTable:
         return klein_group()
     if len(spec) >= 2 and spec[0] in "ZS" and spec[1:].isdigit():
         n = int(spec[1:])
+        if n < 1:
+            what = "order" if spec[0] == "Z" else "degree"
+            raise ValueError(f"bad group spec {spec!r}: {what} must be >= 1")
         if spec[0] == "Z":
-            if n < 1:
-                raise ValueError(f"bad group spec {spec!r}: order must be >= 1")
             return cyclic_group(n)
         if n > 4:
             raise ValueError(f"bad group spec {spec!r}: symmetric groups go up to S4")

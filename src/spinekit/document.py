@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from json.encoder import encode_basestring
-from operator import add
+from operator import add, itemgetter
 from typing import Any, Optional
 
 from .errors import (
@@ -28,6 +28,7 @@ from .model import (
     GroupoidSpine,
     element_index,
     encode,
+    indexed_form,
     indexed_map,
     map_from_graph,
     validate_spine,
@@ -185,9 +186,14 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
 
     A mapping whose keys are exactly the source carrier and whose values
     lie in the target carrier is read straight into its indexed form over
-    the two carriers (`indexed_map`), in source-carrier order, so its
-    graph is built only if something reads it. Any other mapping has each
-    label checked and becomes a `FiniteMap` of its sorted graph.
+    the two carriers (`indexed_form`, bytes up to 256 target points;
+    `indexed_map`), so its graph is built only if something reads it. One
+    pass does both the test and the read: the source carrier's labels
+    picked in order by one `itemgetter` (a missing key fails it), each
+    image's index looked up in the target (an image outside it fails it),
+    and the mapping's size compared with the carrier's (an extra key fails
+    it). Any other mapping has each label checked and becomes a
+    `FiniteMap` of its sorted graph.
     """
     doc = _load_object(text, _SPINE_KEYS, ("objects", "sets", "pairs", "morphisms"))
 
@@ -228,8 +234,12 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
 
     raw_mor = doc["morphisms"]
     _require(isinstance(raw_mor, dict), "morphisms must be an object", "morphisms")
-    carriers = {o: set(s.elements) for o, s in sets.items()}
     positions = {o: element_index(s.elements) for o, s in sets.items()}
+    # itemgetter of one label returns the item, not a 1-tuple
+    pickers = {
+        o: itemgetter(*s.elements) if len(s) > 1 else (lambda m, x=s.elements[0]: (m[x],))
+        for o, s in sets.items()
+    }
     morphisms: dict[tuple[str, str], list[FiniteMap]] = {}
     for key, fams in raw_mor.items():
         path = f'morphisms."{key}"'
@@ -238,25 +248,25 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
         i, j = parts
         _require((i, j) in pairs, f"({i},{j}) is not a listed pair", path)
         _require(isinstance(fams, list), "must be a list of mappings", path)
-        source, target = carriers[i], carriers[j]
-        src, tgt, index = sets[i].elements, sets[j].elements, positions[j]
+        src, tgt, index, pick = sets[i].elements, sets[j].elements, positions[j], pickers[i]
+        size = len(src)
         maps = []
         for n, mapping in enumerate(fams):
             mpath = f"{path}[{n}]"
             _require(isinstance(mapping, dict), "each morphism must be an object", mpath)
             # labels drawn from the carriers were checked with the sets; any
             # other mapping takes the per-entry checks and their messages
-            try:
-                checked = mapping.keys() == source and target.issuperset(mapping.values())
-            except TypeError:  # an unhashable value
+            try:  # read in source-carrier order, whatever the key order
+                t = indexed_form(list(map(index.__getitem__, pick(mapping))))
+                checked = len(mapping) == size
+            except (KeyError, TypeError):  # a label off the carriers, or unhashable
                 checked = False
             if not checked:
                 for x, y in mapping.items():
                     _check_label(x, mpath)
                     _check_label(y, mpath)
-            try:  # every label is a str, by the set test or the checks
-                if checked:  # read in source-carrier order, whatever the key order
-                    t = tuple(map(index.__getitem__, map(mapping.__getitem__, src)))
+            try:  # every label is a str, by the carrier lookups or the checks
+                if checked:
                     maps.append(indexed_map(i, j, src, tgt, index, t))
                 else:
                     maps.append(map_from_graph(i, j, tuple(sorted(mapping.items()))))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidSpine, NotRegular, TheoremViolation
+from .errors import InvalidSpine, NotRegular, TheoremViolation, TooLarge
 from .model import (
     FiniteMap,
     GroupoidSpine,
@@ -24,11 +24,17 @@ from .model import (
     element_index,
     encode,
     graph_keys,
+    indexed_form,
     indexed_map,
     invert,
     invert_indexed,
     validate_spine,
 )
+
+# The closure writes |G|·|I|^2 maps; it refuses a vertex group G past
+# _CLOSURE_BUDGET // |I|^2 maps: 4096 maps per pair on 8 objects, the soft
+# size target
+_CLOSURE_BUDGET = 262_144
 
 
 @dataclass(frozen=True)
@@ -184,7 +190,7 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
 
 
 def _close_to_groupoid(
-    spine: GroupoidSpine,
+    spine: GroupoidSpine, budget: int = _CLOSURE_BUDGET
 ) -> tuple[GroupoidSpine, int, dict[tuple[str, str], list[Indexed]], set[Indexed]]:
     """Compute the groupoid generated by all morphisms of a spine in which
     every increasing pair is present.
@@ -198,7 +204,11 @@ def _close_to_groupoid(
     key), 1 + the number of loops adjoined, with pairs scanned in canonical
     order and maps in graph-key order, each input family's indexed forms
     in that order, and G. Every other family is built of `indexed_map`s,
-    ordered by graph keys computed from their indexed forms.
+    ordered by graph keys computed from their indexed forms; maps whose
+    keys tie (labels holding "," or ">") go in the order of their forms,
+    so the output does not depend on the order a set of forms iterates in.
+    Raises TooLarge, before any output map is built, when G passes
+    budget // |I|^2 maps.
     """
     objs = spine.objects
     o0 = objs[0]
@@ -213,9 +223,20 @@ def _close_to_groupoid(
         order = sorted(range(len(forms)), key=keys.__getitem__)
         inputs[(i, j)] = [fams[n] for n in order]
         ordered[(i, j)] = [forms[n] for n in order]
-    tree = {o0: tuple(range(len(elems[o0])))} | {o: ordered[(o0, o)][0] for o in objs[1:]}
+    tree = {o0: indexed_form(range(len(elems[o0])))}
+    tree |= {o: ordered[(o0, o)][0] for o in objs[1:]}
+    limit = budget // len(objs) ** 2
+    span = _span_loops(tree, ordered.items(), limit)
+    if span is None:
+        raise TooLarge(
+            f"closure too large: its vertex group passes {limit} maps, the most "
+            f"that {len(objs)} objects allow within {budget} output maps"
+        )
+    group, gens = span
     back = {o: invert_indexed(t) for o, t in tree.items()}
-    group, gens = _span_loops(tree, ordered.items())
+    ahead = {o: indexed_form(t, table=True) for o, t in tree.items()}
+    # graph keys are distinct unless a label holds a separator
+    ties = {o: any("," in x or ">" in x for x in elems[o]) for o in objs}
 
     morphisms = {}
     for i in objs:
@@ -225,10 +246,10 @@ def _close_to_groupoid(
             if len(kept) == len(group):
                 morphisms[(i, j)] = tuple(kept.values())
                 continue
-            maps = sorted(
-                (compose_indexed(h, tree[j]) for h in from_i),
-                key=graph_keys(elems[i], elems[j], len(group)),
-            )
+            maps = [compose_indexed(h, ahead[j]) for h in from_i]
+            if ties[i] or ties[j]:
+                maps.sort()
+            maps.sort(key=graph_keys(elems[i], elems[j], len(group)))
             morphisms[(i, j)] = tuple(
                 indexed_map(i, j, elems[i], elems[j], index[j], t) for t in maps
             )

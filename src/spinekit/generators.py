@@ -21,8 +21,10 @@ from .model import (
     FiniteMap,
     FiniteSet,
     GroupoidSpine,
+    Indexed,
     compose_indexed,
     decode,
+    indexed_form,
     invert_indexed,
     validate_spine,
 )
@@ -97,7 +99,7 @@ def gen_affine_config(p: int) -> GroupoidSpine:
     return GroupoidSpine(labels, sets, morphisms.keys(), morphisms)
 
 
-def _xyz_closed(rows: Sequence[tuple[int, ...]]) -> bool:
+def _xyz_closed(rows: Sequence[Indexed]) -> bool:
     """Whether x . y^-1 . z lies in the family for all rows x, y, z."""
     fam = set(rows)
     for x in fam:
@@ -109,10 +111,11 @@ def _xyz_closed(rows: Sequence[tuple[int, ...]]) -> bool:
     return True
 
 
-def _random_latin_square(n: int, rng: random.Random) -> list[tuple[int, ...]]:
-    """Uniformly-shuffled row-by-row completion; every Latin rectangle
-    extends, so per-row backtracking always finds a next row."""
-    rows: list[tuple[int, ...]] = []
+def _random_latin_square(n: int, rng: random.Random) -> list[Indexed]:
+    """Uniformly-shuffled row-by-row completion, each row an indexed form;
+    every Latin rectangle extends, so per-row backtracking always finds a
+    next row."""
+    rows: list[Indexed] = []
     col_used: list[set[int]] = [set() for _ in range(n)]
 
     def complete_row(row: list[int], used: set[int]) -> bool:
@@ -134,13 +137,13 @@ def _random_latin_square(n: int, rng: random.Random) -> list[tuple[int, ...]]:
         row: list[int] = []
         if not complete_row(row, set()):
             raise AssertionError("Latin rectangle failed to extend")
-        rows.append(tuple(row))
+        rows.append(indexed_form(row))
         for c, s in enumerate(row):
             col_used[c].add(s)
     return rows
 
 
-def _rows_to_maps(rows: Sequence[tuple[int, ...]]) -> list[FiniteMap]:
+def _rows_to_maps(rows: Sequence[Indexed]) -> list[FiniteMap]:
     elems = [str(x) for x in range(len(rows[0]))]
     return [decode(row, "1", "2", elems, elems) for row in rows]
 
@@ -160,9 +163,11 @@ def gen_latin_square_family(
         raise TooLarge(f"supported orders are 2..7, got {order}")
     if want_coset:
         if order == 4:
-            rows = [tuple(x ^ r for x in range(4)) for r in range(4)]
+            rows = [indexed_form([x ^ r for x in range(4)]) for r in range(4)]
         else:
-            rows = [tuple((x + r) % order for x in range(order)) for r in range(order)]
+            rows = [
+                indexed_form([(x + r) % order for x in range(order)]) for r in range(order)
+            ]
         return _rows_to_maps(rows)
     if order < MIN_NON_COSET_ORDER:
         raise SearchExhausted(

@@ -28,6 +28,7 @@ from .model import (
     element_index,
     encode,
     graph_keys,
+    indexed_form,
 )
 
 
@@ -268,7 +269,7 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
     family = spine.morphisms[(obj, obj)]
     graph_key = graph_keys(elems, elems, len(family))
     key_of = {t: graph_key(t) for t in (encode(f, elems, index) for f in family)}
-    table = permutation_group(key_of, tuple(range(len(elems))))
+    table = permutation_group(key_of, indexed_form(range(len(elems))))
     act = {(k, x): elems[y] for t, k in key_of.items() for x, y in zip(elems, t)}
     return GroupAction(table, spine.sets[obj], act)
 

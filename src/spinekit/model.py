@@ -141,9 +141,28 @@ def invert(f: FiniteMap) -> FiniteMap:
 
 
 # Indexed bijections: a map from a source carrier to a target carrier is the
-# tuple t with t[x] = the index, in the target's element order, of the image
-# of the x-th source element. Composition follows `compose`: f first, then g.
-Indexed = tuple[int, ...]
+# sequence t with t[x] = the index, in the target's element order, of the
+# image of the x-th source element. Composition follows `compose`: f first,
+# then g. A form whose indices all fit in a byte (every map between carriers
+# of at most 256 points) is `bytes`; any other is a tuple of ints. Only
+# `indexed_form`, `compose_indexed` and `invert_indexed` tell them apart, and
+# every form is built by one of them, so the forms of one map are equal.
+Indexed = bytes | tuple[int, ...]
+
+_POINTS = bytes(range(256))
+
+
+def indexed_form(images: Sequence[int], table: bool = False) -> Indexed:
+    """The indexed form t with t[x] = images[x]: `bytes` when every index
+    fits in a byte, else a tuple of ints. With `table`, a bytes form comes
+    padded with the fixed points len(images)..255: the 256-byte table that
+    `compose_indexed` applies as its second argument without padding it
+    again. A tuple form is its own table."""
+    try:
+        form = bytes(images)
+    except ValueError:  # an index past 255: a carrier over 256 points
+        return tuple(images)
+    return form + _POINTS[len(form) :] if table else form
 
 
 def element_index(elements: Sequence[str]) -> dict[str, int]:
@@ -152,14 +171,15 @@ def element_index(elements: Sequence[str]) -> dict[str, int]:
 
 
 def encode(f: FiniteMap, src: Sequence[str], index: Mapping[str, int]) -> Indexed:
-    """Indexed form of f, given the source elements in order and the
-    target's `element_index`. A map built by `indexed_map` over equal
-    carriers returns its stored form without reading its graph."""
+    """Indexed form of f (`indexed_form`), given the source elements in
+    order and the target's `element_index`. A map built by `indexed_map`
+    over equal carriers returns its stored form without reading its graph;
+    any other map has its images looked up in one pass over src."""
     held = f._indexed
     if held is not None and held[0] == src and held[2] == index:
         return held[3]
     image = f._dict
-    return tuple([index[image[x]] for x in src])
+    return indexed_form([index[image[x]] for x in src])
 
 
 def decode(
@@ -180,7 +200,9 @@ def indexed_map(
 ) -> FiniteMap:
     """`decode(t, source, target, src, tgt)` holding t, the carriers and
     the target's `element_index` instead of its graph, which is built when
-    first read. Raises ValueError when t is not injective."""
+    first read. t is a form as `indexed_form` builds it (bytes for a target
+    of at most 256 points), so that `encode` returns a form equal to every
+    other form of the map. Raises ValueError when t is not injective."""
     if len(set(t)) != len(t):
         raise ValueError(f"map {source!r}->{target!r} is not injective")
     f = object.__new__(FiniteMap)
@@ -208,11 +230,22 @@ def graph_keys(
 
 
 def compose_indexed(f: Indexed, g: Indexed) -> Indexed:
-    """The indexed map x -> g[f[x]]: apply f first, then g."""
+    """The indexed map x -> g[f[x]]: apply f first, then g, as forms of
+    bijections between carriers of one size. On bytes this is one
+    `bytes.translate` with g's table; g may be given as that table
+    (`indexed_form(g, table=True)`), which is then not padded again."""
+    if type(f) is bytes:
+        return f.translate(g if len(g) == 256 else g + _POINTS[len(g) :])
     return tuple([g[y] for y in f])
 
 
 def invert_indexed(f: Indexed) -> Indexed:
+    """The inverse form, x -> the y with f[y] = x, of a bijection between
+    carriers of one size. On bytes, `bytes.maketrans` builds the inverse's
+    table, of which the first len(f) bytes are the form."""
+    if type(f) is bytes:
+        n = len(f)
+        return bytes.maketrans(f, _POINTS[:n])[:n]
     inv = [0] * len(f)
     for x, y in enumerate(f):
         inv[y] = x
@@ -224,6 +257,8 @@ def adjoin(group: set, gens: list, s, mul: Callable, limit: float = inf) -> bool
     new generator s not in it; `mul` is the group's product. Returns whether
     it stayed within `limit` elements; checked before each new element is
     multiplied, so a group outgrowing it stops at most |gens| elements past.
+    Generators are only ever right factors, so s may be given in any shape
+    `mul` takes there (an indexed form as its table, `indexed_form`).
 
     The coset group.s is disjoint from the group, so all of it is new; the
     rest follows by multiplying new elements by every generator on the right.
@@ -246,13 +281,17 @@ def _span_loops(tree: dict, families: Iterable, limit: float = inf) -> tuple | N
     """(G, loops adjoined), G the group at o0 spanned, in scan order, by the
     loops t_i, f, t_j^-1 of each (pair (i, j), indexed maps f) of `families`;
     None once G passes `limit`. `tree` maps o0 first, to 1, then each i to
-    t_i: o0 -> i. Two compositions per map plus about |G| per generator."""
-    back = {o: invert_indexed(t) for o, t in tree.items()}
+    t_i: o0 -> i. Two compositions per map plus about |G| per generator;
+    the maps t_j^-1 and the generators, only ever right factors, are held
+    as tables (`indexed_form`)."""
+    back = {o: indexed_form(invert_indexed(t), table=True) for o, t in tree.items()}
     group, gens = {next(iter(tree.values()))}, []
     for (i, j), maps in families:
         for f in maps:
             loop = compose_indexed(compose_indexed(tree[i], f), back[j])
-            if loop not in group and not adjoin(group, gens, loop, compose_indexed, limit):
+            if loop in group:
+                continue
+            if not adjoin(group, gens, indexed_form(loop, table=True), compose_indexed, limit):
                 return None
     return group, gens
 
@@ -379,7 +418,7 @@ def _spans_vertex_group(objs: Sequence[str], graphs: dict, indexed: dict) -> set
     o0, limit = objs[0], len(graphs[(objs[0], objs[-1])])
     if any(len(maps) != limit for maps in graphs.values()):
         return None
-    tree = {o0: tuple(range(len(indexed[(o0, objs[-1])][0][1])))}
+    tree = {o0: indexed_form(range(len(indexed[(o0, objs[-1])][0][1])))}
     tree |= {o: indexed[(o0, o)][0][1] for o in objs[1:]}
     span = _span_loops(tree, graphs.items(), limit)
     return None if span is None else span[0]
@@ -524,7 +563,7 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
         pair = (o, o)
         if pair not in pairs:
             continue
-        ident = tuple(range(len(spine.sets[o].elements)))
+        ident = indexed_form(range(len(spine.sets[o].elements)))
         if not any(t == ident for _, t in indexed[pair]):
             out.append(
                 Violation(

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -12,7 +13,8 @@ from spinekit.document import load_spine, serialize_group, serialize_spine
 from spinekit.catalog import cyclic_group, symmetric_group
 from spinekit.extension import extend_to_groupoid
 from spinekit.generators import gen_group_action_spine, perturb_spine
-from spinekit.model import FiniteMap
+from spinekit.model import FiniteMap, GroupoidSpine
+from test_closure_oracle import decode_and_sort_closure
 
 
 def run(capsys, *argv):
@@ -509,3 +511,70 @@ class TestSoftLimit:
         assert code == 0 and "validation: pass" in out
         code, out, _ = run(capsys, "extract", full, "--object", "8", "--identity", "5")
         assert code == 0 and "group order: 64" in out
+
+
+class TestByteAndTupleForms:
+    """Carriers of up to 256 points take bytes forms, larger ones tuples of
+    ints; both run the pipeline end to end."""
+
+    @pytest.mark.parametrize("order", [256, 257])
+    def test_action_spine_end_to_end(self, capsys, tmp_path, order):
+        doc, full = tmp_path / "doc.json", tmp_path / "full.json"
+        gen = ["--kind", "group-action", "--group", f"Z{order}", "--objects", "2"]
+        assert run(capsys, "gen", *gen, "--out", str(doc))[0] == 0
+        code, out, _ = run(capsys, "extend", str(doc), "--out", str(full))
+        assert (code, out) == (0, "conservative: true\niterations: 2\nobjects: 2\n")
+        spine, _ = load_spine(doc.read_bytes())
+        morphisms, iterations, added = decode_and_sort_closure(spine)
+        assert (iterations, added) == (2, {})
+        closed, _ = load_spine(full.read_bytes())
+        assert closed.morphisms == morphisms  # the same maps, in the same order
+        oracle = GroupoidSpine(closed.objects, closed.sets, closed.pairs, morphisms)
+        assert full.read_text() == serialize_spine(oracle)
+        form = closed.morphisms[("2", "1")][0]._indexed[3]
+        assert isinstance(form, bytes if order <= 256 else tuple)
+        # extract prints a Cayley table of |G|^2 long graph keys (over 100
+        # MB here): write it to a file and read it line by line
+        table = tmp_path / "extract.txt"
+        with open(table, "w") as sink:
+            proc = subprocess.run(
+                [sys.executable, "-m", "spinekit", "extract", str(full), "--object", "2",
+                 "--identity", "5"],
+                stdout=sink, stderr=subprocess.PIPE, text=True,
+            )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        with open(table) as lines:
+            head = [next(lines) for _ in range(4)]
+            rest = [line[:40] for line in lines]
+        table.unlink()
+        assert head[:2] == ["object: 2\n", f"group order: {order}\n"]
+        assert head[2].startswith(f"class: unclassified(order={order}); profile: ")
+        assert head[3] == "cayley table:\n" and len(rest) == 2 * (order + 1) + 3
+        fiber = rest[order + 1 : order + 4]
+        assert fiber[0] == "fiber group at 5: identity 5\n"
+        assert fiber[1:] == [("fiber " + head[2])[:40], "fiber cayley table:\n"]
+
+
+class TestHashSeeds:
+    # graph keys of Mor(2, 1) tie: both maps read "a>c,b>c,b>c"
+    TIES = json.dumps({
+        "format_version": 1, "objects": ["1", "2"],
+        "sets": {"1": ["c", "c,b>c"], "2": ["a", "b"]}, "pairs": [["1", "2"]],
+        "morphisms": {"1|2": [{"c": "a", "c,b>c": "b"}, {"c": "b", "c,b>c": "a"}]},
+    })
+
+    def test_tied_graph_keys_go_in_form_order(self, tmp_path):
+        doc = tmp_path / "ties.json"
+        doc.write_text(self.TIES)
+        texts = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"out{seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "spinekit", "extend", str(doc), "--out", str(out)],
+                env=dict(os.environ, PYTHONHASHSEED=seed), capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        back = json.loads(texts[0])["morphisms"]["2|1"]
+        assert back == [{"a": "c", "b": "c,b>c"}, {"a": "c,b>c", "b": "c"}]

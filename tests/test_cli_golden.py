@@ -57,6 +57,18 @@ S3_NATURAL = closed_groupoid("abc", ["abc", "acb", "bac", "bca", "cab", "cba"])
 # V4 = <(p q), (r s)> on 4 points: |G| = |X|, but the action is intransitive
 V4_INTRANSITIVE = closed_groupoid("pqrs", ["pqrs", "qprs", "pqsr", "qpsr"])
 
+# A sharply transitive, non-coset family of order 9: its loops generate
+# Sym(9), whose 362 880 maps pass the closure's limit of 65 536 on 2 objects
+LATIN9_ROWS = ["761482035", "324708516", "418270653", "036145728", "672351804",
+               "283516470", "845037162", "507624381", "150863247"]
+LATIN9 = json.dumps({
+    "format_version": 1,
+    "objects": ["1", "2"],
+    "sets": {"1": list("012345678"), "2": list("012345678")},
+    "pairs": [["1", "2"]],
+    "morphisms": {"1|2": [dict(zip("012345678", row)) for row in LATIN9_ROWS]},
+})
+
 # Input documents, each made by one `gen` invocation into the work directory.
 INPUTS = {
     "z5.json": ["--kind", "group-action", "--group", "Z5", "--objects", "3"],
@@ -141,6 +153,11 @@ CASES = dict(
             "gen", "--kind", "perturbed", "--base", "@mutant.json",
         ]),
         ("gen-missing-group", ["gen", "--kind", "group-action"]),
+        ("gen-action-s0", [
+            "gen", "--kind", "group-action", "--group", "S0", "--objects", "2",
+        ]),
+        ("extend-latin9-over-budget", ["extend", "@latin9.json", "--out", "@out.json"]),
+        ("extract-latin9-over-budget", ["extract", "@latin9.json", "--object", "1"]),
         ("relabel-s4", ["relabel", "S4", "--d", "1032", "--out", "@out.json"]),
         ("malformed-json", ["validate", "@malformed.json"]),
         ("malformed-json-extend", ["extend", "@malformed.json"]),
@@ -205,6 +222,12 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
+    "extend-latin9-over-budget": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "8b702cbbf76c9f1adcd8a970e012907d97abf4748a09bbb9f133676a3bc7d6f8",
+        None,
+    ),
     "extend-perturbed": (
         1,
         "58a44338f74016baa54846d60d7f89600405128c1499901cc47425dbac48fc37",
@@ -245,6 +268,12 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "f9180e7e143f02534c357bbeaf490c886d21e0a367810f3d1b6c9e06f581cf13",
+        None,
+    ),
+    "extract-latin9-over-budget": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "8b702cbbf76c9f1adcd8a970e012907d97abf4748a09bbb9f133676a3bc7d6f8",
         None,
     ),
     "extract-perturbed": (
@@ -305,6 +334,12 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "f9180e7e143f02534c357bbeaf490c886d21e0a367810f3d1b6c9e06f581cf13",
+        None,
+    ),
+    "gen-action-s0": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "07a59bc1d83f5240cffcbfa1b4cd36cc6b1ca1b4f9b429a26dcd4b3dee9cbecb",
         None,
     ),
     "gen-action-s3-2": (
@@ -539,6 +574,7 @@ def workdir(tmp_path_factory) -> Path:
     (root / "irregular.json").write_text(IRREGULAR, encoding="utf-8")
     (root / "s3nat.json").write_text(S3_NATURAL, encoding="utf-8")
     (root / "v4.json").write_text(V4_INTRANSITIVE, encoding="utf-8")
+    (root / "latin9.json").write_text(LATIN9, encoding="utf-8")
     (root / "malformed.json").write_text('{"objects": [}', encoding="utf-8")
     return root
 

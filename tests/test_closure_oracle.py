@@ -9,7 +9,12 @@ grows with the square of the output, so the inputs here stay small.
 
 `decode_and_sort_closure` is the vertex-group closure as it was before its
 output maps kept their indexed forms: every new map decoded into a
-FiniteMap, every new family sorted by `FiniteMap.graph_key`.
+FiniteMap, every new family sorted by `FiniteMap.graph_key`, maps whose
+keys tie in the order of their forms.
+
+Both oracles read maps off their graphs into tuples of ints and compose
+and invert them with their own helpers, so neither shares the engine's
+indexed forms (bytes on carriers of at most 256 points).
 
 `assert_closure_regularity` makes the literal per-pair regularity count on
 every closure here, which `extend_to_groupoid` reads off the closure's
@@ -40,12 +45,29 @@ from spinekit.model import (
     FiniteSet,
     GroupoidSpine,
     adjoin,
-    compose_indexed,
     decode,
     element_index,
     encode,
-    invert_indexed,
 )
+
+
+def tuple_form(f: FiniteMap, src, index) -> tuple[int, ...]:
+    """f as the tuple of the indices, in the target order `index`, of the
+    images of the source elements src, read off its graph."""
+    image = dict(f.graph)
+    return tuple(index[image[x]] for x in src)
+
+
+def compose_tuples(f: tuple, g: tuple) -> tuple:
+    """x -> g[f[x]]: f first, then g."""
+    return tuple([g[y] for y in f])
+
+
+def invert_tuple(f: tuple) -> tuple:
+    inv = [0] * len(f)
+    for x, y in enumerate(f):
+        inv[y] = x
+    return tuple(inv)
 
 
 def frontier_closure(spine: GroupoidSpine) -> dict[tuple[str, str], set]:
@@ -55,18 +77,18 @@ def frontier_closure(spine: GroupoidSpine) -> dict[tuple[str, str], set]:
     elems = {o: spine.sets[o].elements for o in objs}
     index = {o: element_index(elems[o]) for o in objs}
     mor = {
-        (i, j): {encode(f, elems[i], index[j]) for f in fams}
+        (i, j): {tuple_form(f, elems[i], index[j]) for f in fams}
         for (i, j), fams in spine.morphisms.items()
     }
     for i, j in spine.sorted_pairs():
         if (j, i) not in spine.pairs:
-            mor[(j, i)] = {invert_indexed(t) for t in mor[(i, j)]}
+            mor[(j, i)] = {invert_tuple(t) for t in mor[(i, j)]}
     for i in objs:
         if (i, i) in mor:
             continue
         k = next(o for o in objs if o != i)
         mor[(i, i)] = {
-            compose_indexed(f, g) for f in mor[(i, k)] for g in mor[(k, i)]
+            compose_tuples(f, g) for f in mor[(i, k)] for g in mor[(k, i)]
         }
 
     frontier = {pair: set(maps) for pair, maps in mor.items()}
@@ -79,18 +101,18 @@ def frontier_closure(spine: GroupoidSpine) -> dict[tuple[str, str], set]:
 
         for (i, j), front_ij in frontier.items():
             for t in front_ij:
-                emit((j, i), invert_indexed(t))
+                emit((j, i), invert_tuple(t))
         for i in objs:
             for j in objs:
                 for k in objs:
                     front_f = frontier.get((i, j), ())
                     for f in front_f:
                         for g in mor[(j, k)]:
-                            emit((i, k), compose_indexed(f, g))
+                            emit((i, k), compose_tuples(f, g))
                     for g in frontier.get((j, k), ()):
                         for f in mor[(i, j)]:
                             if f not in front_f:  # else composed above
-                                emit((i, k), compose_indexed(f, g))
+                                emit((i, k), compose_tuples(f, g))
         if not new:
             break
         for pair, maps in new.items():
@@ -244,30 +266,31 @@ def decode_and_sort_closure(spine: GroupoidSpine):
         for i, j in spine.sorted_pairs()
     }
     ordered = {
-        (i, j): [encode(f, elems[i], index[j]) for f in fams]
+        (i, j): [tuple_form(f, elems[i], index[j]) for f in fams]
         for (i, j), fams in inputs.items()
     }
     tree = {o0: identity} | {o: ordered[(o0, o)][0] for o in objs[1:]}
-    back = {o: invert_indexed(t) for o, t in tree.items()}
+    back = {o: invert_tuple(t) for o, t in tree.items()}
     group, gens = {identity}, []
     for (i, j), maps in ordered.items():
         for f in maps:
-            loop = compose_indexed(compose_indexed(tree[i], f), back[j])
+            loop = compose_tuples(compose_tuples(tree[i], f), back[j])
             if loop not in group:
-                adjoin(group, gens, loop, compose_indexed)
+                adjoin(group, gens, loop, compose_tuples)
     morphisms = {}
     for i in objs:
-        from_i = [compose_indexed(back[i], g) for g in group]
+        from_i = [compose_tuples(back[i], g) for g in group]
         for j in objs:
             kept = dict(zip(ordered.get((i, j), ()), inputs.get((i, j), ())))
             if len(kept) == len(group):
                 morphisms[(i, j)] = tuple(kept.values())
                 continue
-            maps = (
-                decode(compose_indexed(h, tree[j]), i, j, elems[i], elems[j])
-                for h in from_i
-            )
-            morphisms[(i, j)] = tuple(sorted(maps, key=FiniteMap.graph_key))
+            maps = [
+                (decode(t, i, j, elems[i], elems[j]), t)
+                for t in (compose_tuples(h, tree[j]) for h in from_i)
+            ]
+            maps.sort(key=lambda ft: (ft[0].graph_key(), ft[1]))
+            morphisms[(i, j)] = tuple(f for f, _ in maps)
     added = {}
     for pair in spine.sorted_pairs():
         before = {f.graph for f in spine.morphisms[pair]}

@@ -36,6 +36,7 @@ from spinekit.model import (
     GroupoidSpine,
     element_index,
     encode,
+    indexed_form,
     map_from_graph,
     validate_spine,
 )
@@ -571,7 +572,7 @@ class TestReaderIndexedForm:
             for f in fams:
                 t = encode(f, src, element_index(tgt))
                 assert t is f._indexed[3]
-                assert t == tuple(tgt.index(y) for y in map(dict(f.graph).get, src))
+                assert t == indexed_form([tgt.index(y) for y in map(dict(f.graph).get, src)])
 
 
 class TestReaderFallback:

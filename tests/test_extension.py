@@ -1,12 +1,16 @@
 """Regularity, symmetric closure, and extension to a groupoid."""
 
+import time
+
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from conftest import all_bijections_spine, shift_map, trivial_spine
 from spinekit.catalog import catalog_upto, cyclic_group
-from spinekit.errors import InvalidSpine, NotRegular, SearchExhausted
+from spinekit.errors import InvalidSpine, NotRegular, SearchExhausted, TooLarge
 from spinekit.extension import (
+    _CLOSURE_BUDGET,
+    _close_to_groupoid,
     _extend_unchecked,
     _regularity,
     _regularity_unchecked,
@@ -15,7 +19,12 @@ from spinekit.extension import (
     extend_to_groupoid,
     symmetric_closure,
 )
-from spinekit.generators import gen_group_action_spine, perturb_spine
+from spinekit.generators import (
+    gen_group_action_spine,
+    gen_latin_square_family,
+    latin_family_spine,
+    perturb_spine,
+)
 from spinekit.groups import _extract, extract_group
 from spinekit.model import (
     FiniteMap,
@@ -24,6 +33,7 @@ from spinekit.model import (
     adjoin,
     compose_indexed,
     decode,
+    indexed_form,
     invert,
     invert_indexed,
     validate_spine,
@@ -283,6 +293,44 @@ def permutation_groupoid(gens, objects: int, trees=None) -> GroupoidSpine:
     return GroupoidSpine(labels, sets, list(morphisms), morphisms)
 
 
+class TestClosureBudget:
+    """The closure refuses a vertex group past budget // |I|^2 maps before
+    it builds any output map."""
+
+    @pytest.mark.parametrize(
+        "spine, order",
+        [
+            # every input loop is in G: the span checks the limit as it grows
+            (gen_group_action_spine(cyclic_group(6), 3), 6),
+            # five loops generate all 120 permutations of five points
+            (latin_family_spine(gen_latin_square_family(5, False, 1)), 120),
+        ],
+        ids=["Z6x3", "latin5"],
+    )
+    def test_boundary(self, spine, order):
+        objects = len(spine.objects)
+        budget = order * objects**2  # a limit of exactly |G|
+        for exact in (budget, budget + objects**2 - 1):
+            assert len(_close_to_groupoid(spine, exact)[3]) == order
+        with pytest.raises(TooLarge, match=f"passes {order - 1} maps"):
+            _close_to_groupoid(spine, budget - 1)  # a limit of |G| - 1
+
+    def test_default_admits_the_soft_targets(self):
+        assert _CLOSURE_BUDGET // 8**2 == 4096  # maps per pair on 8 objects
+        assert _CLOSURE_BUDGET // 2**2 >= 40_320  # the order-8 Latin family's G
+
+    def test_order_nine_latin_family_is_refused_fast(self):
+        rows = ["761482035", "324708516", "418270653", "036145728", "672351804",
+                "283516470", "845037162", "507624381", "150863247"]
+        points = [str(x) for x in range(9)]
+        family = [FiniteMap("1", "2", dict(zip(points, row))) for row in rows]
+        spine = latin_family_spine(family)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="passes 65536 maps"):
+            extend_to_groupoid(spine)
+        assert time.perf_counter() - start < 2
+
+
 class TestRegularityFromVertexGroup:
     """Regularity read off the vertex group that validation found, against
     the literal per-pair counts."""
@@ -307,7 +355,7 @@ class TestRegularityFromVertexGroup:
         two = gen_group_action_spine(cyclic_group(3), 2)
         assert validate_spine(two).ok and validate_spine(two)._group is None
         report = validate_spine(permutation_groupoid([(1, 2, 0)], 2))
-        assert report._group == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+        assert report._group == set(map(indexed_form, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]))
         # a private attribute, not a field: equality and repr are unchanged
         assert report == validate_spine(two)
         assert repr(report) == "ValidationReport(ok=True, violations=())"

@@ -502,6 +502,11 @@ def span(g: GroupTable, gens: list[str]) -> set[str]:
 
 
 class TestCatalogBuilders:
+    @pytest.mark.parametrize("n", [0, -1, 5])
+    def test_symmetric_group_degrees(self, n):
+        with pytest.raises(ValueError, match="degree"):
+            symmetric_group(n)
+
     def test_generating_sequence_generates(self):
         above = [
             ("D16", dihedral_group(16)),

@@ -1,7 +1,7 @@
 """Property tests over randomized instances."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinekit.catalog import (
     catalog,
@@ -29,6 +29,7 @@ from spinekit.model import (
     decode,
     element_index,
     encode,
+    indexed_form,
     invert,
     invert_indexed,
 )
@@ -73,6 +74,59 @@ def test_indexed_core_matches_maps(f, g, xa, xb, xc):
     assert decode(tf, "a", "b", xa, xb) == f
     assert compose_indexed(tf, tg) == encode(compose(f, g), xa, ic)
     assert invert_indexed(tf) == encode(invert(f), xb, ia)
+
+
+@st.composite
+def permutations_of_points(draw):
+    """Two permutations of 0..n-1 and an element order of n labels, for n
+    from 1 to 300: bytes forms up to 256 points, tuples past them."""
+    n = draw(st.integers(1, 300))
+    perm = lambda: draw(st.permutations(range(n)))
+    return perm(), perm(), perm()
+
+
+def shifted(n: int, k: int) -> list[int]:
+    return [(x + k) % n for x in range(n)]
+
+
+@given(permutations_of_points())
+@example((shifted(255, 1), shifted(255, 254)[::-1], shifted(255, 7)))
+@example((shifted(256, 3), shifted(256, 0)[::-1], shifted(256, 255)))
+@example((shifted(257, 256), shifted(257, 1)[::-1], shifted(257, 2)))
+@settings(max_examples=60, deadline=None)
+def test_indexed_forms_match_maps_and_the_tuple_path(case):
+    p, q, order = case
+    n = len(p)
+    tp, tq = indexed_form(p), indexed_form(q)
+    # bytes iff every index fits in a byte, and the form lists the images
+    assert isinstance(tp, bytes) == (n <= 256) and list(tp) == p
+    assert indexed_form(tp) == tp
+    # the core against the tuple path, with and without a padded table
+    composed, inverse = compose_indexed(tp, tq), invert_indexed(tp)
+    assert list(composed) == list(compose_indexed(tuple(p), tuple(q))) == [q[y] for y in p]
+    assert compose_indexed(tp, indexed_form(q, table=True)) == composed
+    assert list(inverse) == list(invert_indexed(tuple(p)))
+    assert compose_indexed(tp, inverse) == indexed_form(range(n))
+    assert type(composed) is type(inverse) is type(tp)
+    # the core against `compose` and `invert` on the decoded maps, the
+    # middle carrier listed in a drawn order
+    xa = [f"a{x}" for x in range(n)]
+    xb = [f"b{x}" for x in order]
+    xc = [f"c{x}" for x in range(n)]
+    f = decode(tp, "a", "b", xa, [f"b{x}" for x in range(n)])
+    g = decode(tq, "b", "c", [f"b{x}" for x in range(n)], xc)
+    ia, ib, ic = element_index(xa), element_index(xb), element_index(xc)
+    tf, tg = encode(f, xa, ib), encode(g, xb, ic)
+    assert compose_indexed(tf, tg) == encode(compose(f, g), xa, ic) == composed
+    assert invert_indexed(tf) == encode(invert(f), xb, ia)
+
+
+def test_an_index_past_a_byte_makes_a_tuple():
+    # a map into a larger carrier: few entries, one index past 255
+    assert indexed_form([3, 300]) == (3, 300)
+    assert indexed_form([3, 255]) == b"\x03\xff"
+    assert indexed_form(range(257), table=True) == tuple(range(257))
+    assert indexed_form([1, 0], table=True) == bytes([1, 0, *range(2, 256)])
 
 
 small_groups = st.sampled_from([g for _, g in catalog_upto(8)])
