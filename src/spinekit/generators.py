@@ -25,6 +25,7 @@ from .model import (
     compose_indexed,
     decode,
     indexed_form,
+    indexed_map,
     invert_indexed,
     validate_spine,
 )
@@ -37,18 +38,19 @@ def gen_group_action_spine(group: GroupTable, objects: int) -> GroupoidSpine:
     the left translations; regular because left translation acts regularly.
 
     With one object the relation is the diagonal pair; otherwise it is the
-    increasing pairs only, leaving the extension machinery real work.
+    increasing pairs only, leaving the extension machinery real work. The
+    translation by h is the row of h in the group's table, x -> h.x as
+    indices; its indexed form is built once and shared by every pair.
     """
     if objects < 1:
         raise ValueError("need at least one object")
     labels = [str(i) for i in range(1, objects + 1)]
-    sets = {o: FiniteSet(o, group.elements) for o in labels}
+    elems, index = group.elements, group._index
+    sets = {o: FiniteSet(o, elems) for o in labels}
+    forms = [indexed_form(row) for row in group._rows]
 
     def translations(src: str, tgt: str) -> tuple[FiniteMap, ...]:
-        return tuple(
-            FiniteMap(src, tgt, {x: group.op(h, x) for x in group.elements})
-            for h in group.elements
-        )
+        return tuple(indexed_map(src, tgt, elems, elems, index, t) for t in forms)
 
     if objects == 1:
         o = labels[0]

@@ -36,19 +36,22 @@ from .model import (
 class GroupTable:
     """A finite group as a Cayley table over labeled elements.
 
-    Construction builds the one integer table every internal reader uses:
-    `_index` numbers the labels, `_rows[a][b]` is the index of a.b, `_inv[a]`
-    that of a^-1. It verifies the axioms on it exactly from a generating set
-    (`_gens`): totality (no product key outside elements x elements), a
-    two-sided identity and inverses directly, associativity by Light's test.
-    The generators are taken greedily in element order with `adjoin` over
-    the table, so every element is a product of generators even before
-    associativity is known. The test checks (x.s).y = x.(s.y) for each
+    The group is its integer table: `_index` numbers the labels, `_rows[a][b]`
+    is the index of a.b, `_inv[a]` that of a^-1. The constructor is the
+    front end for labels: it indexes `product` into rows, with None for a
+    missing or unknown product, and hands them to `_check`, which internal
+    builders (`tabulate`) call directly on rows they computed. The check
+    verifies the axioms on the rows exactly from a generating set (`_gens`):
+    totality, a two-sided identity and inverses directly, associativity by
+    Light's test. The generators are taken greedily in element order with
+    `adjoin` over the table, so every element is a product of generators even
+    before associativity is known. The test checks (x.s).y = x.(s.y) for each
     generator s and all x, y: n^2 per generator. The good middles hold the
     identity and are closed under the product, since for good s and t
     (x.(s.t)).y = ((x.s).t).y = (x.s).(t.y) = x.(s.(t.y)) = x.((s.t).y);
     so they are the whole table. Only on failure does the n^3 sweep run, to
-    name the first failing triple.
+    name the first failing triple. The label fields `product` and `inverse`
+    are built once, from the rows.
     """
 
     elements: tuple[str, ...]
@@ -63,22 +66,33 @@ class GroupTable:
         product: Mapping[tuple[str, str], str],
     ):
         elems = tuple(str(e) for e in elements)
-        if len(set(elems)) != len(elems):
+        index = element_index(elems)
+        if len(index) != len(elems):
             raise ValueError("duplicate element labels in group table")
         identity = str(identity)
-        if identity not in elems:
+        if identity not in index:
             raise ValueError(f"identity {identity!r} is not an element")
         prod = {(str(a), str(b)): str(c) for (a, b), c in product.items()}
-        index = element_index(elems)
         rows = tuple(tuple([index.get(prod.get((a, b))) for b in elems]) for a in elems)
+        self._check(elems, index[identity], rows)
+        if len(prod) != len(elems) ** 2:
+            key = next(k for k in prod if k[0] not in index or k[1] not in index)
+            raise ValueError(f"product key {key!r} is not a pair of elements")
+
+    def _check(self, elems: tuple[str, ...], e: int, rows: Sequence[tuple]) -> GroupTable:
+        """Verify the axioms on `rows`, a tuple of tuples, rows[a][b] the
+        index of elems[a].elems[b] (None where no product is given), with
+        identity elems[e], naming labels only in messages; then set the
+        fields from them and return the table. An internal builder calls it
+        on `object.__new__(GroupTable)` with distinct string labels."""
         for a, row in zip(elems, rows):
             if None in row:
                 b = elems[row.index(None)]
                 raise ValueError(f"product table is not total at ({a!r},{b!r})")
-        e, ids = index[identity], range(len(elems))
+        ids = range(len(elems))
         for a, row in enumerate(rows):
             if rows[e][a] != a or row[e] != a:
-                raise ValueError(f"{identity!r} is not neutral at {elems[a]!r}")
+                raise ValueError(f"{elems[e]!r} is not neutral at {elems[a]!r}")
         two_sided = lambda a, b: rows[a][b] == e == rows[b][a]
         inv = tuple(next((b for b in ids if two_sided(a, b)), None) for a in ids)
         if None in inv:
@@ -89,20 +103,14 @@ class GroupTable:
             if i not in span:
                 adjoin(span, gens, i, lambda x, y: rows[x][y])
         if not all(rows[x[s]] == tuple(map(x.__getitem__, rows[s])) for s in gens for x in rows):
-            for a, b, c in iproduct(elems, repeat=3):
-                if prod[(prod[(a, b)], c)] != prod[(a, prod[(b, c)])]:
-                    raise ValueError(f"product is not associative at ({a!r},{b!r},{c!r})")
-        if len(prod) != len(elems) ** 2:
-            key = next(k for k in prod if k[0] not in index or k[1] not in index)
-            raise ValueError(f"product key {key!r} is not a pair of elements")
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "product", prod)
-        object.__setattr__(self, "inverse", {a: elems[b] for a, b in zip(elems, inv)})
-        object.__setattr__(self, "_gens", tuple(gens))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_inv", inv)
+            bad = lambda a, b, c: rows[rows[a][b]][c] != rows[a][rows[b][c]]
+            a, b, c = map(elems.__getitem__, next(t for t in iproduct(ids, repeat=3) if bad(*t)))
+            raise ValueError(f"product is not associative at ({a!r},{b!r},{c!r})")
+        product = {(a, b): elems[c] for a, row in zip(elems, rows) for b, c in zip(elems, row)}
+        inverse = {a: elems[b] for a, b in zip(elems, inv)}
+        self.__dict__.update(elements=elems, identity=elems[e], product=product, inverse=inverse)
+        self.__dict__.update(_gens=tuple(gens), _index=element_index(elems), _rows=rows, _inv=inv)
+        return self
 
     def op(self, a: str, b: str) -> str:
         return self.product[(a, b)]
@@ -125,29 +133,27 @@ class GroupTable:
         """Sorted (element order, count) pairs; an isomorphism invariant."""
         return tuple(sorted(Counter(map(self.order_of, self.elements)).items()))
 
-    def table_equal(self, other: GroupTable) -> bool:
-        """Graph-identical tables: same elements, identity, and products."""
-        return (
-            self.elements == other.elements
-            and self.identity == other.identity
-            and self.product == other.product
-        )
-
 
 @dataclass(frozen=True)
 class GroupAction:
     """A group acting on a finite carrier.
 
-    Construction turns `act` into one integer table, the index of g.x for
-    each index of g in the group's own table, and verifies on it exactly,
-    from the group's generating set, that the identity acts trivially, that
-    the action respects the product, and that it is regular: every (x, y)
-    is achieved by exactly one group element.
+    The action is its integer table: table[g][x] is the index of g.x, for
+    the element indices of the group's own table and the point indices of
+    the carrier. The constructor is the front end for labels: it indexes
+    `act` into that table, with None for a missing or unknown image, and
+    hands it to `_check`, which `_diagonal_action` calls directly on the
+    indexed forms it holds. The check verifies exactly, from
+    the group's generating set, that the identity acts trivially, that the
+    action respects the product, and that it is regular: every (x, y) is
+    achieved by exactly one group element.
     (g.h).x = g.(h.x) is checked for the generators h only, |G|.#gens.|X|:
     the good h hold the identity and are closed under the product, since
     (g.(h.k)).x = ((g.h).k).x = (g.h).(k.x) = g.(h.(k.x)) = g.((h.k).x).
     Regularity is |G| = |X| and g -> g.x reaching |X| points for each x,
-    |G|.|X|. On failure the full loops run, to name the first failure.
+    |G|.|X|. On failure the full loops run, to name the first failure. The
+    label field `act` is built once, from the table, and is keyed by exactly
+    the (element, point) pairs.
     """
 
     group: GroupTable
@@ -161,9 +167,21 @@ class GroupAction:
         act: Mapping[tuple[str, str], str],
     ):
         act = {(str(g), str(x)): str(y) for (g, x), y in act.items()}
+        at = element_index(carrier.elements)
+        table = [[at.get(act.get((g, x))) for x in carrier.elements] for g in group.elements]
+        self._check(group, carrier, table)
+        if len(act) != len(group) * len(carrier):
+            key = next(k for k in act if k[0] not in group._index or k[1] not in at)
+            raise ValueError(f"action key {key!r} is not an (element, point) pair")
+
+    def _check(self, group: GroupTable, carrier: FiniteSet, table: Sequence) -> GroupAction:
+        """Verify the action axioms on `table`, table[g][x] the index of
+        g.x for the element indices g of the group's own table (None where
+        no image is given), naming labels only in messages; then set the
+        fields from it and return the action. Rows may be lists or indexed
+        forms. `_diagonal_action` calls it on `object.__new__(GroupAction)`."""
         elems, points = group.elements, carrier.elements
-        at = element_index(points)
-        table = [[at.get(act.get((g, x))) for x in points] for g in elems]
+        table = [tuple(row) for row in table]  # lists and indexed forms alike
         for g, row in zip(elems, table):
             if None in row:
                 x = points[row.index(None)]
@@ -171,24 +189,23 @@ class GroupAction:
         for x, y in enumerate(table[group._index[group.identity]]):
             if y != x:
                 raise ValueError(f"identity moves {points[x]!r}")
-        rows, gens = group._rows, group._gens
-        compose = lambda g, h: [table[g][y] for y in table[h]]
-        if any(table[rows[g][h]] != compose(g, h) for g in range(len(elems)) for h in gens):
-            bad = lambda g, h, x: act[(group.op(g, h), x)] != act[(g, act[(h, x)])]
-            g, h, x = next(t for t in iproduct(elems, elems, points) if bad(*t))
+        rows, gens, ids = group._rows, group._gens, range(len(elems))
+        compose = lambda g, h: tuple(map(table[g].__getitem__, table[h]))
+        if any(table[rows[g][h]] != compose(g, h) for g in ids for h in gens):
+            bad = lambda g, h, x: table[rows[g][h]][x] != table[g][table[h][x]]
+            g, h, x = next(t for t in iproduct(ids, ids, range(len(points))) if bad(*t))
+            g, h, x = elems[g], elems[h], points[x]
             raise ValueError(f"action incompatible with product at ({g!r},{h!r},{x!r})")
         if len(elems) != len(points) or any(
             len(set(column)) != len(points) for column in zip(*table)
         ):
-            for x, y in iproduct(points, repeat=2):
-                hits = [g for g in elems if act[(g, x)] == y]
-                if len(hits) != 1:
-                    raise ValueError(
-                        f"action is not regular: {len(hits)} elements send {x!r} to {y!r}"
-                    )
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "act", act)
+            for (x, px), (y, py) in iproduct(enumerate(points), repeat=2):
+                n = sum(row[x] == y for row in table)
+                if n != 1:
+                    raise ValueError(f"action is not regular: {n} elements send {px!r} to {py!r}")
+        act = {(g, x): points[y] for g, row in zip(elems, table) for x, y in zip(points, row)}
+        self.__dict__.update(group=group, carrier=carrier, act=act)
+        return self
 
     def apply(self, g: str, x: str) -> str:
         return self.act[(g, x)]
@@ -197,17 +214,16 @@ class GroupAction:
 def tabulate(
     elements: Iterable, identity, mul: Callable, label: Callable[..., str]
 ) -> GroupTable:
-    """The group on `elements` under `mul`, each element named label(x).
+    """The group on `elements` under `mul`, each element named label(x), a
+    string, distinct for distinct elements.
 
-    Every element is named once and the n^2 products are filled in from
-    those names, in element order. Raises KeyError when a product is not
-    among the elements.
+    The rows are filled in from the positions of the products, in element
+    order. Raises KeyError when a product is not among the elements.
     """
-    names = {x: label(x) for x in elements}
-    product = {
-        (a, b): names[mul(x, y)] for x, a in names.items() for y, b in names.items()
-    }
-    return GroupTable(names.values(), names[identity], product)
+    xs = list(elements)
+    pos = {x: i for i, x in enumerate(xs)}
+    rows = tuple(tuple([pos[mul(x, y)] for y in xs]) for x in xs)
+    return object.__new__(GroupTable)._check(tuple(map(label, xs)), pos[identity], rows)
 
 
 def permutation_group(perms: Mapping[Indexed, str], identity: Indexed) -> GroupTable:
@@ -269,9 +285,9 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
     family = spine.morphisms[(obj, obj)]
     graph_key = graph_keys(elems, elems, len(family))
     key_of = {t: graph_key(t) for t in (encode(f, elems, index) for f in family)}
-    table = permutation_group(key_of, indexed_form(range(len(elems))))
-    act = {(k, x): elems[y] for t, k in key_of.items() for x, y in zip(elems, t)}
-    return GroupAction(table, spine.sets[obj], act)
+    group = permutation_group(key_of, indexed_form(range(len(elems))))
+    forms = sorted(key_of, key=key_of.__getitem__)  # label order: the group's element order
+    return object.__new__(GroupAction)._check(group, spine.sets[obj], forms)
 
 
 def _transport(g: GroupTable, images: Sequence[str], elements: Sequence[str]) -> GroupTable:

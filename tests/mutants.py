@@ -35,6 +35,9 @@ VERTEX_GROUP = ["tests/test_model.py::TestVertexGroupValidation"]
 SPAN_CAP = [VERTEX_GROUP[0] + "::test_swapped_map_stops_the_span_at_the_family_size"]
 STRUCTURE = ["tests/test_cosets.py", "tests/test_properties.py"]
 GROUPS = ["tests/test_groups.py::TestAxiomChecks"]
+ACTION_KEYS = [
+    "tests/test_groups.py::TestLabelBoundary::test_action_key_outside_elements_and_points"
+]
 COMMUTING = ["tests/test_groups.py::TestIsomorphism::test_same_profile_non_isomorphic"]
 DOCUMENT = ["tests/test_document.py"]
 INDEXED_MAP = ["tests/test_model.py::TestIndexedMap"]
@@ -165,12 +168,19 @@ MUTANTS = [
     # action compatibility checked for the first generator only
     (
         "groups.py",
-        "for g in range(len(elems)) for h in gens)",
-        "for g in range(len(elems)) for h in gens[:1])",
+        "for g in ids for h in gens)",
+        "for g in ids for h in gens[:1])",
         GROUPS,
     ),
     # regularity without |G| = |X|: each g -> g.x still reaches every point
     ("groups.py", "if len(elems) != len(points) or any(", "if any(", GROUPS),
+    # an action whose label dict holds keys off elements x points is accepted
+    (
+        "groups.py",
+        "        if len(act) != len(group) * len(carrier):\n",
+        "        if False:\n",
+        ACTION_KEYS,
+    ),
     # the commuting pairs counted by comparing each row with itself: every
     # group then counts |G|^2, and same-profile groups go to the search
     (

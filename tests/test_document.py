@@ -201,7 +201,7 @@ class TestGroupFiles:
         g = symmetric_group(3)
         text = serialize_group(g)
         again = load_group(text)
-        assert again.table_equal(g)
+        assert again == g
         assert serialize_group(again) == text
 
     def test_inverse_optional(self):

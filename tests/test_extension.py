@@ -402,5 +402,5 @@ def test_regularity_from_the_vertex_group(data):
         ext = extend_to_groupoid(spine)
         for o in spine.objects:
             action, extracted = _extract(spine, o), extract_group(ext, o)
-            assert action.group.table_equal(extracted.group)
+            assert action.group == extracted.group
             assert action.act == extracted.act

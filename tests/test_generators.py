@@ -8,7 +8,14 @@ import pytest
 
 from conftest import trivial_spine
 import spinekit.generators as generators_module
-from spinekit.catalog import classify_group, cyclic_group, klein_group, symmetric_group
+from spinekit.catalog import (
+    catalog,
+    classify_group,
+    cyclic_group,
+    klein_group,
+    symmetric_group,
+)
+from spinekit.document import serialize_spine
 from spinekit.errors import InvalidSpine, NotPrime, SearchExhausted, TooLarge
 from spinekit.extension import _regularity, check_regularity, extend_to_groupoid
 from spinekit.generators import (
@@ -22,7 +29,7 @@ from spinekit.generators import (
     perturb_spine,
 )
 from spinekit.groups import extract_group
-from spinekit.model import validate_spine
+from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine, validate_spine
 
 
 class TestGroupActionSpine:
@@ -53,6 +60,43 @@ class TestGroupActionSpine:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             gen_group_action_spine(cyclic_group(2), 0)
+
+
+def translation_oracle(group, objects: int) -> GroupoidSpine:
+    """The group-action spine with every translation built from its string
+    graph {x: h.x}, on the diagonal pair at one object and the increasing
+    pairs otherwise."""
+    labels = [str(i) for i in range(1, objects + 1)]
+    sets = {o: FiniteSet(o, group.elements) for o in labels}
+    if objects == 1:
+        pairs = [("1", "1")]
+    else:
+        pairs = [(i, j) for a, i in enumerate(labels) for j in labels[a + 1 :]]
+    morphisms = {
+        (i, j): tuple(
+            FiniteMap(i, j, {x: group.op(h, x) for x in group.elements})
+            for h in group.elements
+        )
+        for i, j in pairs
+    }
+    return GroupoidSpine(labels, sets, pairs, morphisms)
+
+
+class TestGroupActionSpineOracle:
+    """`gen_group_action_spine` builds translations from the table's rows; its
+    documents must be the ones the string-graph construction writes."""
+
+    def test_every_catalog_group(self):
+        for name, g in catalog():
+            for objects in (1, 2, 8):
+                got = serialize_spine(gen_group_action_spine(g, objects))
+                assert got == serialize_spine(translation_oracle(g, objects)), (name, objects)
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_byte_and_tuple_forms(self, n):
+        g = cyclic_group(n)
+        got = serialize_spine(gen_group_action_spine(g, 2))
+        assert got == serialize_spine(translation_oracle(g, 2))
 
 
 class TestAffineConfig:

@@ -1,5 +1,6 @@
 """Group extraction, fiber transport, relabeling, and classification."""
 
+import hashlib
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -24,6 +25,7 @@ from spinekit.catalog import (
     symmetric_group,
 )
 from spinekit.cosets import AmbientGroup
+from spinekit.document import serialize_group
 from spinekit.errors import NotRegular, UnknownElement, UnknownObject
 from spinekit.extension import ExtensionResult, extend_to_groupoid
 from spinekit.generators import (
@@ -129,7 +131,7 @@ class TestGroupOnFiber:
 
     def test_base_point_zero_gives_addition_table(self):
         fiber = group_on_fiber(self.make_action(), "0")
-        assert fiber.table_equal(cyclic_group(5))
+        assert fiber == cyclic_group(5)
 
     def test_base_point_two(self):
         fiber = group_on_fiber(self.make_action(), "2")
@@ -159,7 +161,7 @@ class TestGroupOnFiber:
 class TestRelabel:
     def test_at_identity_is_graph_identical(self):
         g = cyclic_group(6)
-        assert relabel_group(g, "0").table_equal(g)
+        assert relabel_group(g, "0") == g
 
     def test_z6_at_two(self):
         r = relabel_group(cyclic_group(6), "2")
@@ -440,7 +442,7 @@ class TestAxiomChecks:
 
         monkeypatch.setattr(groups_module, "iproduct", no_sweep)
         for g in (symmetric_group(4), dicyclic_group(6), abelian_group(2, 6)):
-            assert GroupTable(g.elements, g.identity, g.product).table_equal(g)
+            assert GroupTable(g.elements, g.identity, g.product) == g
 
     def test_non_regular_action(self):
         # Z4 acts on two points by parity: compatible, every point reached
@@ -450,6 +452,39 @@ class TestAxiomChecks:
             GroupAction(cyclic_group(4), FiniteSet("X", ["0", "1"]), act)
         message = "action is not regular: 2 elements send '0' to '0'"
         assert str(caught.value) == message
+
+
+class TestLabelBoundary:
+    """Labels are normalised and checked only by the public constructors; the
+    label fields are built from the integer tables."""
+
+    C2_ON_PQ = {("0", "p"): "p", ("0", "q"): "q", ("1", "p"): "q", ("1", "q"): "p"}
+
+    def test_action_key_outside_elements_and_points(self):
+        c2, points = cyclic_group(2), FiniteSet("X", ["p", "q"])
+        for key in [("zz", "q"), ("1", "w")]:
+            with pytest.raises(ValueError) as caught:
+                GroupAction(c2, points, {**self.C2_ON_PQ, key: "p"})
+            assert str(caught.value) == f"action key {key!r} is not an (element, point) pair"
+
+    def test_action_key_checked_last(self):
+        act = {k: v for k, v in self.C2_ON_PQ.items() if k != ("1", "q")}
+        with pytest.raises(ValueError) as caught:
+            GroupAction(cyclic_group(2), FiniteSet("X", ["p", "q"]), {**act, ("zz", "q"): "p"})
+        assert str(caught.value) == "action is not total at ('1','q')"
+
+    def test_act_is_the_normalised_input(self):
+        act = {(int(g), x): y for (g, x), y in self.C2_ON_PQ.items()}
+        action = GroupAction(cyclic_group(2), FiniteSet("X", ["p", "q"]), act)
+        assert action.act == self.C2_ON_PQ
+        assert list(action.act) == list(iproduct(["0", "1"], ["p", "q"]))
+
+    def test_product_iterates_in_element_order(self):
+        g = cyclic_group(3)
+        given = dict(reversed(list(g.product.items())))
+        loaded = GroupTable(g.elements, g.identity, given)
+        assert loaded == g
+        assert list(loaded.product) == list(iproduct(g.elements, repeat=2))
 
 
 class TestSharedTable:
@@ -669,3 +704,104 @@ class TestBuildersAgainstProductLoops:
                 phi = {h: action.apply(h, e) for h in action.group.elements}
                 oracle = transport_oracle(action.group, phi, action.carrier.elements)
                 assert_matches(group_on_fiber(action, e), oracle)
+
+
+# SHA-256 of `serialize_group` for every catalog entry, recorded before the
+# builders handed integer rows to GroupTable: the catalog's bytes must not move
+CATALOG_DIGESTS = {
+    "C1": "fe9bada264b3fb5610b430af54befc25089f705591ca71ff3cef9162f66ea4d4",
+    "C2": "b4f9ba962da12ea994ab7d64ce4b21beebd98cc3d9ee89e7da82027e0dab897c",
+    "C3": "441b2e4142c5cdfb6f6b1989d9d0da340255939fc4a1bddd6aff30189105fe62",
+    "C4": "a6e6aa121fbb9e1234077a20e1bd245789525674a05f65b77382189ea73cb9ef",
+    "C5": "c65830c3d1dcb667e9d66118c3f6b42fabf68582521aca6410c6c5aaaf0952c5",
+    "C6": "d1f8c2a538c519b278e4ec32b2b64c826f7e2840780b8f5695c851fd36099a16",
+    "C7": "8ed04a754ff43c2557b1fea1162c8f813d0eada577cad38ce6a5fd7ee0c79048",
+    "C8": "1c1be31796b00f5937fdd73e86f7e318747b921912522923ca6b395296d9f411",
+    "C9": "b2d708d0c3d6572592e6843c12248220a03127461e5cab991e239e3d87dc644d",
+    "C10": "dd0f6147ec5c340a4c70a006ca2d131343c831acd5c15b3744c102405ee675bb",
+    "C11": "b4e4b294b421b8bb7e4eaff6d4a19ba01367f0867c25f3e0ba9a527a5f673d35",
+    "C12": "511e461769dc2d8e2710bbcd471d5a35d4f5e3b9ce161fa6498ba04fe61aaa52",
+    "C13": "752b987de3c904616409eb9854f6ee05cc0c337f7209cbfc9fc4b57404c19c71",
+    "C14": "7bb5da8e50cc71af82c63679250bc562138981afbb15be5af5efeac46a13e4af",
+    "C15": "faeefed906310b19d12f636ced6f2edca0cbd387ed15bc239633e7bad79439af",
+    "C16": "be217119d0633c129399a760fb5787cbef0439a6bf3605ad38c5a5e0a892b7f7",
+    "C17": "f9774eefa8f174ed8ebd131eb05fe23ae7bb45931d9544809aab13cb35847ec1",
+    "C18": "414cb837502ddaca969a79a621208282972570ba75825bf50dedbfa38cf652cf",
+    "C19": "4394f6c19d6ff8d4875cacf0de78b581d3465fd2b150248f80db12f3260d235a",
+    "C20": "6cd13b9146970d0ed4711eb380d93c1f8ad3a2a4da3980f038b7460d23332f3b",
+    "C21": "14c2dface5bc4bc9e5815e0a8675ac1f366bd8adf2fa77d5d81c1aa43c2eb2f4",
+    "C22": "81b29ca4a710ef0f2789b7c72257c7524b5d195fefa5beacebf975c9e76894c4",
+    "C23": "60262e02fac35fa0225e133be00ed00acd3bcc13b3c971c90d0fca9a4394ec7a",
+    "C24": "4b43aae4c300d4aaa5e2c3a5296a2a339c541aaac091089138b86c82d4e9ee4a",
+    "C2×C2": "cc6ae0196425a83fbd96d1b9f1f18974575f498d7f929be1eff634489b81173e",
+    "C2×C4": "ec4095eda8ce2e2b6e7d882740a1b2d31ed62a211c4485fa07a0bb54b2c763d1",
+    "C2×C2×C2": "dbf764412e9813ff6af3adf239f7f31c5b90568cf729c630183f08c5bce75062",
+    "C3×C3": "e9a0a64b65394af5b1f6837fbb70b23e73e921db10eb2d3acd9907189f0840ac",
+    "C2×C6": "0afa90b2762a5106a93c68fa4159cef38adabc5492c343f71b3d856f731b4db1",
+    "C2×C8": "19761bf3399d951bcff9d27d244a73ffb1882e9fd7693fa466b6fe58ec289234",
+    "C4×C4": "a6d2c52efd2804f67c74fb5e6b33aad60f5a5dfc800528c88e2b404830940bfd",
+    "C2×C2×C4": "90d79c71b93898b12976d94c03beecaac60401de8e6ebba2ebb459e279ec41a4",
+    "C2×C2×C2×C2": "e6bd20f4e90a960dc2c8e9d9638fd4bce2df31e8de90179ab2e307864cf7de06",
+    "C3×C6": "578fabb98eafbe99369409e5cdcd3ce452f23ed931ddb87fb3382d86b757cab0",
+    "C2×C10": "ab8f3231828820af1e8f523ebf44b2ea84b690afb912af355316946422e52ac0",
+    "C2×C12": "28c4096fb85b3b28a49b0d66db40d8f9c7527eab83573cd03aa7dbd7dffe54ca",
+    "C2×C2×C6": "d44f249f1ebae74cc6a1818da245afc431fb5d55d97c30f2655824ac1a267477",
+    "S3": "49ff5c73e8ad66d8587c4a05d47f27549777b48bc65fee41f9e2ade1826dfee6",
+    "D4": "9f48989b4706ab6f537d10abc09a03fb8b058c67041ffea595cb977123f70d47",
+    "D5": "26fb1d471fd62bdd404ac6276d6fc79984ee520fe7f07e3a960aa112e154b4a4",
+    "D6": "cf2e66bad1bd9f4c78e4ae2a65f5acd65cc26ddc518e76892a8efe658fe9621e",
+    "D7": "49dd51e831bfebf2ef3fcd3dbd131bbc86ad32caac8773d4073f409ce4c6dbb6",
+    "D8": "163a492d6b9f401fc7b029de872c9f6f763b5ccfdfd2dc861448adefcffda5b8",
+    "D9": "387951c8b717aff872e35a985ffd9b936027f544e0c242c5ab67c3df5bd0404a",
+    "D10": "6dd3b3ba8b58e46269a8736fe76579ccab27a44a6758784906c1663883c3ba07",
+    "D11": "227d0d47b9eb2b26ecd974a5d611a1b8da993b29f981f503a6c20a178a3d5094",
+    "D12": "f8e0754eda8c8a9123e0c694273145b3a6e3d58091e8c53d11cd44210850e2fe",
+    "A4": "437803672c3584561d86480cd7f796a79fd839110c9c4026e18935df56e2b02b",
+    "S4": "ee5196b10753852f028c80ee1ceb8ed060e7a27f076c8e0aa6a329696b4d28b2",
+    "Q8": "a0c2a041d4f55eb9aa1a666a18f7a45d7ac7cd8defd82aa484c12abe8c174798",
+    "Dic3": "bbe04347bb45391df534d4f35407da4a620330e6e5bd71e29932a13c16bbeb12",
+    "Q16": "241e01ef89a96ce04463b512123b14b2d409fffb341d21270841d64312fe6f76",
+    "Dic5": "421e4b50c318642044d0c49f22568ccdb7f5c84fd280b09336e882f58ffcbcb6",
+    "Dic6": "670f9234cf038442fa64f169ee8ad0d57cd12278d57650d77cc2c02cf3f4a8d0",
+}
+
+# (extract_group, group_on_fiber at the middle carrier point, relabel_group at
+# the last element) on the group-geometry benchmark's tables, extended at two
+# objects; digests of `serialize_group`, recorded as above
+GEOMETRY_DIGESTS = {
+    "S4": ("867b3c877207c328f88c5a92a0e3f736365c647456f5d8a1d45b2a63b7244cb6", "8566a1ac973ac35cbdf954b7f70e9610bde86a16e2ec78e164a4dc9c9a9406f1", "b06002f6fa911968863dda508cb794eb0a8aec217e10c0ee3a5572f76e7d1d6f"),
+    "Dic6": ("3f2f76f1cd41f0e902ecb872eb2d4400da29bb3f6f83e677f1312d507a3f8be4", "914649904b277a3cf70769371e17581ace1cbb836ca68a8aa1f91a5d3a74104e", "3b2abd9c5f45a796153691e71d251254c43ca189534621b3fe4f783c77837faf"),
+    "D16": ("0cb64f12b2c8d711933627eb3941c13685ccd758859e17f302410042f0698746", "ce41a3b6d4549e8c2a125ca7103d4606b2d175b3e72ad5c9a4a4f901e9c9009a", "d64a2d119dd7c3d015d8ab3dd8c4110128f460cd74eb1bbb84da5ff42e0808cc"),
+    "C4×C12": ("3cb9c118cd3ba411105a476e8f867b06eed462d19d4c695ffd4ad29712417531", "bf5d4c490beb38ca71a9527b3936eb44de6d455c347cc4a1a52b3a160361ec6e", "547ab5f9f8d3a7efe6954e52429b150cec72f153e083e76740a681c263f63904"),
+    "Dic16": ("68f98fcefc59c449e4fd29cda9c55fc9d9fc349d97f5dc8fe9e88eeca1687d35", "74579ca30da36540800fea60eb01e66fa62efd8d892a4b09941d46047bc7d931", "89558e760fe8f10fb66e758b2726c4ba09eb13d68659d691cb8414ee71cc933e"),
+}
+
+GEOMETRY_TABLES = {
+    "S4": lambda: symmetric_group(4),
+    "Dic6": lambda: dicyclic_group(6),
+    "D16": lambda: dihedral_group(16),
+    "C4×C12": lambda: abelian_group(4, 12),
+    "Dic16": lambda: dicyclic_group(16),
+}
+
+
+def digest(g: GroupTable) -> str:
+    return hashlib.sha256(serialize_group(g).encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    """The serialized tables of the builders, byte for byte."""
+
+    def test_catalog(self):
+        assert {name: digest(g) for name, g in catalog()} == CATALOG_DIGESTS
+
+    def test_extract_fiber_and_relabel(self):
+        for name, build in GEOMETRY_TABLES.items():
+            action = extract_group(extend_to_groupoid(gen_group_action_spine(build(), 2)), "1")
+            points = action.carrier.elements
+            got = (
+                digest(action.group),
+                digest(group_on_fiber(action, points[len(points) // 2])),
+                digest(relabel_group(action.group, action.group.elements[-1])),
+            )
+            assert got == GEOMETRY_DIGESTS[name], name
