@@ -36,7 +36,6 @@ from .errors import (
     SchemaError,
     SearchExhausted,
     SpineKitError,
-    TargetMismatch,
     TheoremViolation,
     TooLarge,
     UnknownElement,
@@ -70,9 +69,6 @@ from .model import (
     GroupoidSpine,
     ValidationReport,
     Violation,
-    compose,
-    identity_map,
-    invert,
     validate_spine,
 )
 

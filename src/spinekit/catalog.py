@@ -137,16 +137,6 @@ def catalog() -> tuple[tuple[str, GroupTable], ...]:
     return tuple(entries)
 
 
-def catalog_upto(order: int) -> tuple[tuple[str, GroupTable], ...]:
-    return tuple((name, g) for name, g in catalog() if len(g) <= order)
-
-
-def generating_sequence(g: GroupTable) -> list[str]:
-    """A small generating set, chosen greedily in element order: the one
-    the table's construction checked associativity over."""
-    return [g.elements[i] for i in g._gens]
-
-
 def _hom_from_images(
     g: GroupTable, h: GroupTable, gens: tuple[int, ...], images: list[int]
 ) -> dict[int, int] | None:

@@ -42,18 +42,6 @@ class AmbientGroup:
         object.__setattr__(self, "_cols", tuple(zip(*group._rows)))
         object.__setattr__(self, "_inv", group._inv)
 
-    def op(self, a: GTuple, b: GTuple) -> GTuple:
-        return tuple(self.group.op(x, y) for x, y in zip(a, b))
-
-    def inv(self, a: GTuple) -> GTuple:
-        return tuple(self.group.inv(x) for x in a)
-
-    def identity(self) -> GTuple:
-        return (self.group.identity,) * self.power
-
-    def all_tuples(self) -> Iterable[GTuple]:
-        return iproduct(*([self.group.elements] * self.power))
-
     def tuple_key(self, a: GTuple) -> tuple[int, ...]:
         """Lexicographic sort key, ordering components by element index."""
         return tuple(self._index[x] for x in a)
@@ -72,10 +60,6 @@ class AmbientGroup:
 
     def _decode(self, a: Iterable[int]) -> GTuple:
         return tuple(self.group.elements[i] for i in a)
-
-    def is_subgroup(self, h: frozenset[GTuple]) -> bool:
-        # in a finite group, a set closed under the product holds the inverses
-        return self.identity() in h and all(self.op(a, b) in h for a in h for b in h)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .model import (
     encode,
     indexed_form,
     indexed_map,
-    map_from_graph,
     validate_spine,
 )
 
@@ -269,7 +268,7 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
                 if checked:
                     maps.append(indexed_map(i, j, src, tgt, index, t))
                 else:
-                    maps.append(map_from_graph(i, j, tuple(sorted(mapping.items()))))
+                    maps.append(FiniteMap(i, j, mapping))
             except ValueError as exc:
                 raise SchemaError(str(exc), mpath) from None
         morphisms[(i, j)] = maps

@@ -7,10 +7,6 @@ class SpineKitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class TargetMismatch(SpineKitError):
-    """Composition was requested for maps whose endpoints do not line up."""
-
-
 class InvalidSpine(SpineKitError):
     """An operation required a spine that passes validation.
 

@@ -26,7 +26,6 @@ from .model import (
     graph_keys,
     indexed_form,
     indexed_map,
-    invert,
     invert_indexed,
     validate_spine,
 )
@@ -167,25 +166,28 @@ def _valid_regular(spine: GroupoidSpine) -> set[Indexed] | None:
 def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
     """Enlarge the pair relation to its symmetric closure.
 
-    Each added pair (j, i) carries exactly the inverses of Mor(i, j); pairs
-    already present keep their morphism lists verbatim. Requires a valid
-    regular spine (regularity is what makes the result closed under
-    composition).
+    Each added pair (j, i) carries exactly the inverses of Mor(i, j), as
+    `indexed_map`s ordered by graph key; maps whose keys tie (labels holding
+    "," or ">") keep the order of Mor(i, j). Pairs already present keep
+    their morphism lists verbatim. Requires a valid regular spine
+    (regularity is what makes the result closed under composition).
     """
     _valid_regular(spine)
     if all((j, i) in spine.pairs for i, j in spine.pairs):
         return spine
+    elems = {o: spine.sets[o].elements for o in spine.objects}
+    index = {o: element_index(elems[o]) for o in spine.objects}
     pairs = set(spine.pairs)
     morphisms = {p: spine.morphisms[p] for p in spine.pairs}
     for i, j in spine.sorted_pairs():
         if (j, i) in pairs:
             continue
         pairs.add((j, i))
-        inverses = sorted(
-            (invert(f) for f in spine.morphisms[(i, j)]),
-            key=FiniteMap.graph_key,
+        forms = [invert_indexed(encode(f, elems[i], index[j])) for f in spine.morphisms[(i, j)]]
+        forms.sort(key=graph_keys(elems[j], elems[i], len(forms)))  # stable on ties
+        morphisms[(j, i)] = tuple(
+            indexed_map(j, i, elems[j], elems[i], index[i], t) for t in forms
         )
-        morphisms[(j, i)] = tuple(inverses)
     return GroupoidSpine(spine.objects, spine.sets, pairs, morphisms)
 
 

@@ -23,7 +23,7 @@ from .model import (
     GroupoidSpine,
     Indexed,
     compose_indexed,
-    decode,
+    element_index,
     indexed_form,
     indexed_map,
     invert_indexed,
@@ -146,8 +146,9 @@ def _random_latin_square(n: int, rng: random.Random) -> list[Indexed]:
 
 
 def _rows_to_maps(rows: Sequence[Indexed]) -> list[FiniteMap]:
-    elems = [str(x) for x in range(len(rows[0]))]
-    return [decode(row, "1", "2", elems, elems) for row in rows]
+    elems = tuple(str(x) for x in range(len(rows[0])))
+    index = element_index(elems)
+    return [indexed_map("1", "2", elems, elems, index, row) for row in rows]
 
 
 def gen_latin_square_family(

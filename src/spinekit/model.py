@@ -15,8 +15,6 @@ from math import inf
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import TargetMismatch
-
 
 @dataclass(frozen=True)
 class FiniteSet:
@@ -60,12 +58,11 @@ class FiniteMap:
     _indexed = None
 
     def __init__(self, source: str, target: str, mapping: Mapping[str, str]):
-        _set_graph(
-            self,
-            str(source),
-            str(target),
-            tuple(sorted((str(x), str(y)) for x, y in mapping.items())),
-        )
+        source, target = str(source), str(target)
+        graph = tuple(sorted((str(x), str(y)) for x, y in mapping.items()))
+        if len(set(map(itemgetter(1), graph))) != len(graph):
+            raise ValueError(f"map {source!r}->{target!r} is not injective")
+        self.__dict__.update(source=source, target=target, graph=graph, _dict=dict(graph))
 
     def __getattr__(self, name: str):
         # reached only while an indexed map's graph is unread
@@ -97,56 +94,14 @@ class FiniteMap:
         return f"FiniteMap({self.source!r}->{self.target!r}, {self.graph_key()})"
 
 
-def _set_graph(f: FiniteMap, source: str, target: str, graph: tuple) -> None:
-    """Give f its endpoints and sorted graph, all labels already strings;
-    raises ValueError when the graph is not injective."""
-    f.__dict__.update(source=source, target=target, graph=graph)
-    if len(set(map(itemgetter(1), graph))) != len(graph):
-        raise ValueError(f"map {source!r}->{target!r} is not injective")
-    f.__dict__["_dict"] = dict(graph)
-
-
-def map_from_graph(source: str, target: str, graph: tuple) -> FiniteMap:
-    """The FiniteMap source -> target with this sorted graph of string
-    labels, as the constructor builds it after coercing labels to str."""
-    f = object.__new__(FiniteMap)
-    _set_graph(f, source, target, graph)
-    return f
-
-
-def identity_map(s: FiniteSet) -> FiniteMap:
-    return FiniteMap(s.id, s.id, {e: e for e in s.elements})
-
-
-def compose(f: FiniteMap, g: FiniteMap) -> FiniteMap:
-    """The map x -> g(f(x)): apply f first, then g."""
-    if f.target != g.source:
-        raise TargetMismatch(
-            f"cannot compose: first map targets {f.target!r}, "
-            f"second map starts at {g.source!r}"
-        )
-    gd = g._dict
-    try:
-        mapping = {x: gd[y] for x, y in f.graph}
-    except KeyError as exc:
-        raise ValueError(
-            f"composition undefined: {exc.args[0]!r} is outside the second map's domain"
-        ) from None
-    return FiniteMap(f.source, g.target, mapping)
-
-
-def invert(f: FiniteMap) -> FiniteMap:
-    """The inverse bijection, with source and target swapped."""
-    return FiniteMap(f.target, f.source, {y: x for x, y in f.graph})
-
-
 # Indexed bijections: a map from a source carrier to a target carrier is the
 # sequence t with t[x] = the index, in the target's element order, of the
-# image of the x-th source element. Composition follows `compose`: f first,
-# then g. A form whose indices all fit in a byte (every map between carriers
-# of at most 256 points) is `bytes`; any other is a tuple of ints. Only
-# `indexed_form`, `compose_indexed` and `invert_indexed` tell them apart, and
-# every form is built by one of them, so the forms of one map are equal.
+# image of the x-th source element. A composite of two forms applies f first,
+# then g: x -> g[f[x]]. A form whose indices all fit in a byte (every map
+# between carriers of at most 256 points) is `bytes`; any other is a tuple of
+# ints. Only `indexed_form`, `compose_indexed` and `invert_indexed` tell them
+# apart, and every form is built by one of them, so the forms of one map are
+# equal.
 Indexed = bytes | tuple[int, ...]
 
 _POINTS = bytes(range(256))
@@ -182,14 +137,6 @@ def encode(f: FiniteMap, src: Sequence[str], index: Mapping[str, int]) -> Indexe
     return indexed_form([index[image[x]] for x in src])
 
 
-def decode(
-    t: Indexed, source: str, target: str, src: Sequence[str], tgt: Sequence[str]
-) -> FiniteMap:
-    """The FiniteMap source -> target whose indexed form over the element
-    orders src and tgt is t."""
-    return map_from_graph(source, target, tuple(sorted(zip(src, map(tgt.__getitem__, t)))))
-
-
 def indexed_map(
     source: str,
     target: str,
@@ -198,11 +145,12 @@ def indexed_map(
     index: Mapping[str, int],
     t: Indexed,
 ) -> FiniteMap:
-    """`decode(t, source, target, src, tgt)` holding t, the carriers and
-    the target's `element_index` instead of its graph, which is built when
-    first read. t is a form as `indexed_form` builds it (bytes for a target
-    of at most 256 points), so that `encode` returns a form equal to every
-    other form of the map. Raises ValueError when t is not injective."""
+    """The FiniteMap source -> target whose indexed form over the element
+    orders src and tgt is t, holding t, the carriers and the target's
+    `element_index` instead of its graph, which is built when first read.
+    t is a form as `indexed_form` builds it (bytes for a target of at most
+    256 points), so that `encode` returns a form equal to every other form
+    of the map. Raises ValueError when t is not injective."""
     if len(set(t)) != len(t):
         raise ValueError(f"map {source!r}->{target!r} is not injective")
     f = object.__new__(FiniteMap)
@@ -353,20 +301,6 @@ class GroupoidSpine:
         """Pairs in the canonical order: by position of i, then of j."""
         idx = {o: n for n, o in enumerate(self.objects)}
         return sorted(self.pairs, key=lambda p: (idx[p[0]], idx[p[1]]))
-
-    def morphism_sets_equal(self, other: GroupoidSpine) -> bool:
-        """Graph-level equality: same objects, sets, pairs, and morphism
-        families compared as sets of graphs."""
-        if (
-            self.objects != other.objects
-            or self.pairs != other.pairs
-            or {o: s.elements for o, s in self.sets.items()}
-            != {o: s.elements for o, s in other.sets.items()}
-        ):
-            return False
-        return all(
-            set(self.morphisms[p]) == set(other.morphisms[p]) for p in self.pairs
-        )
 
 
 @dataclass(frozen=True)

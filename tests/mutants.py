@@ -68,6 +68,14 @@ MUTANTS = [
         "maps.sort(key=lambda t: t)",
         CLOSURE,
     ),
+    # the symmetric closure's added families sorted by their raw inverse
+    # forms, not by graph key
+    (
+        "extension.py",
+        "forms.sort(key=graph_keys(elems[j], elems[i], len(forms)))",
+        "forms.sort(key=lambda t: t)",
+        ["tests/test_extension.py::TestSymmetricClosure::test_order_matches_the_oracle[2]"],
+    ),
     # encode returns an indexed map's stored form over any carriers
     (
         "model.py",

@@ -7,7 +7,8 @@ All checks are exact combinatorial facts with zero tolerance.
 import time
 from itertools import combinations
 
-from spinekit.catalog import catalog_upto, classify_group, cyclic_group, is_isomorphic
+from conftest import catalog_upto, gop
+from spinekit.catalog import classify_group, cyclic_group, is_isomorphic
 from spinekit.cli import run_command
 from spinekit.cosets import AmbientGroup, coset_test, partition_check
 from spinekit.document import load_spine, serialize_spine
@@ -83,7 +84,7 @@ def test_criterion_3_five_way_coset_equivalence():
             for subset in combinations(elements, size):
                 # coset_test raises TheoremViolation on any disagreement
                 result = coset_test(amb, subset)
-                family = [[amb.op(x, u) for x in subset] for u in elements]
+                family = [[gop(amb, x, u) for x in subset] for u in elements]
                 ok = ok and (
                     partition_check(family).equal_or_disjoint == result.is_coset
                 )

@@ -13,8 +13,8 @@ FiniteMap, every new family sorted by `FiniteMap.graph_key`, maps whose
 keys tie in the order of their forms.
 
 Both oracles read maps off their graphs into tuples of ints and compose
-and invert them with their own helpers, so neither shares the engine's
-indexed forms (bytes on carriers of at most 256 points).
+and invert them with the tuple helpers of conftest, so neither shares the
+engine's indexed forms (bytes on carriers of at most 256 points).
 
 `assert_closure_regularity` makes the literal per-pair regularity count on
 every closure here, which `extend_to_groupoid` reads off the closure's
@@ -25,8 +25,15 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_bijections_spine, translation_spine
-from spinekit.catalog import catalog_upto, cyclic_group, symmetric_group
+from conftest import (
+    all_bijections_spine,
+    catalog_upto,
+    compose_tuples,
+    decode,
+    invert_tuple,
+    translation_spine,
+)
+from spinekit.catalog import cyclic_group, symmetric_group
 from spinekit.document import serialize_spine
 from spinekit.extension import (
     _close_to_groupoid,
@@ -45,7 +52,6 @@ from spinekit.model import (
     FiniteSet,
     GroupoidSpine,
     adjoin,
-    decode,
     element_index,
     encode,
 )
@@ -56,18 +62,6 @@ def tuple_form(f: FiniteMap, src, index) -> tuple[int, ...]:
     images of the source elements src, read off its graph."""
     image = dict(f.graph)
     return tuple(index[image[x]] for x in src)
-
-
-def compose_tuples(f: tuple, g: tuple) -> tuple:
-    """x -> g[f[x]]: f first, then g."""
-    return tuple([g[y] for y in f])
-
-
-def invert_tuple(f: tuple) -> tuple:
-    inv = [0] * len(f)
-    for x, y in enumerate(f):
-        inv[y] = x
-    return tuple(inv)
 
 
 def frontier_closure(spine: GroupoidSpine) -> dict[tuple[str, str], set]:

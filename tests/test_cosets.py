@@ -1,10 +1,12 @@
 """The five-way coset characterization, partitions, fibers, and families."""
 
+from functools import partial
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import generated, gidentity, ginv, gop, gtuples, is_subgroup
 from spinekit import cosets
 from spinekit.catalog import cyclic_group, symmetric_group
 from spinekit.cosets import (
@@ -45,7 +47,7 @@ class TestCosetTest:
         assert report.subgroup is None and report.translator is None
         # oracle: the translate X+1 = {1,2,4} meets X without equality
         amb = z(6)
-        translate = {amb.op(("1",), x) for x in singles(0, 1, 3)}
+        translate = {gop(amb, ("1",), x) for x in singles(0, 1, 3)}
         assert translate & set(singles(0, 1, 3))
         assert translate != set(singles(0, 1, 3))
 
@@ -94,13 +96,13 @@ class TestPartitionCheck:
     def test_translate_family_of_coset(self):
         amb = z(6)
         x = singles(0, 2, 4)
-        family = [[amb.op(p, (str(u),)) for p in x] for u in range(6)]
+        family = [[gop(amb, p, (str(u),)) for p in x] for u in range(6)]
         assert partition_check(family).equal_or_disjoint
 
     def test_translate_family_of_non_coset(self):
         amb = z(6)
         x = singles(0, 1, 3)
-        family = [[amb.op(p, (str(u),)) for p in x] for u in range(6)]
+        family = [[gop(amb, p, (str(u),)) for p in x] for u in range(6)]
         report = partition_check(family)
         assert not report.equal_or_disjoint
         i, j, shared = report.witness
@@ -118,7 +120,7 @@ class TestPartitionCheck:
             for subset in combinations(elements, size):
                 is_coset = coset_test(amb, subset).is_coset
                 family = [
-                    [amb.op(p, u) for p in subset] for u in elements
+                    [gop(amb, p, u) for p in subset] for u in elements
                 ]
                 assert partition_check(family).equal_or_disjoint == is_coset
 
@@ -267,29 +269,29 @@ class TestLocalLinearity:
 
 
 def oracle_translates_partition(amb, xs, mul):
-    seen = {frozenset(mul(g, x) for x in xs) for g in amb.all_tuples()}
+    seen = {frozenset(mul(g, x) for x in xs) for g in gtuples(amb)}
     return all(not (a & b) for a, b in combinations(seen, 2))
 
 
 def oracle_coset(amb, xs, mul):
     a = min(xs, key=amb.tuple_key)
-    a_inv = amb.inv(a)
+    a_inv = ginv(amb, a)
     h = frozenset(mul(a_inv, x) for x in xs)
-    return (h, a) if amb.is_subgroup(h) else None
+    return (h, a) if is_subgroup(amb, h) else None
 
 
 def oracle_report(amb, xs):
     xset = frozenset(amb.check_member(x) for x in xs)
-    right = lambda g, x: amb.op(x, g)
-    left = oracle_coset(amb, xset, amb.op)
+    right = lambda g, x: gop(amb, x, g)
+    left = oracle_coset(amb, xset, partial(gop, amb))
     xyz = all(
-        amb.op(amb.op(x, amb.inv(y)), z) in xset
+        gop(amb, gop(amb, x, ginv(amb, y)), z) in xset
         for x in xset
         for y in xset
         for z in xset
     )
     return CosetReport(
-        oracle_translates_partition(amb, xset, amb.op),
+        oracle_translates_partition(amb, xset, partial(gop, amb)),
         oracle_translates_partition(amb, xset, right),
         left is not None,
         oracle_coset(amb, xset, right) is not None,
@@ -306,15 +308,6 @@ Z12_2 = AmbientGroup(cyclic_group(12), 2)
 S3_2 = AmbientGroup(symmetric_group(3), 2)
 
 
-def generated(amb, gens):
-    out, frontier = {amb.identity()}, [amb.identity()]
-    while frontier:
-        products = {amb.op(a, s) for a in frontier for s in gens}
-        frontier = [c for c in products if c not in out]
-        out.update(frontier)
-    return sorted(out, key=amb.tuple_key)
-
-
 @st.composite
 def coset_inputs(draw):
     """An ambient power and a drawn subset, left coset or right coset of a
@@ -326,11 +319,12 @@ def coset_inputs(draw):
     if kind == "subset":
         return amb, draw(st.lists(element, min_size=1, max_size=8, unique=True))
     gens = draw(st.lists(element, max_size=2))
-    h = generated(amb, gens)
+    op = partial(gop, amb)
+    h = generated(op, gidentity(amb), gens)
     if len(h) > 24:
-        h = generated(amb, gens[:1])
+        h = generated(op, gidentity(amb), gens[:1])
     u = draw(element)
-    return amb, [amb.op(u, x) if kind == "left" else amb.op(x, u) for x in h]
+    return amb, [gop(amb, u, x) if kind == "left" else gop(amb, x, u) for x in h]
 
 
 @given(coset_inputs())

@@ -7,8 +7,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import translation_spine, trivial_spine
-from spinekit.catalog import catalog_upto, cyclic_group, symmetric_group
+from conftest import catalog_upto, same_morphism_sets, translation_spine, trivial_spine
+from spinekit.catalog import cyclic_group, symmetric_group
 from spinekit.document import (
     load_group,
     load_spine,
@@ -37,7 +37,6 @@ from spinekit.model import (
     element_index,
     encode,
     indexed_form,
-    map_from_graph,
     validate_spine,
 )
 
@@ -65,7 +64,7 @@ class TestRoundTrip:
     def test_graph_identical(self):
         spine = gen_group_action_spine(cyclic_group(4), 3)
         parsed = parse_document(serialize_spine(spine))
-        assert parsed.morphism_sets_equal(spine)
+        assert same_morphism_sets(parsed, spine)
         assert parsed.morphisms == spine.morphisms
 
     def test_meta_preserved(self):
@@ -87,7 +86,7 @@ class TestRoundTrip:
             "morphisms": {"1|1": [{"*": "*"}]},
         }
         spine = parse_document(json.dumps(doc))
-        assert spine.morphism_sets_equal(trivial_spine())
+        assert same_morphism_sets(spine, trivial_spine())
 
 
 class TestSchemaDiagnostics:
@@ -193,7 +192,7 @@ class TestValidationThroughParse:
     def test_load_spine_does_not_validate(self, z3_spine):
         mutant = perturb_spine(extend_to_groupoid(z3_spine).extended, 12)
         spine, _ = load_spine(serialize_spine(mutant))
-        assert spine.morphism_sets_equal(mutant)
+        assert same_morphism_sets(spine, mutant)
 
 
 class TestGroupFiles:
@@ -542,12 +541,12 @@ class TestReaderIndexedForm:
 
     @staticmethod
     def loaded(text):
-        """Each map `load_spine` reads from text, beside the `map_from_graph`
-        map of its mapping's sorted graph."""
+        """Each map `load_spine` reads from text, beside the map
+        `FiniteMap` builds from its mapping."""
         spine, _ = load_spine(text)
         raw = json.loads(text)["morphisms"]
         return [
-            (f, map_from_graph(i, j, tuple(sorted(mapping.items()))))
+            (f, FiniteMap(i, j, mapping))
             for (i, j), fams in spine.morphisms.items()
             for f, mapping in zip(fams, raw[f"{i}|{j}"])
         ]

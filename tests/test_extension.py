@@ -1,12 +1,25 @@
 """Regularity, symmetric closure, and extension to a groupoid."""
 
+import json
 import time
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from conftest import all_bijections_spine, shift_map, trivial_spine
-from spinekit.catalog import catalog_upto, cyclic_group
+from conftest import (
+    all_bijections_spine,
+    catalog_upto,
+    compose,
+    decode,
+    generated,
+    invert,
+    same_morphism_sets,
+    shift_map,
+    symmetric_closure_oracle,
+    trivial_spine,
+)
+from spinekit.catalog import catalog, cyclic_group
+from spinekit.document import load_spine, serialize_spine
 from spinekit.errors import InvalidSpine, NotRegular, SearchExhausted, TooLarge
 from spinekit.extension import (
     _CLOSURE_BUDGET,
@@ -32,9 +45,7 @@ from spinekit.model import (
     GroupoidSpine,
     adjoin,
     compose_indexed,
-    decode,
     indexed_form,
-    invert,
     invert_indexed,
     validate_spine,
 )
@@ -79,7 +90,7 @@ class TestSymmetricClosure:
     def test_already_symmetric_unchanged(self, z5_spine):
         full = extend_to_groupoid(z5_spine).extended
         again = symmetric_closure(full)
-        assert again.morphism_sets_equal(full)
+        assert same_morphism_sets(again, full)
 
     def test_translation_spine_gains_inverses(self, z5_spine):
         sym = symmetric_closure(z5_spine)
@@ -106,6 +117,28 @@ class TestSymmetricClosure:
     def test_requires_regular(self):
         with pytest.raises(NotRegular):
             symmetric_closure(all_bijections_spine(points=3, objects=2))
+
+    @pytest.mark.parametrize("objects", [2, 3, 4])
+    def test_order_matches_the_oracle(self, objects):
+        for name, group in catalog():
+            spine = gen_group_action_spine(group, objects)
+            want = serialize_spine(symmetric_closure_oracle(spine))
+            assert serialize_spine(symmetric_closure(spine)) == want, name
+
+    def test_tied_graph_keys_keep_input_order(self):
+        # test_cli's TestHashSeeds document, with its family in both orders:
+        # the inverses of its two maps both have the graph key "a>c,b>c,b>c"
+        f, g = {"c": "a", "c,b>c": "b"}, {"c": "b", "c,b>c": "a"}
+        back = [{"a": "c", "b": "c,b>c"}, {"a": "c,b>c", "b": "c"}]
+        for family, want in [([f, g], back), ([g, f], back[::-1])]:
+            spine, _ = load_spine(json.dumps({
+                "format_version": 1, "objects": ["1", "2"],
+                "sets": {"1": ["c", "c,b>c"], "2": ["a", "b"]}, "pairs": [["1", "2"]],
+                "morphisms": {"1|2": family},
+            }))
+            sym = symmetric_closure(spine)
+            assert [m.mapping for m in sym.morphisms[("2", "1")]] == want
+            assert serialize_spine(sym) == serialize_spine(symmetric_closure_oracle(spine))
 
 
 class TestExtendToGroupoid:
@@ -148,7 +181,7 @@ class TestExtendToGroupoid:
                     for p in z5_spine.pairs
                 },
             )
-            assert extend_to_groupoid(shuffled).extended.morphism_sets_equal(baseline)
+            assert same_morphism_sets(extend_to_groupoid(shuffled).extended, baseline)
 
     def test_trivial_spine(self):
         result = extend_to_groupoid(trivial_spine())
@@ -227,9 +260,6 @@ class TestLargeClosures:
     """Sizes the frontier closure could not reach in reasonable time."""
 
     def test_latin_order7_closes_to_its_loop_group(self):
-        from spinekit.generators import gen_latin_square_family, latin_family_spine
-        from spinekit.model import compose
-
         family = gen_latin_square_family(7, False, 1)
         spine = latin_family_spine(family)
         result = extend_to_groupoid(spine)
@@ -239,20 +269,11 @@ class TestLargeClosures:
             p: 5040 for p in (("1", "1"), ("1", "2"), ("2", "1"), ("2", "2"))
         }
         # oracle: the loops f . g^-1 at object 1 generate the same group as
-        # the loops f . t^-1 for one fixed t; close those by breadth-first
-        # search over graphs, composing FiniteMaps directly
+        # the loops f . t^-1 for one fixed t (the first of them the
+        # identity); close those breadth first, composing FiniteMaps directly
         back = invert(family[0])
         gens = [compose(f, back) for f in family]
-        group = {f.graph: f for f in gens}
-        queue = list(gens)
-        while queue:
-            h = queue.pop()
-            for t in gens:
-                k = compose(h, t)
-                if k.graph not in group:
-                    group[k.graph] = k
-                    queue.append(k)
-        assert {f.graph for f in ext.morphisms[("1", "1")]} == set(group)
+        assert set(ext.morphisms[("1", "1")]) == generated(compose, gens[0], gens)
 
     def test_z64_on_eight_objects(self):
         from spinekit.catalog import cyclic_group

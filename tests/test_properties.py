@@ -1,11 +1,24 @@
 """Property tests over randomized instances."""
 
+from functools import partial
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import (
+    catalog_upto,
+    compose,
+    decode,
+    generated,
+    gidentity,
+    ginv,
+    gop,
+    gtuples,
+    invert,
+    is_subgroup,
+)
 from spinekit.catalog import (
     catalog,
-    catalog_upto,
     classify_group,
     cyclic_group,
     is_isomorphic,
@@ -24,13 +37,10 @@ from spinekit.generators import gen_group_action_spine
 from spinekit.groups import extract_group, group_on_fiber, relabel_group
 from spinekit.model import (
     FiniteMap,
-    compose,
     compose_indexed,
-    decode,
     element_index,
     encode,
     indexed_form,
-    invert,
     invert_indexed,
 )
 
@@ -141,7 +151,7 @@ def test_five_way_agreement_random_subsets(group, data):
     )
     amb = AmbientGroup(group, 1)
     report = coset_test(amb, subset)  # TheoremViolation on any disagreement
-    family = [[amb.op(x, u) for x in subset] for u in elements]
+    family = [[gop(amb, x, u) for x in subset] for u in elements]
     assert partition_check(family).equal_or_disjoint == report.is_coset
 
 
@@ -178,29 +188,17 @@ def test_generated_spines_extend_conservatively(group, objects):
 SQUARES = [AmbientGroup(symmetric_group(3), 2), AmbientGroup(cyclic_group(4), 2)]
 
 
-def elements_of(amb):
-    return sorted(amb.all_tuples(), key=amb.tuple_key)
-
-
-def generated(amb, gens):
-    out, frontier = {amb.identity()}, [amb.identity()]
-    while frontier:
-        products = {amb.op(a, s) for a in frontier for s in gens}
-        frontier = [c for c in products if c not in out]
-        out.update(frontier)
-    return frozenset(out)
-
-
 @st.composite
 def coset(draw, amb, h=None):
     """A left or right coset of h, or of a drawn generated subgroup."""
-    elements = elements_of(amb)
+    elements = list(gtuples(amb))
     if h is None:
-        h = generated(amb, draw(st.lists(st.sampled_from(elements), max_size=2)))
+        gens = draw(st.lists(st.sampled_from(elements), max_size=2))
+        h = generated(partial(gop, amb), gidentity(amb), gens)
     u = draw(st.sampled_from(elements))
     if draw(st.booleans()):
-        return frozenset(amb.op(u, x) for x in h)
-    return frozenset(amb.op(x, u) for x in h)
+        return frozenset(gop(amb, u, x) for x in h)
+    return frozenset(gop(amb, x, u) for x in h)
 
 
 @st.composite
@@ -209,15 +207,15 @@ def subset_or_coset(draw, amb):
     cosets)."""
     if draw(st.booleans()):
         return draw(coset(amb))
-    elements = st.sampled_from(elements_of(amb))
+    elements = st.sampled_from(list(gtuples(amb)))
     return frozenset(draw(st.lists(elements, min_size=1, max_size=12)))
 
 
 @st.composite
 def coset_family(draw, amb):
     """Two to four left or right cosets of one drawn subgroup."""
-    gens = draw(st.lists(st.sampled_from(elements_of(amb)), max_size=2))
-    h = generated(amb, gens)
+    gens = draw(st.lists(st.sampled_from(list(gtuples(amb))), max_size=2))
+    h = generated(partial(gop, amb), gidentity(amb), gens)
     return draw(st.lists(coset(amb, h), min_size=2, max_size=4))
 
 
@@ -227,12 +225,12 @@ def every_member_verdicts(amb, xset):
     ordered = sorted(xset, key=amb.tuple_key)
     left, subgroup, translator = False, None, None
     for a in ordered:
-        h = frozenset(amb.op(amb.inv(a), x) for x in xset)
-        if amb.is_subgroup(h):
+        h = frozenset(gop(amb, ginv(amb, a), x) for x in xset)
+        if is_subgroup(amb, h):
             left, subgroup, translator = True, h, a
             break
     right = any(
-        amb.is_subgroup(frozenset(amb.op(x, amb.inv(a)) for x in xset))
+        is_subgroup(amb, frozenset(gop(amb, x, ginv(amb, a)) for x in xset))
         for a in ordered
     )
     return left, right, subgroup, translator
@@ -255,8 +253,8 @@ def test_translate_search_matches_enumeration_of_the_power(amb, data):
     subgroups = report.subgroups
     translates = all(
         any(
-            frozenset(amb.op(u, x) for x in family[i]) == family[j]
-            for u in amb.all_tuples()
+            frozenset(gop(amb, u, x) for x in family[i]) == family[j]
+            for u in gtuples(amb)
         )
         for i in range(len(family))
         for j in range(i + 1, len(family))
