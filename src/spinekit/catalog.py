@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain, product as iproduct
 from operator import eq
 
-from .groups import GroupTable, permutation_group, tabulate
+from .groups import GroupTable, tabulate
 from .model import Indexed, adjoin, compose_indexed, indexed_form
 
 CLASSIFY_LIMIT = 24
@@ -60,8 +60,9 @@ def dihedral_group(n: int) -> GroupTable:
 def _perm_group(perms: set[Indexed]) -> GroupTable:
     """Group of permutations in one-line notation, labeled by digit strings;
     the product p.q applies q first."""
-    labels = {p: "".join(str(i) for i in p) for p in perms}
-    return permutation_group(labels, indexed_form(range(len(next(iter(perms))))))
+    label = lambda p: "".join(str(i) for i in p)
+    identity = indexed_form(range(len(next(iter(perms)))))
+    return tabulate(sorted(perms, key=label), identity, lambda p, q: compose_indexed(q, p), label)
 
 
 def symmetric_group(n: int) -> GroupTable:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from .catalog import cyclic_group, klein_group
 from .errors import InvalidSpine, NotPrime, SearchExhausted, TooLarge
 from .groups import GroupTable
 from .model import (
@@ -81,24 +82,12 @@ def gen_affine_config(p: int) -> GroupoidSpine:
     """Three-object spine over the field with p elements: the morphisms
     from 1 to 2 are the translations x -> x + t, from 2 to 3 the
     translations x -> x + u, and from 1 to 3 their composites x -> x + t + u
-    (which is again every translation)."""
+    (which is again every translation): the group-action spine of Z/p."""
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p > 97:
         raise TooLarge(f"affine configurations support p <= 97, got {p}")
-    elems = [str(i) for i in range(p)]
-    labels = ["1", "2", "3"]
-    sets = {o: FiniteSet(o, elems) for o in labels}
-
-    def shift(src: str, tgt: str, t: int) -> FiniteMap:
-        return FiniteMap(src, tgt, {str(x): str((x + t) % p) for x in range(p)})
-
-    morphisms = {
-        ("1", "2"): tuple(shift("1", "2", t) for t in range(p)),
-        ("2", "3"): tuple(shift("2", "3", u) for u in range(p)),
-        ("1", "3"): tuple(shift("1", "3", s) for s in range(p)),
-    }
-    return GroupoidSpine(labels, sets, morphisms.keys(), morphisms)
+    return gen_group_action_spine(cyclic_group(p), 3)
 
 
 def _xyz_closed(rows: Sequence[Indexed]) -> bool:
@@ -165,13 +154,8 @@ def gen_latin_square_family(
     if order < 2 or order > 7:
         raise TooLarge(f"supported orders are 2..7, got {order}")
     if want_coset:
-        if order == 4:
-            rows = [indexed_form([x ^ r for x in range(4)]) for r in range(4)]
-        else:
-            rows = [
-                indexed_form([(x + r) % order for x in range(order)]) for r in range(order)
-            ]
-        return _rows_to_maps(rows)
+        table = klein_group() if order == 4 else cyclic_group(order)
+        return _rows_to_maps([indexed_form(row) for row in table._rows])
     if order < MIN_NON_COSET_ORDER:
         raise SearchExhausted(
             f"every sharply transitive family of order {order} is a coset family"
@@ -186,10 +170,17 @@ def gen_latin_square_family(
     )
 
 
+def _carrier_order(labels: frozenset[str]) -> list[str]:
+    """The labels in numeric order when every one is a decimal integer, as
+    every `gen` family's are, and in label order otherwise."""
+    return sorted(labels, key=int if all(x.isdecimal() for x in labels) else None)
+
+
 def latin_family_spine(family: Sequence[FiniteMap]) -> GroupoidSpine:
-    """The two-object spine with the given family as its only morphism set."""
-    elems = sorted((x for x, _ in family[0].graph), key=int)
-    sets = {"1": FiniteSet("1", elems), "2": FiniteSet("2", elems)}
+    """The two-object spine with the given family as its only morphism set:
+    X_1 is the first map's domain and X_2 its image."""
+    x1, x2 = _carrier_order(family[0].domain()), _carrier_order(family[0].image())
+    sets = {"1": FiniteSet("1", x1), "2": FiniteSet("2", x2)}
     return GroupoidSpine(["1", "2"], sets, [("1", "2")], {("1", "2"): tuple(family)})
 
 

@@ -2,7 +2,9 @@
 fiber transport, and relabeling.
 
 Group elements coming out of a spine are canonical graph keys of the
-diagonal morphisms, so tables are deterministic across runs.
+diagonal morphisms, so tables are deterministic across runs. The diagonal
+family acts regularly on its carrier, so its Cayley table is read off the
+orbit of one point rather than by composing maps.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from .extension import (
 from .model import (
     FiniteSet,
     GroupoidSpine,
-    Indexed,
     adjoin,
-    compose_indexed,
     element_index,
     encode,
     graph_keys,
@@ -40,9 +40,10 @@ class GroupTable:
     is the index of a.b, `_inv[a]` that of a^-1. The constructor is the
     front end for labels: it indexes `product` into rows, with None for a
     missing or unknown product, and hands them to `_check`, which internal
-    builders (`tabulate`) call directly on rows they computed. The check
-    verifies the axioms on the rows exactly from a generating set (`_gens`):
-    totality, a two-sided identity and inverses directly, associativity by
+    builders (`tabulate`, `_diagonal_action`) call directly on rows they
+    computed. The check verifies the axioms on the rows exactly from a
+    generating set (`_gens`): totality, a two-sided identity and inverses
+    directly, associativity by
     Light's test. The generators are taken greedily in element order with
     `adjoin` over the table, so every element is a product of generators even
     before associativity is known. The test checks (x.s).y = x.(s.y) for each
@@ -143,10 +144,12 @@ class GroupAction:
     the carrier. The constructor is the front end for labels: it indexes
     `act` into that table, with None for a missing or unknown image, and
     hands it to `_check`, which `_diagonal_action` calls directly on the
-    indexed forms it holds. The check verifies exactly, from
-    the group's generating set, that the identity acts trivially, that the
-    action respects the product, and that it is regular: every (x, y) is
-    achieved by exactly one group element.
+    indexed forms it holds, after reading the group's rows off the orbit of
+    point 0; there the check is what proves the forms closed under
+    composition. The check verifies exactly, from the group's generating
+    set, that the identity acts trivially, that the action respects the
+    product, and that it is regular: every (x, y) is achieved by exactly
+    one group element.
     (g.h).x = g.(h.x) is checked for the generators h only, |G|.#gens.|X|:
     the good h hold the identity and are closed under the product, since
     (g.(h.k)).x = ((g.h).k).x = (g.h).(k.x) = g.(h.(k.x)) = g.((h.k).x).
@@ -226,43 +229,20 @@ def tabulate(
     return object.__new__(GroupTable)._check(tuple(map(label, xs)), pos[identity], rows)
 
 
-def permutation_group(perms: Mapping[Indexed, str], identity: Indexed) -> GroupTable:
-    """The group of the permutations `perms` (indexed maps of one carrier),
-    each element labeled by its value in `perms`.
-
-    Elements are listed in label order; a.b is the label of "apply b, then
-    a". Raises ValueError when the identity is missing or the permutations
-    are not closed under composition.
-    """
-    if identity not in perms:
-        raise ValueError("the permutations lack the identity")
-    try:
-        return tabulate(
-            sorted(perms, key=perms.__getitem__),
-            identity,
-            lambda p, q: compose_indexed(q, p),
-            perms.__getitem__,
-        )
-    except KeyError:
-        raise ValueError("the permutations are not closed under composition") from None
-
-
 def extract_group(ext: ExtensionResult, obj: str) -> GroupAction:
     """Realize the diagonal morphism family at one object as a concrete
     group with its regular action on that object's carrier.
 
     Elements are the canonical graph keys of the diagonal maps; the product
     of two keys is the key of the composite (right factor applied first).
-    Raises UnknownObject first, then NotRegular, with the extended spine's
-    regularity report, when the extension was not conservative (only
-    two-object spines get there: the group then outgrows the carrier), and
-    ValueError when the diagonal family lacks the identity or is not closed
-    under composition.
+    Raises UnknownObject first; then ValueError when the diagonal family
+    lacks the identity; then NotRegular, with the extended spine's
+    regularity report, when the family does not act regularly (on a closure
+    the engine built, only a non-conservative two-object extension gets
+    there: the group then outgrows the carrier); and ValueError when the
+    family is not closed under composition.
     """
-    spine = ext.extended
-    if obj in spine.objects and not ext.conservative:
-        raise NotRegular(_regularity_unchecked(spine))
-    return _diagonal_action(spine, obj)
+    return _diagonal_action(ext.extended, obj)
 
 
 def _extract(spine: GroupoidSpine, obj: str) -> GroupAction:
@@ -276,18 +256,38 @@ def _extract(spine: GroupoidSpine, obj: str) -> GroupAction:
 
 
 def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
-    """`extract_group` on a closed regular spine: the action of Mor(obj, obj)
-    on X_obj. Raises UnknownObject for an object not in the spine."""
+    """`extract_group` on a closed spine: the action of Mor(obj, obj) on
+    X_obj, failing in the order `extract_group` documents.
+
+    A regular family is its own regular representation: g.h is the element
+    sending point 0 where g(h(0)) lies, so the rows are read off the orbit
+    map of point 0, |G|^2 lookups, and no map is composed. The table and
+    action checks then pass exactly when the family is closed under
+    composition: a closed family is a group with these rows as its Cayley
+    table, and the action's compatibility check puts every composite of
+    two members in the family."""
     if obj not in spine.objects:
         raise UnknownObject(f"object {obj!r} is not in the spine")
-    elems = spine.sets[obj].elements
+    carrier = spine.sets[obj]
+    elems = carrier.elements
     index = element_index(elems)
     family = spine.morphisms[(obj, obj)]
     graph_key = graph_keys(elems, elems, len(family))
     key_of = {t: graph_key(t) for t in (encode(f, elems, index) for f in family)}
-    group = permutation_group(key_of, indexed_form(range(len(elems))))
     forms = sorted(key_of, key=key_of.__getitem__)  # label order: the group's element order
-    return object.__new__(GroupAction)._check(group, spine.sets[obj], forms)
+    identity = indexed_form(range(len(elems)))
+    if identity not in key_of:
+        raise ValueError("the permutations lack the identity")
+    at = {t[0]: a for a, t in enumerate(forms)}
+    if not len(at) == len(forms) == len(elems):
+        raise NotRegular(_regularity_unchecked(spine))
+    rows = tuple(tuple([at[g[h[0]]] for h in forms]) for g in forms)
+    labels = tuple(map(key_of.__getitem__, forms))
+    try:
+        group = object.__new__(GroupTable)._check(labels, forms.index(identity), rows)
+        return object.__new__(GroupAction)._check(group, carrier, forms)
+    except ValueError:
+        raise ValueError("the permutations are not closed under composition") from None
 
 
 def _transport(g: GroupTable, images: Sequence[str], elements: Sequence[str]) -> GroupTable:

@@ -3,8 +3,10 @@
 The builders construct spines by hand with plain modular arithmetic so that
 tests of the generators have an independent reference, and tests of the
 engine do not depend on the generators under test. The oracles are the
-string-graph map algebra and label-side products in G^n that the engine's
-integer forms are checked against; they take valid inputs only.
+string-graph map algebra, the composition table of a permutation group and
+label-side products in G^n that the engine's integer forms are checked
+against; they take valid inputs only, save `permutation_group`, which also
+names what is missing from an invalid family.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from itertools import permutations, product as iproduct
 import pytest
 
 from spinekit.catalog import catalog
+from spinekit.groups import GroupTable, tabulate
 from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine
 
 
@@ -86,6 +89,22 @@ def invert_tuple(f: tuple) -> tuple:
     for x, y in enumerate(f):
         inv[y] = x
     return tuple(inv)
+
+
+def permutation_group(perms: dict, identity: tuple) -> GroupTable:
+    """The group of the permutations `perms`, a dict from indexed forms of
+    one carrier to labels, tabulated by composing every pair. Elements are
+    in label order; a.b is the label of "apply b, then a". Raises
+    ValueError when the identity is missing or the permutations are not
+    closed under composition."""
+    label = {tuple(t): name for t, name in perms.items()}
+    if tuple(identity) not in label:
+        raise ValueError("the permutations lack the identity")
+    forms, mul = sorted(label, key=label.__getitem__), lambda p, q: compose_tuples(q, p)
+    try:
+        return tabulate(forms, tuple(identity), mul, label.__getitem__)
+    except KeyError:
+        raise ValueError("the permutations are not closed under composition") from None
 
 
 def same_morphism_sets(a: GroupoidSpine, b: GroupoidSpine) -> bool:

@@ -109,6 +109,24 @@ MUTANTS = [
         "if _valid_regular(spine) is not None:",
         EXTRACT,
     ),
+    # extract reads the product off the orbit of point 0 the wrong way
+    # round, h.g for g.h: the opposite table, which the action check rejects
+    # on every non-abelian group
+    (
+        "groups.py",
+        "at[g[h[0]]] for h in forms",
+        "at[h[g[0]]] for h in forms",
+        ["tests/test_groups.py::TestExtractGroup::test_matches_the_composition_table_oracle[1]"],
+    ),
+    # extract without its regularity guard: the diagonal S5 of a
+    # non-conservative closure fails the table check, as "not closed"
+    # instead of NotRegular
+    (
+        "groups.py",
+        "    if not len(at) == len(forms) == len(elems):\n",
+        "    if False:\n",
+        ["tests/test_groups.py::TestExtractGroup::test_non_conservative_extension_is_not_regular"],
+    ),
     # local linearity decides right cosets where it should decide left ones
     (
         "cosets.py",

@@ -6,7 +6,14 @@ from itertools import permutations
 
 import pytest
 
-from conftest import compose, invert, invert_tuple, same_morphism_sets, trivial_spine
+from conftest import (
+    compose,
+    invert,
+    invert_tuple,
+    same_morphism_sets,
+    translation_spine,
+    trivial_spine,
+)
 import spinekit.generators as generators_module
 from spinekit.catalog import (
     catalog,
@@ -114,6 +121,11 @@ class TestAffineConfig:
         action = extract_group(ext, "1")
         assert classify_group(action.group).name == name
 
+    def test_every_prime_matches_the_translation_spine(self):
+        for p in [p for p in range(2, 98) if all(p % d for d in range(2, p))]:
+            got = serialize_spine(gen_affine_config(p))
+            assert got == serialize_spine(translation_spine(p, 3)), p
+
     @pytest.mark.parametrize("bad", [0, 1, 4, 6, 91])
     def test_not_prime(self, bad):
         with pytest.raises(NotPrime):
@@ -188,6 +200,22 @@ class TestLatinFamilies:
     def test_spine_wrapper(self):
         family = gen_latin_square_family(5, want_coset=True)
         spine = latin_family_spine(family)
+        assert validate_spine(spine).ok
+        assert check_regularity(spine).regular
+
+    def test_spine_on_letter_labels(self):
+        # carriers of labels that are not all integers are in label order
+        family = [FiniteMap("1", "2", dict(zip("cab", images))) for images in ("cab", "abc", "bca")]
+        spine = latin_family_spine(family)
+        assert spine.sets["1"].elements == spine.sets["2"].elements == ("a", "b", "c")
+        assert validate_spine(spine).ok
+
+    def test_spine_onto_other_labels(self):
+        # X_2 is the first map's image, not its domain
+        family = [FiniteMap("1", "2", dict(zip("01", images))) for images in ("xy", "yx")]
+        spine = latin_family_spine(family)
+        assert spine.sets["1"].elements == ("0", "1")
+        assert spine.sets["2"].elements == ("x", "y")
         assert validate_spine(spine).ok
         assert check_regularity(spine).regular
 

@@ -8,7 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import spinekit.catalog as catalog_module
 import spinekit.groups as groups_module
-from conftest import catalog_upto, generated, translation_spine, trivial_spine
+from conftest import (
+    catalog_upto,
+    compose_tuples,
+    generated,
+    invert_tuple,
+    permutation_group,
+    translation_spine,
+    trivial_spine,
+)
 from spinekit.catalog import (
     IsoClass,
     abelian_group,
@@ -39,6 +47,16 @@ from spinekit.groups import (
     relabel_group,
 )
 from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine, element_index
+
+
+def normalised_non_coset(order: int = 5, seed: int = 1) -> list[tuple[int, ...]]:
+    """A non-coset Latin family with f0^-1 applied first, as permutations:
+    it acts regularly and holds the identity, but is not closed under
+    composition, since a closed one would make the family a coset."""
+    family = gen_latin_square_family(order, want_coset=False, seed=seed)
+    rows = [tuple(int(f(str(x))) for x in range(order)) for f in family]
+    back = invert_tuple(rows[0])
+    return [compose_tuples(back, row) for row in rows]
 
 
 def generating_sequence(g: GroupTable) -> list[str]:
@@ -93,22 +111,51 @@ class TestExtractGroup:
                 assert is_isomorphic(action.group, g)
 
     @pytest.mark.parametrize(
-        "shifts, message",
-        [((1, 2), "identity"), ((0, 1), "closed under composition")],
+        "perms, error, message",
+        [
+            # the shifts by 1 and 2 of three points
+            pytest.param([(1, 2, 0), (2, 0, 1)], ValueError, "identity", id="shifts0-identity"),
+            # the shifts by 0 and 1: two maps cannot act regularly on three points
+            pytest.param(
+                [(0, 1, 2), (1, 2, 0)], NotRegular, "not regular", id="shifts1-not regular"
+            ),
+            pytest.param(
+                normalised_non_coset(),
+                ValueError,
+                "closed under composition",
+                id="latin5-closed under composition",
+            ),
+            # all of S3: six maps on three points
+            pytest.param(
+                list(permutations(range(3))), NotRegular, "not regular", id="S3-not regular"
+            ),
+        ],
     )
-    def test_invalid_diagonal_is_rejected(self, shifts, message):
+    def test_invalid_diagonal_is_rejected(self, perms, error, message):
         # a hand-built result: the engine never closes a spine like this
-        elems = ["a", "b", "c"]
-        maps = [
-            FiniteMap("1", "1", {x: elems[(n + k) % 3] for n, x in enumerate(elems)})
-            for k in shifts
-        ]
+        elems = "abcde"[: len(perms[0])]
+        maps = [FiniteMap("1", "1", {x: elems[p[n]] for n, x in enumerate(elems)}) for p in perms]
         spine = GroupoidSpine(
             ["1"], {"1": FiniteSet("1", elems)}, [("1", "1")], {("1", "1"): maps}
         )
         ext = ExtensionResult(spine, True, {}, 1)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message) as caught:
             extract_group(ext, "1")
+        if error is NotRegular:
+            assert not caught.value.report.regular
+
+    @pytest.mark.parametrize("objects", [1, 2])
+    def test_matches_the_composition_table_oracle(self, objects):
+        for name, g in catalog():
+            ext = extend_to_groupoid(gen_group_action_spine(g, objects))
+            carrier, family = ext.extended.sets["1"], ext.extended.morphisms[("1", "1")]
+            points = element_index(carrier.elements)
+            perms = {tuple(points[f(x)] for x in carrier.elements): f.graph_key() for f in family}
+            group = permutation_group(perms, tuple(range(len(carrier))))
+            act = {(f.graph_key(), x): f(x) for f in family for x in carrier.elements}
+            action = extract_group(ext, "1")
+            assert action.group == group and action.group._rows == group._rows, name
+            assert action == GroupAction(group, carrier, act), name
 
     def test_non_conservative_extension_is_not_regular(self):
         # two objects: the closure's group, S5, outgrows the 5-point carrier
