@@ -76,15 +76,17 @@ def resolve_group_spec(spec: str) -> GroupTable:
     return load_group(path.read_bytes())
 
 
-def render_cayley(table: GroupTable) -> list[str]:
-    """Row-major grid with a header row and column; identity first."""
+def print_cayley(title: str, table: GroupTable) -> None:
+    """Print `title`, then the table as a row-major grid with a header row
+    and column, identity first, one line at a time: the text of a large
+    table is never held whole."""
     order = [table.identity] + [e for e in table.elements if e != table.identity]
     width = max(len(e) for e in order + ["*"])
     pad = lambda s: s.rjust(width)
-    lines = [" ".join([pad("*")] + [pad(e) for e in order])]
+    print(title)
+    print(" ".join([pad("*")] + [pad(e) for e in order]))
     for a in order:
-        lines.append(" ".join([pad(a)] + [pad(table.op(a, b)) for b in order]))
-    return lines
+        print(" ".join([pad(a)] + [pad(table.op(a, b)) for b in order]))
 
 
 def _read(path: str) -> bytes:
@@ -134,14 +136,12 @@ def cmd_extract(args) -> int:
     print(f"object: {args.object}")
     print(f"group order: {len(action.group)}")
     print(f"class: {cls.render()}")
-    print("cayley table:")
-    print("\n".join(render_cayley(action.group)))
+    print_cayley("cayley table:", action.group)
     if fiber is not None:
         # the fiber group is a transport of the acting group: same class
         print(f"fiber group at {args.identity}: identity {fiber.identity}")
         print(f"fiber class: {cls.render()}")
-        print("fiber cayley table:")
-        print("\n".join(render_cayley(fiber)))
+        print_cayley("fiber cayley table:", fiber)
     return 0
 
 
@@ -218,8 +218,7 @@ def cmd_relabel(args) -> int:
     cls = classify_group(relabeled)
     print(f"identity: {relabeled.identity}")
     print(f"class: {cls.render()}")
-    print("cayley table:")
-    print("\n".join(render_cayley(relabeled)))
+    print_cayley("cayley table:", relabeled)
     return 0
 
 

@@ -17,16 +17,18 @@ from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import EmptySet, NotACoset, TheoremViolation, UnknownElement
 from .groups import GroupTable
+from .model import Indexed, indexed_form
 
 GTuple = tuple[str, ...]
 ITuple = tuple[int, ...]  # a member of G^n as element indices
-_Table = Sequence[Sequence[int]]  # _rows[a][b] = _cols[b][a]: the index of a.b
+_Table = Sequence[Indexed]  # _rows[a][b] = _cols[b][a]: the index of a.b
 
 
 @dataclass(frozen=True)
 class AmbientGroup:
     """G^n with componentwise product, for subsets to live in. The tables
-    are its group's own; only `_cols`, the transpose of `_rows`, is built."""
+    are its group's own; only `_cols`, the transpose of `_rows`, is built:
+    the right translations a -> a.b, as indexed forms like the rows."""
 
     group: GroupTable
     power: int
@@ -39,7 +41,7 @@ class AmbientGroup:
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "_index", group._index)
         object.__setattr__(self, "_rows", group._rows)
-        object.__setattr__(self, "_cols", tuple(zip(*group._rows)))
+        object.__setattr__(self, "_cols", tuple(map(indexed_form, zip(*group._rows))))
         object.__setattr__(self, "_inv", group._inv)
 
     def tuple_key(self, a: GTuple) -> tuple[int, ...]:

@@ -190,9 +190,10 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
     pass does both the test and the read: the source carrier's labels
     picked in order by one `itemgetter` (a missing key fails it), each
     image's index looked up in the target (an image outside it fails it),
-    and the mapping's size compared with the carrier's (an extra key fails
-    it). Any other mapping has each label checked and becomes a
-    `FiniteMap` of its sorted graph.
+    the mapping's size compared with the carrier's (an extra key fails it),
+    and its distinct images counted (a repeated image fails it). Any other
+    mapping has each label checked and becomes a `FiniteMap` of its sorted
+    graph, which raises its own error when it is not injective.
     """
     doc = _load_object(text, _SPINE_KEYS, ("objects", "sets", "pairs", "morphisms"))
 
@@ -257,7 +258,7 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
             # other mapping takes the per-entry checks and their messages
             try:  # read in source-carrier order, whatever the key order
                 t = indexed_form(list(map(index.__getitem__, pick(mapping))))
-                checked = len(mapping) == size
+                checked = len(mapping) == size and len(set(t)) == size
             except (KeyError, TypeError):  # a label off the carriers, or unhashable
                 checked = False
             if not checked:

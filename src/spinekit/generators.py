@@ -41,17 +41,16 @@ def gen_group_action_spine(group: GroupTable, objects: int) -> GroupoidSpine:
     With one object the relation is the diagonal pair; otherwise it is the
     increasing pairs only, leaving the extension machinery real work. The
     translation by h is the row of h in the group's table, x -> h.x as
-    indices; its indexed form is built once and shared by every pair.
+    an indexed form, which every pair shares.
     """
     if objects < 1:
         raise ValueError("need at least one object")
     labels = [str(i) for i in range(1, objects + 1)]
     elems, index = group.elements, group._index
     sets = {o: FiniteSet(o, elems) for o in labels}
-    forms = [indexed_form(row) for row in group._rows]
 
     def translations(src: str, tgt: str) -> tuple[FiniteMap, ...]:
-        return tuple(indexed_map(src, tgt, elems, elems, index, t) for t in forms)
+        return tuple(indexed_map(src, tgt, elems, elems, index, t) for t in group._rows)
 
     if objects == 1:
         o = labels[0]
@@ -155,7 +154,7 @@ def gen_latin_square_family(
         raise TooLarge(f"supported orders are 2..7, got {order}")
     if want_coset:
         table = klein_group() if order == 4 else cyclic_group(order)
-        return _rows_to_maps([indexed_form(row) for row in table._rows])
+        return _rows_to_maps(table._rows)
     if order < MIN_NON_COSET_ORDER:
         raise SearchExhausted(
             f"every sharply transitive family of order {order} is a coset family"

@@ -25,29 +25,44 @@ from .model import (
     FiniteSet,
     GroupoidSpine,
     adjoin,
+    compose_indexed,
     element_index,
     encode,
     graph_keys,
     indexed_form,
+    invert_indexed,
 )
+
+
+def _total_forms(what: str, rows: list, names: Sequence[str], at: Sequence[str]) -> tuple:
+    """`rows`, lists of indices with None for an entry not given, as indexed
+    forms; raises ValueError at the first missing entry, named by the row
+    labels `names` and the column labels `at`. The label front ends call
+    it, so `_check` takes total forms only."""
+    for a, row in zip(names, rows):
+        if None in row:
+            raise ValueError(f"{what} is not total at ({a!r},{at[row.index(None)]!r})")
+    return tuple(map(indexed_form, rows))
 
 
 @dataclass(frozen=True)
 class GroupTable:
     """A finite group as a Cayley table over labeled elements.
 
-    The group is its integer table: `_index` numbers the labels, `_rows[a][b]`
-    is the index of a.b, `_inv[a]` that of a^-1. The constructor is the
-    front end for labels: it indexes `product` into rows, with None for a
-    missing or unknown product, and hands them to `_check`, which internal
-    builders (`tabulate`, `_diagonal_action`) call directly on rows they
-    computed. The check verifies the axioms on the rows exactly from a
-    generating set (`_gens`): totality, a two-sided identity and inverses
-    directly, associativity by
-    Light's test. The generators are taken greedily in element order with
+    The group is its integer table: `_index` numbers the labels, `_rows[a]`
+    is the left translation b -> a.b as an indexed form (`model`), so
+    `_rows[a][b]` is the index of a.b, and `_inv` is the inversion map as a
+    form. The constructor is the front end for labels: it indexes `product`
+    into rows, checks that every product is given and is an element, and
+    hands the rows as forms to `_check`, which internal builders
+    (`tabulate`, `_diagonal_action`) call directly on forms they computed.
+    The check verifies the axioms on the forms exactly from a generating
+    set (`_gens`): a two-sided identity and inverses directly, associativity
+    by Light's test. The generators are taken greedily in element order with
     `adjoin` over the table, so every element is a product of generators even
     before associativity is known. The test checks (x.s).y = x.(s.y) for each
-    generator s and all x, y: n^2 per generator. The good middles hold the
+    generator s and all x, y, as one composite of rows per x: the row of x.s
+    is the row of s followed by the row of x. The good middles hold the
     identity and are closed under the product, since for good s and t
     (x.(s.t)).y = ((x.s).t).y = (x.s).(t.y) = x.(s.(t.y)) = x.((s.t).y);
     so they are the whole table. Only on failure does the n^3 sweep run, to
@@ -74,36 +89,37 @@ class GroupTable:
         if identity not in index:
             raise ValueError(f"identity {identity!r} is not an element")
         prod = {(str(a), str(b)): str(c) for (a, b), c in product.items()}
-        rows = tuple(tuple([index.get(prod.get((a, b))) for b in elems]) for a in elems)
-        self._check(elems, index[identity], rows)
+        rows = [[index.get(prod.get((a, b))) for b in elems] for a in elems]
+        self._check(elems, index[identity], _total_forms("product table", rows, elems, elems))
         if len(prod) != len(elems) ** 2:
             key = next(k for k in prod if k[0] not in index or k[1] not in index)
             raise ValueError(f"product key {key!r} is not a pair of elements")
 
-    def _check(self, elems: tuple[str, ...], e: int, rows: Sequence[tuple]) -> GroupTable:
-        """Verify the axioms on `rows`, a tuple of tuples, rows[a][b] the
-        index of elems[a].elems[b] (None where no product is given), with
-        identity elems[e], naming labels only in messages; then set the
-        fields from them and return the table. An internal builder calls it
-        on `object.__new__(GroupTable)` with distinct string labels."""
-        for a, row in zip(elems, rows):
-            if None in row:
-                b = elems[row.index(None)]
-                raise ValueError(f"product table is not total at ({a!r},{b!r})")
+    def _check(self, elems: tuple[str, ...], e: int, rows: Sequence) -> GroupTable:
+        """Verify the axioms on `rows`, a tuple of total indexed forms (one
+        kind, as `indexed_form` builds them), rows[a][b] the index of
+        elems[a].elems[b], with identity elems[e], naming labels only in
+        messages; then set the fields from them and return the table. An
+        internal builder calls it on `object.__new__(GroupTable)` with
+        distinct string labels. The inverse of a is the first b with
+        a.b = e = b.a: the first e in a's row, when that is two-sided for
+        every a, else the first two-sided one found by a scan."""
         ids = range(len(elems))
         for a, row in enumerate(rows):
             if rows[e][a] != a or row[e] != a:
                 raise ValueError(f"{elems[e]!r} is not neutral at {elems[a]!r}")
-        two_sided = lambda a, b: rows[a][b] == e == rows[b][a]
-        inv = tuple(next((b for b in ids if two_sided(a, b)), None) for a in ids)
+        inv = [row.index(e) if e in row else e for row in rows]  # first b: a.b = e, else e
+        if not all(rows[b][a] == e for a, b in enumerate(inv)):
+            inv = [next((b for b in ids if rows[a][b] == e == rows[b][a]), None) for a in ids]
         if None in inv:
             missing = [elems[a] for a, b in enumerate(inv) if b is None]
             raise ValueError(f"elements without inverses: {missing}")
+        inv = indexed_form(inv)
         span, gens = {e}, []
         for i in ids:
             if i not in span:
                 adjoin(span, gens, i, lambda x, y: rows[x][y])
-        if not all(rows[x[s]] == tuple(map(x.__getitem__, rows[s])) for s in gens for x in rows):
+        if not all(rows[x[s]] == compose_indexed(rows[s], x) for s in gens for x in rows):
             bad = lambda a, b, c: rows[rows[a][b]][c] != rows[a][rows[b][c]]
             a, b, c = map(elems.__getitem__, next(t for t in iproduct(ids, repeat=3) if bad(*t)))
             raise ValueError(f"product is not associative at ({a!r},{b!r},{c!r})")
@@ -139,18 +155,19 @@ class GroupTable:
 class GroupAction:
     """A group acting on a finite carrier.
 
-    The action is its integer table: table[g][x] is the index of g.x, for
-    the element indices of the group's own table and the point indices of
-    the carrier. The constructor is the front end for labels: it indexes
-    `act` into that table, with None for a missing or unknown image, and
-    hands it to `_check`, which `_diagonal_action` calls directly on the
-    indexed forms it holds, after reading the group's rows off the orbit of
-    point 0; there the check is what proves the forms closed under
-    composition. The check verifies exactly, from the group's generating
-    set, that the identity acts trivially, that the action respects the
-    product, and that it is regular: every (x, y) is achieved by exactly
-    one group element.
-    (g.h).x = g.(h.x) is checked for the generators h only, |G|.#gens.|X|:
+    The action is its integer table: table[g] is the map x -> g.x as an
+    indexed form (`model`), for the element indices g of the group's own
+    table and the point indices x of the carrier. The constructor is the
+    front end for labels: it indexes `act` into that table, checks that
+    every image is given and is a point, and hands the rows as forms to
+    `_check`, which `_diagonal_action` calls directly on the forms it
+    holds, after reading the group's rows off the orbit of point 0; there
+    the check is what proves the forms closed under composition. The check
+    verifies exactly, from the group's generating set, that the identity
+    acts trivially, that the action respects the product, and that it is
+    regular: every (x, y) is achieved by exactly one group element.
+    (g.h).x = g.(h.x) is checked for the generators h only, one composite
+    of forms per (g, h), |G|.#gens.|X|:
     the good h hold the identity and are closed under the product, since
     (g.(h.k)).x = ((g.h).k).x = (g.h).(k.x) = g.(h.(k.x)) = g.((h.k).x).
     Regularity is |G| = |X| and g -> g.x reaching |X| points for each x,
@@ -171,30 +188,28 @@ class GroupAction:
     ):
         act = {(str(g), str(x)): str(y) for (g, x), y in act.items()}
         at = element_index(carrier.elements)
-        table = [[at.get(act.get((g, x))) for x in carrier.elements] for g in group.elements]
-        self._check(group, carrier, table)
+        elems, points = group.elements, carrier.elements
+        table = [[at.get(act.get((g, x))) for x in points] for g in elems]
+        self._check(group, carrier, _total_forms("action", table, elems, points))
         if len(act) != len(group) * len(carrier):
             key = next(k for k in act if k[0] not in group._index or k[1] not in at)
             raise ValueError(f"action key {key!r} is not an (element, point) pair")
 
     def _check(self, group: GroupTable, carrier: FiniteSet, table: Sequence) -> GroupAction:
-        """Verify the action axioms on `table`, table[g][x] the index of
-        g.x for the element indices g of the group's own table (None where
-        no image is given), naming labels only in messages; then set the
-        fields from it and return the action. Rows may be lists or indexed
-        forms. `_diagonal_action` calls it on `object.__new__(GroupAction)`."""
+        """Verify the action axioms on `table`, a sequence of total indexed
+        forms (one kind, as `indexed_form` builds them), table[g][x] the
+        index of g.x for the element indices g of the group's own table,
+        naming labels only in messages; then set the fields from it and
+        return the action. `_diagonal_action` calls it on
+        `object.__new__(GroupAction)`."""
         elems, points = group.elements, carrier.elements
-        table = [tuple(row) for row in table]  # lists and indexed forms alike
-        for g, row in zip(elems, table):
-            if None in row:
-                x = points[row.index(None)]
-                raise ValueError(f"action is not total at ({g!r},{x!r})")
         for x, y in enumerate(table[group._index[group.identity]]):
             if y != x:
                 raise ValueError(f"identity moves {points[x]!r}")
         rows, gens, ids = group._rows, group._gens, range(len(elems))
-        compose = lambda g, h: tuple(map(table[g].__getitem__, table[h]))
-        if any(table[rows[g][h]] != compose(g, h) for g in ids for h in gens):
+        if any(
+            table[rows[g][h]] != compose_indexed(table[h], table[g]) for g in ids for h in gens
+        ):
             bad = lambda g, h, x: table[rows[g][h]][x] != table[g][table[h][x]]
             g, h, x = next(t for t in iproduct(ids, ids, range(len(points))) if bad(*t))
             g, h, x = elems[g], elems[h], points[x]
@@ -225,7 +240,7 @@ def tabulate(
     """
     xs = list(elements)
     pos = {x: i for i, x in enumerate(xs)}
-    rows = tuple(tuple([pos[mul(x, y)] for y in xs]) for x in xs)
+    rows = tuple(indexed_form([pos[mul(x, y)] for y in xs]) for x in xs)
     return object.__new__(GroupTable)._check(tuple(map(label, xs)), pos[identity], rows)
 
 
@@ -260,12 +275,13 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
     X_obj, failing in the order `extract_group` documents.
 
     A regular family is its own regular representation: g.h is the element
-    sending point 0 where g(h(0)) lies, so the rows are read off the orbit
-    map of point 0, |G|^2 lookups, and no map is composed. The table and
-    action checks then pass exactly when the family is closed under
-    composition: a closed family is a group with these rows as its Cayley
-    table, and the action's compatibility check puts every composite of
-    two members in the family."""
+    sending point 0 where g(h(0)) lies. So with `orbit`, the map h -> h(0)
+    from elements to points, and its inverse `at`, the row of g is g
+    conjugated by the orbit map, h -> at[g[orbit[h]]]: two composites of
+    forms per row. The table and action checks then pass exactly when the
+    family is closed under composition: a closed family is a group with
+    these rows as its Cayley table, and the action's compatibility check
+    puts every composite of two members in the family."""
     if obj not in spine.objects:
         raise UnknownObject(f"object {obj!r} is not in the spine")
     carrier = spine.sets[obj]
@@ -278,10 +294,11 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
     identity = indexed_form(range(len(elems)))
     if identity not in key_of:
         raise ValueError("the permutations lack the identity")
-    at = {t[0]: a for a, t in enumerate(forms)}
-    if not len(at) == len(forms) == len(elems):
+    orbit = indexed_form([t[0] for t in forms])
+    if not len(set(orbit)) == len(forms) == len(elems):
         raise NotRegular(_regularity_unchecked(spine))
-    rows = tuple(tuple([at[g[h[0]]] for h in forms]) for g in forms)
+    at = invert_indexed(orbit)
+    rows = tuple(compose_indexed(compose_indexed(orbit, g), at) for g in forms)
     labels = tuple(map(key_of.__getitem__, forms))
     try:
         group = object.__new__(GroupTable)._check(labels, forms.index(identity), rows)

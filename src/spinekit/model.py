@@ -97,25 +97,31 @@ class FiniteMap:
 # Indexed bijections: a map from a source carrier to a target carrier is the
 # sequence t with t[x] = the index, in the target's element order, of the
 # image of the x-th source element. A composite of two forms applies f first,
-# then g: x -> g[f[x]]. A form whose indices all fit in a byte (every map
-# between carriers of at most 256 points) is `bytes`; any other is a tuple of
-# ints. Only `indexed_form`, `compose_indexed` and `invert_indexed` tell them
-# apart, and every form is built by one of them, so the forms of one map are
-# equal.
+# then g: x -> g[f[x]]. Every permutation in the library is such a form: the
+# maps of a spine, and the rows of a group's Cayley table (its left
+# translations), its inversion map and the rows of its action tables. A form
+# of a bijection between carriers of at most 256 points is `bytes`; any other
+# is a tuple of ints, so the kind depends only on the carrier's size. Only
+# `indexed_form`, `compose_indexed` and `invert_indexed` tell them apart, and
+# every form is built by one of them, so the forms of one map are equal.
 Indexed = bytes | tuple[int, ...]
 
 _POINTS = bytes(range(256))
 
 
 def indexed_form(images: Sequence[int], table: bool = False) -> Indexed:
-    """The indexed form t with t[x] = images[x]: `bytes` when every index
-    fits in a byte, else a tuple of ints. With `table`, a bytes form comes
-    padded with the fixed points len(images)..255: the 256-byte table that
-    `compose_indexed` applies as its second argument without padding it
-    again. A tuple form is its own table."""
+    """The indexed form t with t[x] = images[x]: `bytes` when it has at most
+    256 entries and every index fits in a byte, else a tuple of ints, so
+    that the forms on one carrier of over 256 points are all tuples, even
+    where a malformed one has only small indices. With `table`, a bytes
+    form comes padded with the fixed points len(images)..255: the 256-byte
+    table that `compose_indexed` applies as its second argument without
+    padding it again. A tuple form is its own table."""
+    if len(images) > 256:
+        return tuple(images)
     try:
         form = bytes(images)
-    except ValueError:  # an index past 255: a carrier over 256 points
+    except ValueError:  # an index past 255: a target carrier over 256 points
         return tuple(images)
     return form + _POINTS[len(form) :] if table else form
 
@@ -150,9 +156,8 @@ def indexed_map(
     `element_index` instead of its graph, which is built when first read.
     t is a form as `indexed_form` builds it (bytes for a target of at most
     256 points), so that `encode` returns a form equal to every other form
-    of the map. Raises ValueError when t is not injective."""
-    if len(set(t)) != len(t):
-        raise ValueError(f"map {source!r}->{target!r} is not injective")
+    of the map. t must be injective, as it is not checked: the reader checks
+    the forms it reads, and every other caller builds bijections."""
     f = object.__new__(FiniteMap)
     f.__dict__.update(source=source, target=target, _indexed=(src, tgt, index, t))
     return f

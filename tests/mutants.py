@@ -47,6 +47,9 @@ READER_FALLBACK = [
     "tests/test_document.py::TestReaderFallback::test_labels_off_the_carriers_load_verbatim"
 ]
 EXTRACT = ["tests/test_cli.py::TestExtractReusesClosure"]
+EXTRACT_ORACLE = [
+    "tests/test_groups.py::TestExtractGroup::test_matches_the_composition_table_oracle[1]"
+]
 INDEXED_CORE = ["tests/test_properties.py::test_indexed_forms_match_maps_and_the_tuple_path"]
 HASH_SEEDS = ["tests/test_cli.py::TestHashSeeds"]
 
@@ -109,21 +112,28 @@ MUTANTS = [
         "if _valid_regular(spine) is not None:",
         EXTRACT,
     ),
-    # extract reads the product off the orbit of point 0 the wrong way
-    # round, h.g for g.h: the opposite table, which the action check rejects
-    # on every non-abelian group
+    # extract reads the product off the wrong index: g applied to the
+    # element index h rather than to its orbit point h(0), so the rows are
+    # the forms themselves, which the table and action checks reject
     (
         "groups.py",
-        "at[g[h[0]]] for h in forms",
-        "at[h[g[0]]] for h in forms",
-        ["tests/test_groups.py::TestExtractGroup::test_matches_the_composition_table_oracle[1]"],
+        "compose_indexed(compose_indexed(orbit, g), at)",
+        "compose_indexed(compose_indexed(g, orbit), at)",
+        EXTRACT_ORACLE,
+    ),
+    # extract conjugates by the inverse orbit map: `orbit` and `at` swapped
+    (
+        "groups.py",
+        "compose_indexed(compose_indexed(orbit, g), at)",
+        "compose_indexed(compose_indexed(at, g), orbit)",
+        EXTRACT_ORACLE,
     ),
     # extract without its regularity guard: the diagonal S5 of a
     # non-conservative closure fails the table check, as "not closed"
     # instead of NotRegular
     (
         "groups.py",
-        "    if not len(at) == len(forms) == len(elems):\n",
+        "    if not len(set(orbit)) == len(forms) == len(elems):\n",
         "    if False:\n",
         ["tests/test_groups.py::TestExtractGroup::test_non_conservative_extension_is_not_regular"],
     ),
@@ -176,26 +186,41 @@ MUTANTS = [
         "for s in gens[:1] for x in rows",
         GROUPS,
     ),
-    # Light's test compares a tuple row with a list, which is never equal:
+    # Light's test compares a row form with a list, which is never equal:
     # every valid table falls through to the n^3 sweep
     (
         "groups.py",
-        "== tuple(map(x.__getitem__, rows[s]))",
-        "== list(map(x.__getitem__, rows[s]))",
+        "== compose_indexed(rows[s], x)",
+        "== list(compose_indexed(rows[s], x))",
         GROUPS,
     ),
-    # inverses found one-sided: a.b = e without b.a = e
+    # Light's test with its composite the wrong way round: s.(x.y) for
+    # (x.s).y, which every non-abelian group fails
     (
         "groups.py",
-        "two_sided = lambda a, b: rows[a][b] == e == rows[b][a]",
-        "two_sided = lambda a, b: rows[a][b] == e",
+        "compose_indexed(rows[s], x) for s in gens",
+        "compose_indexed(x, rows[s]) for s in gens",
         GROUPS,
+    ),
+    # the scan for inverses takes one-sided ones: a.b = e without b.a = e
+    (
+        "groups.py",
+        "if rows[a][b] == e == rows[b][a]), None)",
+        "if rows[a][b] == e), None)",
+        GROUPS,
+    ),
+    # the first e of each row taken as the inverse without checking b.a = e
+    (
+        "groups.py",
+        "        if not all(rows[b][a] == e for a, b in enumerate(inv)):\n",
+        "        if False:\n",
+        [GROUPS[0] + "::test_light_agrees_with_brute_force"],
     ),
     # action compatibility checked for the first generator only
     (
         "groups.py",
-        "for g in ids for h in gens)",
-        "for g in ids for h in gens[:1])",
+        "for g in ids for h in gens\n",
+        "for g in ids for h in gens[:1]\n",
         GROUPS,
     ),
     # regularity without |G| = |X|: each g -> g.x still reaches every point
@@ -218,13 +243,20 @@ MUTANTS = [
     # the reader takes every mapping as drawn from the carriers
     (
         "document.py",
-        "                checked = len(mapping) == size\n"
+        "                checked = len(mapping) == size and len(set(t)) == size\n"
         "            except (KeyError, TypeError):  # a label off the carriers, or unhashable\n"
         "                checked = False\n",
         "                checked = True\n"
         "            except (KeyError, TypeError):  # a label off the carriers, or unhashable\n"
         "                checked = True\n",
         DOCUMENT,
+    ),
+    # the reader takes a mapping with a repeated image as a bijection
+    (
+        "document.py",
+        " and len(set(t)) == size",
+        "",
+        ["tests/test_document.py::TestReaderFallback::test_message_and_path[not-injective]"],
     ),
     # the reader reads a mapping into its indexed form when its keys are the
     # source carrier, whatever its values
@@ -250,9 +282,28 @@ MUTANTS = [
         "",
         [INDEXED_FORM + "test_permuted_carrier_order"],
     ),
-    # the form constructor without its tuple fallback: a carrier over 256
-    # points can no longer be encoded
-    ("model.py", "        return tuple(images)\n", "        raise\n", INDEXED_CORE),
+    # the form constructor without its tuple fallback: a map into a target
+    # carrier over 256 points can no longer be encoded
+    (
+        "model.py",
+        "    except ValueError:  # an index past 255: a target carrier over 256 points\n"
+        "        return tuple(images)\n",
+        "    except ValueError:  # an index past 255: a target carrier over 256 points\n"
+        "        raise\n",
+        ["tests/test_properties.py::test_an_index_past_a_byte_makes_a_tuple"],
+    ),
+    # the form constructor without its size rule: a malformed row of a table
+    # over 256 elements whose indices fit in a byte becomes bytes beside
+    # tuple rows, and composing the two raises TypeError
+    (
+        "model.py",
+        "    if len(images) > 256:\n        return tuple(images)\n",
+        "",
+        [
+            "tests/test_properties.py::test_a_form_over_256_entries_is_a_tuple",
+            GROUPS[0] + "::test_malformed_rows_over_256_elements",
+        ],
+    ),
     # the bytes inverse with the `maketrans` arguments swapped: it returns
     # the form itself
     (

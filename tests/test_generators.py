@@ -99,6 +99,14 @@ class TestGroupActionSpineOracle:
                 got = serialize_spine(gen_group_action_spine(g, objects))
                 assert got == serialize_spine(translation_oracle(g, objects)), (name, objects)
 
+    def test_translations_hold_the_table_rows(self):
+        for g in (cyclic_group(1), symmetric_group(3), cyclic_group(257)):
+            for objects in (1, 3):
+                spine = gen_group_action_spine(g, objects)
+                for maps in spine.morphisms.values():
+                    assert len(maps) == len(g)
+                    assert all(f._indexed[3] is row for f, row in zip(maps, g._rows))
+
     @pytest.mark.parametrize("n", [256, 257])
     def test_byte_and_tuple_forms(self, n):
         g = cyclic_group(n)

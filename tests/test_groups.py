@@ -46,7 +46,7 @@ from spinekit.groups import (
     group_on_fiber,
     relabel_group,
 )
-from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine, element_index
+from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine, element_index, indexed_form
 
 
 def normalised_non_coset(order: int = 5, seed: int = 1) -> list[tuple[int, ...]]:
@@ -394,6 +394,21 @@ def isomorphic_oracle(g: GroupTable, h: GroupTable) -> bool:
 # a.(b.b) = a. The greedy generators are a, then b.
 NON_ASSOCIATIVE = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
 
+# row 1 holds the identity first at 1.2 = 0, one-sided (2.1 = 3), then at
+# 1.3 = 0 = 3.1: the first e of the row is not the inverse, and the table
+# fails at ('1','1','1')
+ONE_SIDED_FIRST = [[0, 1, 2, 3], [1, 2, 0, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
+
+# 2.3 = 0 but 3.2 = 1, and 2.b = 0 for no other b: only 2 lacks an
+# inverse, "elements without inverses: ['2']"
+ONE_SIDED_ONLY = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 2, 4, 3],
+    [2, 3, 4, 0, 1],
+    [3, 2, 1, 4, 0],
+    [4, 3, 1, 0, 2],
+]
+
 
 def magma(rows: list[list[int]]) -> tuple[list[str], dict]:
     """Labels "0", "1", ... and the product x.y = rows[x][y]."""
@@ -438,14 +453,18 @@ class TestAxiomChecks:
 
     @given(magmas_with_identity())
     @example(NON_ASSOCIATIVE)
+    @example(ONE_SIDED_FIRST)
+    @example(ONE_SIDED_ONLY)
     @settings(max_examples=300, deadline=None)
     def test_light_agrees_with_brute_force(self, rows):
         labels, prod = magma(rows)
         two_sided = lambda a, b: prod[(a, b)] == "0" == prod[(b, a)]
         witness = first_non_associative(labels, prod)
-        if not all(any(two_sided(a, b) for b in labels) for a in labels):
-            with pytest.raises(ValueError, match="elements without inverses"):
+        missing = [a for a in labels if not any(two_sided(a, b) for b in labels)]
+        if missing:
+            with pytest.raises(ValueError) as caught:
                 GroupTable(labels, "0", prod)
+            assert str(caught.value) == f"elements without inverses: {missing}"
         elif witness:
             with pytest.raises(ValueError) as caught:
                 GroupTable(labels, "0", prod)
@@ -460,6 +479,21 @@ class TestAxiomChecks:
         with pytest.raises(ValueError) as caught:
             GroupTable(labels, "0", prod)
         assert str(caught.value) == "product is not associative at ('1','2','2')"
+
+    def test_malformed_rows_over_256_elements(self):
+        # Z300 with the row of 1 (its table row, then its action) moved to
+        # indices that all fit in a byte: every form of the table is still a
+        # tuple, so the checks compose them and name the failure
+        z = cyclic_group(300)
+        small = lambda x: x if int(x) < 256 else "5"
+        prod = {(a, b): small(c) if a == "1" else c for (a, b), c in z.product.items()}
+        with pytest.raises(ValueError) as caught:
+            GroupTable(z.elements, z.identity, prod)
+        assert str(caught.value) == "product is not associative at ('1','1','254')"
+        act = {(g, x): small(y) if g == "1" else y for (g, x), y in z.product.items()}
+        with pytest.raises(ValueError) as caught:
+            GroupAction(z, FiniteSet("X", z.elements), act)
+        assert str(caught.value) == "action incompatible with product at ('1','1','254')"
 
     def test_product_key_outside_elements(self):
         g = cyclic_group(3)
@@ -539,7 +573,8 @@ class TestLabelBoundary:
 
 
 class TestSharedTable:
-    """The integer table a GroupTable keeps, and its readers."""
+    """The integer table a GroupTable keeps, as indexed forms, and its
+    readers."""
 
     def test_table_agrees_with_the_labels(self):
         above = [dicyclic_group(16), direct_product(symmetric_group(4), cyclic_group(2))]
@@ -547,18 +582,22 @@ class TestSharedTable:
             assert g._index == element_index(g.elements)
             index = g._index
             assert g._rows == tuple(
-                tuple(index[g.op(a, b)] for b in g.elements) for a in g.elements
+                indexed_form([index[g.op(a, b)] for b in g.elements]) for a in g.elements
             )
-            assert g._inv == tuple(index[g.inv(a)] for a in g.elements)
+            assert g._inv == indexed_form([index[g.inv(a)] for a in g.elements])
+            assert {type(row) for row in g._rows} == {type(g._inv)} == {bytes}
         assert sorted(map(len, above)) == [48, 64]
 
     def test_ambient_group_shares_the_table(self):
         for g in (cyclic_group(1), symmetric_group(3), dicyclic_group(3)):
+            index = g._index
             for n in (1, 2, 3):
                 amb = AmbientGroup(g, n)
                 assert amb._rows is g._rows
                 assert amb._inv is g._inv and amb._index is g._index
-                assert amb._cols == tuple(zip(*g._rows))
+                assert amb._cols == tuple(
+                    indexed_form([index[g.op(a, b)] for a in g.elements]) for b in g.elements
+                )
 
     def test_no_label_products(self, monkeypatch):
         s4, dic = symmetric_group(4), dicyclic_group(6)

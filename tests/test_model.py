@@ -151,10 +151,6 @@ class TestIndexedMap:
             assert model.encode(lazy, src, index) == model.encode(eager, src, index)
             assert model.encode(lazy, src, index) != t
 
-    def test_rejects_non_injective(self):
-        with pytest.raises(ValueError, match="'a'->'b' is not injective"):
-            model.indexed_map("a", "b", ("x", "y"), ("u", "v"), {"u": 0, "v": 1}, (0, 0))
-
 
 class TestCompose:
     """The string-graph reference that `compose_indexed` is checked against."""

@@ -139,6 +139,15 @@ def test_an_index_past_a_byte_makes_a_tuple():
     assert indexed_form([1, 0], table=True) == bytes([1, 0, *range(2, 256)])
 
 
+def test_a_form_over_256_entries_is_a_tuple():
+    # the kind depends only on the carrier's size: a malformed form of 257
+    # entries whose indices all fit in a byte is a tuple like the carrier's
+    # bijections, so composites never mix the two kinds
+    assert indexed_form([0] * 257) == (0,) * 257
+    assert indexed_form([0] * 257, table=True) == (0,) * 257
+    assert indexed_form([0] * 256) == bytes(256)
+
+
 small_groups = st.sampled_from([g for _, g in catalog_upto(8)])
 
 
