@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 when all checks pass, 1 when a mathematical check failed (the
-failure is reported on stdout), 2 for input or usage errors (diagnosed on
-stderr), 3 for an internal error (a `TheoremViolation`, one line on
+failure is reported on stdout), 2 for input or usage errors, an input too
+large to handle and running out of memory (diagnosed on stderr, one line),
+3 for an internal error (a `TheoremViolation`, one line on
 stderr), 141 when the reader of stdout quit early (a broken pipe; nothing
 more is written). All reports go to stdout and are deterministic: objects,
 elements, and morphisms print in canonical order, so two runs on the same
@@ -20,6 +21,7 @@ import argparse
 import functools
 import os
 import sys
+from math import isqrt
 from pathlib import Path
 
 from .catalog import classify_group, cyclic_group, klein_group, symmetric_group
@@ -38,7 +40,7 @@ from .errors import (
     UnknownObject,
     ValidationError,
 )
-from .extension import check_regularity, extend_to_groupoid
+from .extension import _CLOSURE_BUDGET, check_regularity, extend_to_groupoid
 from .generators import (
     gen_affine_config,
     gen_group_action_spine,
@@ -47,11 +49,11 @@ from .generators import (
     perturb_spine,
 )
 from .groups import GroupTable, _extract, group_on_fiber, relabel_group
-from .model import validate_spine
+from .model import compose_indexed, indexed_form, validate_spine
 
 GROUP_SPEC_HELP = (
-    "group spec: Zn (cyclic of order n), Sn (symmetric, 1 <= n <= 4), V4 "
-    "(Klein four-group), or a path to a group-table JSON file"
+    "group spec: Zn (cyclic of order n, 1 <= n <= 512), Sn (symmetric, "
+    "1 <= n <= 4), V4 (Klein four-group), or a path to a group-table JSON file"
 )
 
 
@@ -64,6 +66,12 @@ def resolve_group_spec(spec: str) -> GroupTable:
             what = "order" if spec[0] == "Z" else "degree"
             raise ValueError(f"bad group spec {spec!r}: {what} must be >= 1")
         if spec[0] == "Z":
+            # the closure's budget of output maps bounds the n^2 products too
+            if n * n > _CLOSURE_BUDGET:
+                raise TooLarge(
+                    f"group spec {spec!r} too large: Z{n} has {n * n} products, "
+                    f"over the limit of {_CLOSURE_BUDGET} (n <= {isqrt(_CLOSURE_BUDGET)})"
+                )
             return cyclic_group(n)
         if n > 4:
             raise ValueError(f"bad group spec {spec!r}: symmetric groups go up to S4")
@@ -79,14 +87,17 @@ def resolve_group_spec(spec: str) -> GroupTable:
 def print_cayley(title: str, table: GroupTable) -> None:
     """Print `title`, then the table as a row-major grid with a header row
     and column, identity first, one line at a time: the text of a large
-    table is never held whole."""
-    order = [table.identity] + [e for e in table.elements if e != table.identity]
-    width = max(len(e) for e in order + ["*"])
-    pad = lambda s: s.rjust(width)
+    table is never held whole. Each row is the row form of the table
+    (`GroupTable._rows`) with its columns put in that order, printed
+    through the labels padded once."""
+    e = table._index[table.identity]
+    cols = indexed_form([e] + [b for b in range(len(table)) if b != e])
+    width = max(len(x) for x in [*table.elements, "*"])
+    padded = [x.rjust(width) for x in table.elements]
     print(title)
-    print(" ".join([pad("*")] + [pad(e) for e in order]))
-    for a in order:
-        print(" ".join([pad(a)] + [pad(table.op(a, b)) for b in order]))
+    print(" ".join(["*".rjust(width), *map(padded.__getitem__, cols)]))
+    for a in cols:
+        print(padded[a], " ".join(map(padded.__getitem__, compose_indexed(cols, table._rows[a]))))
 
 
 def _read(path: str) -> bytes:
@@ -320,6 +331,7 @@ _ERRORS = (
     ((SearchExhausted,), "search exhausted: {}".format, "stdout", 1),
     ((TheoremViolation,), "internal error: {}".format, "stderr", 3),
     ((BrokenPipeError,), None, "stdout", EXIT_BROKEN_PIPE),
+    ((MemoryError,), lambda exc: "error: out of memory", "stderr", 2),
     (
         (
             DocumentError,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from json.encoder import encode_basestring
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Any, Optional
 
 from .errors import (
@@ -136,8 +136,9 @@ def serialize_spine(spine: GroupoidSpine, meta: Optional[dict] = None) -> str:
     The text is exactly json.dumps(doc, indent=2, ensure_ascii=False) of
     that document, written directly, because with an indent json.dumps
     runs its pure-Python encoder over every key and bracket. Each carrier
-    label is quoted once, each map is written from its indexed form over
-    the carriers (`encode`), and meta still goes through json.dumps.
+    label is quoted once, each family is one template with its keys filled
+    in, each map fills it from its indexed form over the carriers
+    (`encode`), and meta still goes through json.dumps.
     """
     quote = _Quoted(
         (x, encode_basestring(x)) for s in spine.sets.values() for x in s.elements
@@ -148,10 +149,11 @@ def serialize_spine(spine: GroupoidSpine, meta: Optional[dict] = None) -> str:
 
     def family(i: str, j: str) -> str:
         elements, index = spine.sets[i].elements, positions[j]
-        keys = [quote(x) + ": " for x in elements]
-        image = index.quoted.__getitem__
+        # one template per family, its keys filled in: one `%` per map
+        keys = [quote(x).replace("%", "%%") + ": %s" for x in elements]
+        template, image = _layout("{}", keys, 3), index.quoted.__getitem__
         maps = [
-            _layout("{}", list(map(add, keys, map(image, encode(f, elements, index)))), 3)
+            template % tuple(map(image, encode(f, elements, index)))
             for f in spine.morphisms[(i, j)]
         ]
         return _layout("[]", maps, 2)
@@ -183,17 +185,15 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
     Raises DocumentSyntaxError for malformed JSON and SchemaError (with a
     path like morphisms."1|3"[2]) for shape problems.
 
-    A mapping whose keys are exactly the source carrier and whose values
-    lie in the target carrier is read straight into its indexed form over
-    the two carriers (`indexed_form`, bytes up to 256 target points;
-    `indexed_map`), so its graph is built only if something reads it. One
-    pass does both the test and the read: the source carrier's labels
-    picked in order by one `itemgetter` (a missing key fails it), each
-    image's index looked up in the target (an image outside it fails it),
-    the mapping's size compared with the carrier's (an extra key fails it),
-    and its distinct images counted (a repeated image fails it). Any other
-    mapping has each label checked and becomes a `FiniteMap` of its sorted
-    graph, which raises its own error when it is not injective.
+    A family whose mappings are all drawn from the carriers, as every
+    family `serialize_spine` writes is, is read by `_canonical_maps`, so
+    each map's graph is built only if something reads it. Any other
+    family goes mapping by mapping, with the same test: a mapping whose
+    keys are exactly the source carrier and whose images are distinct
+    points of the target carrier is read into its indexed form
+    (`indexed_form`, `indexed_map`); any other mapping has each label
+    checked and becomes a `FiniteMap` of its sorted graph, which raises
+    its own error when it is not injective.
     """
     doc = _load_object(text, _SPINE_KEYS, ("objects", "sets", "pairs", "morphisms"))
 
@@ -249,27 +249,36 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
         _require((i, j) in pairs, f"({i},{j}) is not a listed pair", path)
         _require(isinstance(fams, list), "must be a list of mappings", path)
         src, tgt, index, pick = sets[i].elements, sets[j].elements, positions[j], pickers[i]
-        size = len(src)
+        size, at = len(src), index.__getitem__
+        small = size <= 256 and len(tgt) <= 256  # forms are bytes (`indexed_form`)
+        points = bytes(range(size)) if small else None
         maps = []
         for n, mapping in enumerate(fams):
+            # a mapping drawn from the carriers is read in one pass in
+            # source-carrier order, whatever its key order, and its labels
+            # were checked with the sets; any other takes the per-entry
+            # checks and their messages
+            try:
+                images = map(at, pick(mapping))
+                if small:  # distinct images iff the inverse table that
+                    # `maketrans` builds takes the form back to the identity
+                    t = bytes(images)
+                    distinct = t.translate(bytes.maketrans(t, points)) == points
+                else:
+                    t = indexed_form(list(images))
+                    distinct = len(set(t)) == size
+                if len(mapping) == size and distinct:
+                    maps.append(indexed_map(i, j, src, tgt, index, t))
+                    continue
+            except (KeyError, TypeError):  # a label off the carriers, or not a mapping
+                pass
             mpath = f"{path}[{n}]"
             _require(isinstance(mapping, dict), "each morphism must be an object", mpath)
-            # labels drawn from the carriers were checked with the sets; any
-            # other mapping takes the per-entry checks and their messages
-            try:  # read in source-carrier order, whatever the key order
-                t = indexed_form(list(map(index.__getitem__, pick(mapping))))
-                checked = len(mapping) == size and len(set(t)) == size
-            except (KeyError, TypeError):  # a label off the carriers, or unhashable
-                checked = False
-            if not checked:
-                for x, y in mapping.items():
-                    _check_label(x, mpath)
-                    _check_label(y, mpath)
-            try:  # every label is a str, by the carrier lookups or the checks
-                if checked:
-                    maps.append(indexed_map(i, j, src, tgt, index, t))
-                else:
-                    maps.append(FiniteMap(i, j, mapping))
+            for x, y in mapping.items():
+                _check_label(x, mpath)
+                _check_label(y, mpath)
+            try:  # every label is a str, by the checks
+                maps.append(FiniteMap(i, j, mapping))
             except ValueError as exc:
                 raise SchemaError(str(exc), mpath) from None
         morphisms[(i, j)] = maps
@@ -304,14 +313,15 @@ _GROUP_KEYS = {"format_version", "elements", "identity", "product", "inverse", "
 
 
 def serialize_group(table: GroupTable, meta: Optional[dict] = None) -> str:
+    elems = table.elements
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
-        "elements": list(table.elements),
+        "elements": list(elems),
         "identity": table.identity,
         "product": {
-            f"{a}|{b}": table.op(a, b)
-            for a in table.elements
-            for b in table.elements
+            f"{a}|{b}": elems[c]
+            for a, row in zip(elems, table._rows)
+            for b, c in zip(elems, row)
         },
         "inverse": {a: table.inv(a) for a in table.elements},
     }

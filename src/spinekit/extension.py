@@ -27,6 +27,7 @@ from .model import (
     indexed_form,
     indexed_map,
     invert_indexed,
+    rank_keys,
     validate_spine,
 )
 
@@ -167,10 +168,11 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
     """Enlarge the pair relation to its symmetric closure.
 
     Each added pair (j, i) carries exactly the inverses of Mor(i, j), as
-    `indexed_map`s ordered by graph key; maps whose keys tie (labels holding
-    "," or ">") keep the order of Mor(i, j). Pairs already present keep
-    their morphism lists verbatim. Requires a valid regular spine
-    (regularity is what makes the result closed under composition).
+    `indexed_map`s ordered by graph key (by `rank_keys` unless a label of
+    X_i holds ","); maps whose graph keys tie (possible only then) keep
+    the order of Mor(i, j). Pairs already present keep their morphism
+    lists verbatim. Requires a valid regular spine (regularity is what
+    makes the result closed under composition).
     """
     _valid_regular(spine)
     if all((j, i) in spine.pairs for i, j in spine.pairs):
@@ -184,7 +186,7 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
             continue
         pairs.add((j, i))
         forms = [invert_indexed(encode(f, elems[i], index[j])) for f in spine.morphisms[(i, j)]]
-        forms.sort(key=graph_keys(elems[j], elems[i], len(forms)))  # stable on ties
+        forms.sort(key=rank_keys(elems[j], elems[i]) or graph_keys(elems[j], elems[i]))
         morphisms[(j, i)] = tuple(
             indexed_map(j, i, elems[j], elems[i], index[i], t) for t in forms
         )
@@ -206,9 +208,10 @@ def _close_to_groupoid(
     key), 1 + the number of loops adjoined, with pairs scanned in canonical
     order and maps in graph-key order, each input family's indexed forms
     in that order, and G. Every other family is built of `indexed_map`s,
-    ordered by graph keys computed from their indexed forms; maps whose
-    keys tie (labels holding "," or ">") go in the order of their forms,
-    so the output does not depend on the order a set of forms iterates in.
+    ordered by graph key computed from their indexed forms: by `rank_keys`,
+    or, where a target label holds ",", by `graph_keys`, and then maps
+    whose keys tie go in the order of their forms, so the output does not
+    depend on the order a set of forms iterates in.
     Raises TooLarge, before any output map is built, when G passes
     budget // |I|^2 maps.
     """
@@ -221,7 +224,8 @@ def _close_to_groupoid(
     for i, j in spine.sorted_pairs():
         fams = spine.morphisms[(i, j)]
         forms = [encode(f, elems[i], index[j]) for f in fams]
-        keys = list(map(graph_keys(elems[i], elems[j], len(forms)), forms))
+        key = rank_keys(elems[i], elems[j]) or graph_keys(elems[i], elems[j])
+        keys = list(map(key, forms))
         order = sorted(range(len(forms)), key=keys.__getitem__)
         inputs[(i, j)] = [fams[n] for n in order]
         ordered[(i, j)] = [forms[n] for n in order]
@@ -237,8 +241,6 @@ def _close_to_groupoid(
     group, gens = span
     back = {o: invert_indexed(t) for o, t in tree.items()}
     ahead = {o: indexed_form(t, table=True) for o, t in tree.items()}
-    # graph keys are distinct unless a label holds a separator
-    ties = {o: any("," in x or ">" in x for x in elems[o]) for o in objs}
 
     morphisms = {}
     for i in objs:
@@ -249,9 +251,10 @@ def _close_to_groupoid(
                 morphisms[(i, j)] = tuple(kept.values())
                 continue
             maps = [compose_indexed(h, ahead[j]) for h in from_i]
-            if ties[i] or ties[j]:
+            key = rank_keys(elems[i], elems[j])
+            if key is None:  # graph keys may tie
                 maps.sort()
-            maps.sort(key=graph_keys(elems[i], elems[j], len(group)))
+            maps.sort(key=key or graph_keys(elems[i], elems[j]))
             morphisms[(i, j)] = tuple(
                 indexed_map(i, j, elems[i], elems[j], index[j], t) for t in maps
             )

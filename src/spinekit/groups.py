@@ -288,7 +288,7 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
     elems = carrier.elements
     index = element_index(elems)
     family = spine.morphisms[(obj, obj)]
-    graph_key = graph_keys(elems, elems, len(family))
+    graph_key = graph_keys(elems, elems)
     key_of = {t: graph_key(t) for t in (encode(f, elems, index) for f in family)}
     forms = sorted(key_of, key=key_of.__getitem__)  # label order: the group's element order
     identity = indexed_form(range(len(elems)))

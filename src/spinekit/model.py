@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import inf
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -163,23 +163,42 @@ def indexed_map(
     return f
 
 
-def graph_keys(
-    src: Sequence[str], tgt: Sequence[str], count: int
-) -> Callable[[Indexed], str]:
+def graph_keys(src: Sequence[str], tgt: Sequence[str]) -> Callable[[Indexed], str]:
     """The function taking an indexed form t over the element orders src
-    and tgt to `graph_key` of its decoded map, without decoding it, for
-    keying `count` forms. Up to |src| forms, each key fills the images
-    into one "x>%s,..." pattern; past that, every "x>y" string is made
-    once, |src|·|tgt| of them, and each key only picks them."""
+    and tgt to `graph_key` of its decoded map, without decoding it: each
+    key fills the images into one "x>%s,..." pattern."""
     order = sorted(range(len(src)), key=src.__getitem__)
-    if count <= len(src):
-        pattern = ",".join(src[x].replace("%", "%%") + ">%s" for x in order)
-        # itemgetter of one index returns the item, not a 1-tuple
-        pick = itemgetter(*order) if len(order) > 1 else tuple
-        image = tgt.__getitem__
-        return lambda t: pattern % tuple(map(image, pick(t)))
-    segs = [[f"{src[x]}>{y}" for y in tgt] for x in order]
-    return lambda t: ",".join(map(list.__getitem__, segs, map(t.__getitem__, order)))
+    pattern = ",".join(src[x].replace("%", "%%") + ">%s" for x in order)
+    # itemgetter of one index returns the item, not a 1-tuple
+    pick = itemgetter(*order) if len(order) > 1 else tuple
+    image = tgt.__getitem__
+    return lambda t: pattern % tuple(map(image, pick(t)))
+
+
+def rank_keys(src: Sequence[str], tgt: Sequence[str]) -> Callable[[Indexed], Indexed] | None:
+    """A sort key that orders the indexed forms of bijections between the
+    element orders src and tgt (of one size) as `graph_keys` orders them,
+    with no string built: the images in sorted source order, each as the
+    rank of its target label y + ",", an indexed form itself, so that keys
+    compare as bytes.
+
+    The graph keys of two distinct bijections first differ at the image of
+    one source label, and not at the last: bijections that agree on all
+    points but one agree on that one too. So the differing images are both
+    followed by ",", and with no "," in a target label the comparison ends
+    inside y + ",". (At the end of a key a label compares as itself, which
+    differs for a prefix followed by a character below ",": "1" < "1!" but
+    "1!," < "1,"; no two bijections get that far.) Distinct forms get
+    distinct keys. A target label holding "," lets the comparison run past
+    the image, so there the key is None, and graph keys, which may then
+    tie, are the order."""
+    if "," in "".join(tgt):
+        return None
+    order = indexed_form(sorted(range(len(src)), key=src.__getitem__))
+    ranked = [y + "," for y in tgt]
+    by_label = indexed_form(sorted(range(len(tgt)), key=ranked.__getitem__))
+    rank = indexed_form(invert_indexed(by_label), table=True)
+    return lambda t: compose_indexed(compose_indexed(order, t), rank)
 
 
 def compose_indexed(f: Indexed, g: Indexed) -> Indexed:
@@ -363,6 +382,23 @@ def _spans_vertex_group(objs: Sequence[str], graphs: dict, indexed: dict) -> set
     return None if span is None else span[0]
 
 
+def _composable_triples(
+    pair_order: list[tuple[str, str]], pairs: frozenset[tuple[str, str]]
+) -> Iterator[tuple[tuple[str, str], tuple[str, str], tuple[str, str]]]:
+    """The composable triples ((i, j), (j, k), (i, k)) of the relation
+    `pairs`, listed in `pair_order`: by (i, j) in that order, then by
+    (j, k). Each (i, j) meets only the pairs leaving j, so this takes
+    |R| steps plus one per (i, j), (j, k) chain, where pairing every two
+    pairs takes |R|^2."""
+    leaving: dict[str, list[tuple[str, str]]] = {}
+    for pair in pair_order:
+        leaving.setdefault(pair[0], []).append(pair)
+    for pa in pair_order:
+        for pb in leaving.get(pa[1], ()):
+            if (pa[0], pb[1]) in pairs:
+                yield pa, pb, (pa[0], pb[1])
+
+
 def validate_spine(spine: GroupoidSpine) -> ValidationReport:
     """Check every spine invariant and report all violations with witnesses.
 
@@ -520,14 +556,11 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
     # is quadratic in family sizes)
     graphs = {pair: {t for _, t in maps} for pair, maps in indexed.items()}
 
-    # the composable triples (i, j), (j, k), (i, k) that axiom 3 sweeps
-    triples = [
-        (pa, pb, (pa[0], pb[1]))
-        for pa in pair_order
-        for pb in pair_order
-        if pb[0] == pa[1] and (pa[0], pb[1]) in pairs
-    ]
-    if not out and triples and (group := _spans_vertex_group(objs, graphs, indexed)):
+    if (
+        not out
+        and next(_composable_triples(pair_order, pairs), None)
+        and (group := _spans_vertex_group(objs, graphs, indexed))
+    ):
         report = ValidationReport(ok=True, violations=())
         report.__dict__["_group"] = group
         return report
@@ -553,7 +586,7 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
 
     # axiom 3: composites across composable pair triples
     compose_ = compose_indexed  # a local name for the quadratic sweep
-    for pa, pb, pc in triples:
+    for pa, pb, pc in _composable_triples(pair_order, pairs):
         (i, j), k, targets = pa, pb[1], graphs[pc]
         for nf, tf in indexed[pa]:
             for ng, tg in indexed[pb]:

@@ -52,6 +52,7 @@ EXTRACT_ORACLE = [
 ]
 INDEXED_CORE = ["tests/test_properties.py::test_indexed_forms_match_maps_and_the_tuple_path"]
 HASH_SEEDS = ["tests/test_cli.py::TestHashSeeds"]
+RANK_KEYS = "tests/test_model.py::TestRankKeys::"
 
 MUTANTS = [
     # the group closure stops after the first coset of a new generator; this
@@ -67,17 +68,41 @@ MUTANTS = [
     # new families sorted by their raw indexed forms, not by graph key
     (
         "extension.py",
-        "maps.sort(key=graph_keys(elems[i], elems[j], len(group)))",
-        "maps.sort(key=lambda t: t)",
+        "            key = rank_keys(elems[i], elems[j])\n",
+        "            key = lambda t: t\n",
+        CLOSURE,
+    ),
+    # input families taken in their raw indexed forms' order, not by graph
+    # key: kept families keep that order, and the tree maps change
+    (
+        "extension.py",
+        "key = rank_keys(elems[i], elems[j]) or graph_keys(elems[i], elems[j])",
+        "key = lambda t: t",
         CLOSURE,
     ),
     # the symmetric closure's added families sorted by their raw inverse
     # forms, not by graph key
     (
         "extension.py",
-        "forms.sort(key=graph_keys(elems[j], elems[i], len(forms)))",
+        "forms.sort(key=rank_keys(elems[j], elems[i]) or graph_keys(elems[j], elems[i]))",
         "forms.sort(key=lambda t: t)",
         ["tests/test_extension.py::TestSymmetricClosure::test_order_matches_the_oracle[2]"],
+    ),
+    # rank keys where a target label holds ",", past which the graph keys
+    # compare the next source label
+    (
+        "model.py",
+        '    if "," in "".join(tgt):\n        return None\n',
+        "    if False:\n        return None\n",
+        [RANK_KEYS + "test_a_comma_in_a_target_label_leaves_graph_keys"],
+    ),
+    # labels ranked as themselves, not as followed by ",": "1" < "1!" but
+    # "1!," < "1,"
+    (
+        "model.py",
+        'ranked = [y + "," for y in tgt]',
+        "ranked = list(tgt)",
+        [RANK_KEYS + "test_prefix_labels_before_a_comma"],
     ),
     # encode returns an indexed map's stored form over any carriers
     (
@@ -88,7 +113,12 @@ MUTANTS = [
     ),
     # maps whose graph keys tie left in the order the set of forms
     # iterates in, which bytes hashing makes differ between hash seeds
-    ("extension.py", "            if ties[i] or ties[j]:\n", "            if False:\n", HASH_SEEDS),
+    (
+        "extension.py",
+        "            if key is None:  # graph keys may tie\n",
+        "            if False:\n",
+        HASH_SEEDS,
+    ),
     # Mor(i, j) built as G, t_i^-1, t_j: t_i^-1 on the wrong side
     (
         "extension.py",
@@ -240,30 +270,34 @@ MUTANTS = [
         "chain.from_iterable(rows)",
         COMMUTING,
     ),
-    # the reader takes every mapping as drawn from the carriers
+    # the reader takes every mapping whose labels it finds in the carriers
+    # as drawn from them
     (
         "document.py",
-        "                checked = len(mapping) == size and len(set(t)) == size\n"
-        "            except (KeyError, TypeError):  # a label off the carriers, or unhashable\n"
-        "                checked = False\n",
-        "                checked = True\n"
-        "            except (KeyError, TypeError):  # a label off the carriers, or unhashable\n"
-        "                checked = True\n",
+        "if len(mapping) == size and distinct:",
+        "if True:",
         DOCUMENT,
     ),
     # the reader takes a mapping with a repeated image as a bijection
     (
         "document.py",
-        " and len(set(t)) == size",
-        "",
+        "distinct = t.translate(bytes.maketrans(t, points)) == points",
+        "distinct = True",
         ["tests/test_document.py::TestReaderFallback::test_message_and_path[not-injective]"],
+    ),
+    # the same on a carrier over 256 points
+    (
+        "document.py",
+        "distinct = len(set(t)) == size",
+        "distinct = True",
+        ["tests/test_document.py::TestReaderFallback::test_repeated_image_over_256_points"],
     ),
     # the reader reads a mapping into its indexed form when its keys are the
     # source carrier, whatever its values
     (
         "document.py",
-        "list(map(index.__getitem__, pick(mapping)))",
-        "[index.get(y, 0) for y in pick(mapping)]",
+        "images = map(at, pick(mapping))",
+        "images = [index.get(y, 0) for y in pick(mapping)]",
         READER_FALLBACK,
     ),
     # validation takes an injective indexed form into a larger carrier as
@@ -311,6 +345,45 @@ MUTANTS = [
         "bytes.maketrans(f, _POINTS[:n])",
         "bytes.maketrans(_POINTS[:n], f)",
         INDEXED_CORE,
+    ),
+    # the reader takes a mapping whose images are in the target carrier,
+    # with an extra key beside the source carrier's labels, as drawn from
+    # the carriers
+    (
+        "document.py",
+        "if len(mapping) == size and distinct:",
+        "if distinct:",
+        [READER_FALLBACK[0] + "[extra-key]"],
+    ),
+    # the reader takes the images in the mapping's key order, not in
+    # source-carrier order
+    (
+        "document.py",
+        "images = map(at, pick(mapping))",
+        "images = map(at, mapping.values())",
+        ["tests/test_document.py::TestReaderIndexedForm::test_reads_as_the_sorted_graph"],
+    ),
+    # the writer's template lists the keys in reverse: each image under
+    # the wrong key
+    (
+        "document.py",
+        '": %s" for x in elements]',
+        '": %s" for x in elements[::-1]]',
+        ["tests/test_document.py::TestWriterOracle::test_generated_documents_match_json_dumps"],
+    ),
+    # the Cayley printer prints column a as row a
+    (
+        "cli.py",
+        "compose_indexed(cols, table._rows[a])",
+        "[table._rows[b][a] for b in cols]",
+        ["tests/test_cli.py::TestPrintCayley"],
+    ),
+    # the composable triples with the pairs leaving j in reverse order
+    (
+        "model.py",
+        "for pb in leaving.get(pa[1], ()):",
+        "for pb in leaving.get(pa[1], ())[::-1]:",
+        ["tests/test_model.py::test_composable_triples_in_the_order_of_the_pair_sweep"],
     ),
     # the writer quotes labels without escaping them
     (

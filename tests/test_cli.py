@@ -12,8 +12,10 @@ from conftest import same_morphism_sets
 from spinekit.cli import run_command
 from spinekit.document import load_spine, serialize_group, serialize_spine
 from spinekit.catalog import cyclic_group, symmetric_group
+from spinekit.errors import TooLarge
 from spinekit.extension import extend_to_groupoid
 from spinekit.generators import gen_group_action_spine, perturb_spine
+from spinekit.groups import relabel_group
 from spinekit.model import FiniteMap, GroupoidSpine
 from test_closure_oracle import decode_and_sort_closure
 
@@ -215,6 +217,22 @@ class TestExitCodes:
         assert code == 141
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("gen_group_action_spine", ["gen", "--kind", "group-action", "--group", "Z5"]),
+            ("extend_to_groupoid", ["extend", "@z5"]),
+            ("coset_test", ["coset", "Z5", "--set", "0"]),
+        ],
+    )
+    def test_out_of_memory_is_exit_2(self, capsys, z5_doc, monkeypatch, name, argv):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(spinekit.cli, name, exhausted)
+        argv = [z5_doc if a == "@z5" else a for a in argv]
+        assert run(capsys, *argv) == (2, "", "error: out of memory\n")
+
     def test_reader_quitting_early(self, capsys, tmp_path):
         # the report (about 160 KB) outgrows the pipe buffer, so the
         # process is still writing when the reader closes its end
@@ -233,6 +251,68 @@ class TestExitCodes:
         assert proc.wait() == 141
         assert head[0] == b"object: 1\n"
         assert err == b""
+
+
+class TestGroupSpecLimit:
+    """`resolve_group_spec` refuses Zn past the closure's budget of n^2
+    products before it builds any table."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        orders = []
+        monkeypatch.setattr(spinekit.cli, "cyclic_group", lambda n: orders.append(n) or "Z")
+        return orders
+
+    def test_513_is_refused_before_any_table(self, built):
+        with pytest.raises(TooLarge, match="'Z513' too large: Z513 has 263169 products"):
+            spinekit.cli.resolve_group_spec("Z513")
+        assert built == []
+
+    @pytest.mark.parametrize("n", [257, 512])
+    def test_up_to_512_is_built(self, built, n):
+        assert spinekit.cli.resolve_group_spec(f"Z{n}") == "Z" and built == [n]
+
+    @pytest.mark.parametrize(
+        "spec, argv",
+        [
+            ("Z3000", ["coset", "Z3000", "--set", "0"]),
+            ("Z100000", ["relabel", "Z100000", "--d", "0"]),
+            ("Z1000", ["gen", "--kind", "group-action", "--group", "Z1000", "--objects", "8"]),
+        ],
+    )
+    def test_cli_exits_2_with_one_line(self, capsys, built, spec, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, built) == (2, "", [])
+        assert err.startswith(f"error: group spec '{spec}' too large") and err.count("\n") == 1
+
+
+class TestPrintCayley:
+    """`print_cayley` prints the rows of the table through padded labels,
+    as the product read cell by cell would print them."""
+
+    @staticmethod
+    def by_cells(title, table):
+        order = [table.identity] + [e for e in table.elements if e != table.identity]
+        width = max(len(e) for e in order + ["*"])
+        lines = [title, " ".join(x.rjust(width) for x in ["*", *order])]
+        for a in order:
+            lines.append(" ".join(x.rjust(width) for x in [a] + [table.op(a, b) for b in order]))
+        return "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            symmetric_group(3),
+            relabel_group(symmetric_group(3), "120"),
+            relabel_group(symmetric_group(4), "1032"),
+            cyclic_group(1),
+            cyclic_group(257),
+        ],
+        ids=["S3", "S3-relabeled", "S4-relabeled", "Z1", "Z257"],
+    )
+    def test_matches_the_cells(self, capsys, table):
+        spinekit.cli.print_cayley("table:", table)
+        assert capsys.readouterr().out == self.by_cells("table:", table)
 
 
 class TestCosetAndPartition:

@@ -163,6 +163,10 @@ CASES = dict(
         ("malformed-json-extend", ["extend", "@malformed.json"]),
         ("bad-group-spec", ["coset", "Q9", "--set", "0"]),
         ("bad-symmetric-spec", ["relabel", "S9", "--d", "0"]),
+        ("coset-z513-too-large", ["coset", "Z513", "--set", "0"]),
+        ("gen-action-z1000-too-large", [
+            "gen", "--kind", "group-action", "--group", "Z1000", "--objects", "8",
+        ]),
     ]
 )
 
@@ -190,6 +194,12 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
         0,
         "d977d29b93963a480c0f8ea44a24e4799031807685f8d2453295d6e9c16c696d",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "coset-z513-too-large": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "35fe2a074ade4ed92a1fee938a96e3e07152309bfef91a56018ab4ccffeff91e",
         None,
     ),
     "coset-z6-false": (
@@ -352,6 +362,12 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
         0,
         "fe5586e3c9a75858ac3ad53e248da7334bfc18f3c3205a693011d41b8219a107",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "gen-action-z1000-too-large": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "8de7e751f8f5fd64233e7c2017fa01e6e577fc41eaec9d45683ad46d8634bd4d",
         None,
     ),
     "gen-action-z4": (

@@ -30,6 +30,7 @@ from spinekit.generators import (
     latin_family_spine,
     perturb_spine,
 )
+from spinekit.groups import relabel_group
 from spinekit.model import (
     FiniteMap,
     FiniteSet,
@@ -203,6 +204,19 @@ class TestGroupFiles:
         assert again == g
         assert serialize_group(again) == text
 
+    @pytest.mark.parametrize("name", ["S3", "C2×C2", "D4", "Q8"])
+    def test_product_from_the_rows(self, name):
+        g = dict(catalog_upto(8))[name]
+        for table in (g, relabel_group(g, g.elements[-1])):
+            doc = {
+                "format_version": 1,
+                "elements": list(table.elements),
+                "identity": table.identity,
+                "product": {f"{a}|{b}": table.op(a, b) for a in table.elements for b in table.elements},
+                "inverse": {a: table.inv(a) for a in table.elements},
+            }
+            assert serialize_group(table) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
     def test_inverse_optional(self):
         doc = json.loads(serialize_group(cyclic_group(4)))
         del doc["inverse"]
@@ -370,6 +384,103 @@ def test_mutated_documents_load_or_raise_a_document_error(case, data):
         load(mutated)
     except DocumentError:
         pass
+
+
+class _Pairs(list):
+    """A JSON object as the list of its pairs, a repeated key kept."""
+
+
+def dump_pairs(node) -> str:
+    """JSON text of a tree of `_Pairs` objects, lists and scalars."""
+    if isinstance(node, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {dump_pairs(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(map(dump_pairs, node)) + "]"
+    return json.dumps(node)
+
+
+def containers(node):
+    """Every object and list of a `_Pairs` tree, at any depth."""
+    yield node
+    for child in (v for _, v in node) if isinstance(node, _Pairs) else node:
+        if isinstance(child, list):
+            yield from containers(child)
+
+
+HOSTILE_BASES = [
+    serialize_spine(
+        gen_group_action_spine(cyclic_group(3), 2),
+        meta={"generator": {"kind": "x", "seeds": [{"a": 1}, []]}, "": None},
+    ),
+    serialize_spine(latin_family_spine(gen_latin_square_family(5, False, seed=1))),
+    # a family in another key order
+    SPINE_TEXT % ('"meta": {"m": {"n": [{"o": 1}]}}, ', '{"b": "a", "a": "b"}'),
+]
+
+
+LABELS = st.sampled_from(["0", "1", "2", "a", "b", "c", "9", "012"])
+
+
+@st.composite
+def hostile_document(draw):
+    """A document with up to three keys added, each a repeated or a new key
+    in any object at any depth, perhaps one value, at any depth, replaced
+    by another, and perhaps one value of an object copied to another key
+    (in a mapping, a repeated image)."""
+    tree = json.loads(draw(st.sampled_from(HOSTILE_BASES)), object_pairs_hook=_Pairs)
+    nodes = [n for n in containers(tree) if n]
+    for _ in range(draw(st.integers(0, 3))):
+        node = draw(st.sampled_from([n for n in nodes if isinstance(n, _Pairs)]))
+        key, value = draw(st.sampled_from(node))
+        key = draw(st.just(key) | LABELS)
+        node.insert(draw(st.integers(0, len(node))), (key, draw(st.just(value) | json_values | LABELS)))
+    if draw(st.booleans()):
+        node = draw(st.sampled_from(nodes))
+        at = draw(st.integers(0, len(node) - 1))
+        value = draw(json_values | LABELS)
+        node[at] = (node[at][0], value) if isinstance(node, _Pairs) else value
+    if draw(st.booleans()):  # one image of a mapping repeated
+        mapping = draw(st.sampled_from([n for n in nodes if isinstance(n, _Pairs) and len(n) > 1]))
+        a, b = draw(st.permutations(range(len(mapping))))[:2]
+        mapping[a] = (mapping[a][0], mapping[b][1])
+    return dump_pairs(tree)
+
+
+class TestHostileDocuments:
+    """A repeated key at any depth is a syntax error, whatever else is
+    wrong; a document that loads reads each map as the map of its
+    mapping."""
+
+    @given(hostile_document())
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_keys_at_any_depth(self, text):
+        tree = json.loads(text, object_pairs_hook=_Pairs)
+        objects = [n for n in containers(tree) if isinstance(n, _Pairs)]
+        repeated = any(len({k for k, _ in n}) < len(n) for n in objects)
+        try:
+            spine, meta = load_spine(text)
+        except DocumentError as exc:
+            if repeated:
+                assert type(exc) is DocumentSyntaxError and "repeated key" in str(exc)
+            return
+        assert not repeated
+        doc = json.loads(text)
+        assert meta == doc.get("meta")
+        for (i, j), fams in spine.morphisms.items():
+            assert list(fams) == [FiniteMap(i, j, m) for m in doc["morphisms"][f"{i}|{j}"]]
+
+    def test_repeated_key_wins_over_an_earlier_schema_error(self):
+        text = SPINE_TEXT % ("", '{"a": "a", "a": "b", "b": "a"}')
+        text = text.replace('"objects": ["1", "2"]', '"objects": [1, "2"]')
+        with pytest.raises(DocumentSyntaxError, match="repeated key 'a'"):
+            load_spine(text)
+
+    @pytest.mark.parametrize(
+        "meta", ['{"a": 1, "a": 2}', '[{"b": {"c": 1, "c": 1}}]', '{"d": [[{"e": 0, "e": 0}]]}']
+    )
+    def test_repeated_key_in_meta(self, meta):
+        with pytest.raises(DocumentSyntaxError, match="repeated key"):
+            load_spine(SPINE_TEXT % (f'"meta": {meta}, ', '{"a": "b", "b": "a"}'))
 
 
 SMALL_GROUPS = [g for _, g in catalog_upto(6) if len(g) > 1]
@@ -619,3 +730,10 @@ class TestReaderFallback:
         spine, _ = self.load_with(mapping)
         assert spine.morphisms[("1", "2")][1].graph == tuple(sorted(mapping.items()))
         assert not validate_spine(spine).ok
+
+    def test_repeated_image_over_256_points(self):
+        doc = json.loads(serialize_spine(translation_spine(300, 2)))
+        doc["morphisms"]["1|2"][1]["7"] = doc["morphisms"]["1|2"][1]["8"]
+        with pytest.raises(SchemaError) as exc:
+            load_spine(json.dumps(doc))
+        assert str(exc.value) == "morphisms.\"1|2\"[1]: map '1'->'2' is not injective"
