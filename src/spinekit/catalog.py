@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product as iproduct
-from operator import eq
+from itertools import product as iproduct
 
 from .groups import GroupTable, tabulate
 from .model import Indexed, adjoin, compose_indexed, indexed_form
@@ -159,18 +158,6 @@ def _hom_from_images(
     return phi
 
 
-def _commuting_pairs(g: GroupTable) -> int:
-    """The number of pairs (a, b) with ab = ba, which is |G| times the
-    number of conjugacy classes (Erdős and Turán); an isomorphism invariant.
-    Read off the table's rows and columns on first use and kept on it."""
-    count = getattr(g, "_commuting", None)
-    if count is None:
-        rows = g._rows
-        count = sum(map(eq, chain.from_iterable(rows), chain.from_iterable(zip(*rows))))
-        object.__setattr__(g, "_commuting", count)
-    return count
-
-
 def is_isomorphic(g: GroupTable, h: GroupTable) -> bool:
     """Backtracking search for an isomorphism via generator images, after
     comparing the order profiles and the numbers of commuting pairs. Images
@@ -179,7 +166,7 @@ def is_isomorphic(g: GroupTable, h: GroupTable) -> bool:
     phi(ab) = phi(a)phi(b): phi is an isomorphism, as |g| = |h|."""
     if len(g) != len(h) or g.order_profile() != h.order_profile():
         return False
-    if _commuting_pairs(g) != _commuting_pairs(h):
+    if g._commuting != h._commuting:
         return False
     gens = g._gens
     orders = [g.order_of(g.elements[s]) for s in gens]

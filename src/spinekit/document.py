@@ -148,12 +148,12 @@ def serialize_spine(spine: GroupoidSpine, meta: Optional[dict] = None) -> str:
     positions = {o: _Positions(s.elements, quote) for o, s in spine.sets.items()}
 
     def family(i: str, j: str) -> str:
-        elements, index = spine.sets[i].elements, positions[j]
+        elements, targets, index = spine.sets[i].elements, spine.sets[j].elements, positions[j]
         # one template per family, its keys filled in: one `%` per map
         keys = [quote(x).replace("%", "%%") + ": %s" for x in elements]
         template, image = _layout("{}", keys, 3), index.quoted.__getitem__
         maps = [
-            template % tuple(map(image, encode(f, elements, index)))
+            template % tuple(map(image, encode(f, elements, targets, index)))
             for f in spine.morphisms[(i, j)]
         ]
         return _layout("[]", maps, 2)
@@ -268,7 +268,7 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
                     t = indexed_form(list(images))
                     distinct = len(set(t)) == size
                 if len(mapping) == size and distinct:
-                    maps.append(indexed_map(i, j, src, tgt, index, t))
+                    maps.append(indexed_map(i, j, src, tgt, t))
                     continue
             except (KeyError, TypeError):  # a label off the carriers, or not a mapping
                 pass
@@ -323,7 +323,7 @@ def serialize_group(table: GroupTable, meta: Optional[dict] = None) -> str:
             for a, row in zip(elems, table._rows)
             for b, c in zip(elems, row)
         },
-        "inverse": {a: table.inv(a) for a in table.elements},
+        "inverse": {a: elems[b] for a, b in zip(elems, table._inv)},
     }
     if meta is not None:
         doc["meta"] = meta
@@ -361,7 +361,7 @@ def load_group(text: str | bytes) -> GroupTable:
         _require(isinstance(inverse, dict), "inverse must be an object", "inverse")
         for a in [*table.elements, *inverse]:
             _require(
-                inverse.get(a) == table.inverse.get(a),
+                inverse.get(a) == (table.inv(a) if a in table._index else None),
                 f"inverse table is wrong at {a!r}",
                 "$",
             )

@@ -81,15 +81,6 @@ class ExtensionResult:
     iterations: int
 
 
-def _encode_morphisms(spine: GroupoidSpine) -> dict[tuple[str, str], set[Indexed]]:
-    """Each pair's morphisms as a set of indexed maps."""
-    index = {o: element_index(spine.sets[o].elements) for o in spine.objects}
-    return {
-        (i, j): {encode(f, spine.sets[i].elements, index[j]) for f in fams}
-        for (i, j), fams in spine.morphisms.items()
-    }
-
-
 def check_regularity(spine: GroupoidSpine) -> RegularityReport:
     """Count, for every pair and every (x, y), the morphisms sending x to y.
 
@@ -104,15 +95,15 @@ def check_regularity(spine: GroupoidSpine) -> RegularityReport:
 
 
 def _regularity_unchecked(spine: GroupoidSpine) -> RegularityReport:
-    """The literal per-pair counts of `check_regularity`, on any spine."""
+    """The literal per-pair counts of `check_regularity`, on any spine; a
+    map listed twice counts once."""
     violations: list[RegularityViolation] = []
-    mor = _encode_morphisms(spine)
     for pair in spine.sorted_pairs():
         i, j = pair
         src, tgt = spine.sets[i].elements, spine.sets[j].elements
-        ni, nj = len(src), len(tgt)
+        ni, nj, index = len(src), len(tgt), element_index(tgt)
         counts = [[0] * nj for _ in range(ni)]
-        for t in mor[pair]:
+        for t in {encode(f, src, tgt, index) for f in spine.morphisms[pair]}:
             for x in range(ni):
                 counts[x][t[x]] += 1
         for x in range(ni):
@@ -185,10 +176,11 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
         if (j, i) in pairs:
             continue
         pairs.add((j, i))
-        forms = [invert_indexed(encode(f, elems[i], index[j])) for f in spine.morphisms[(i, j)]]
+        fams = spine.morphisms[(i, j)]
+        forms = [invert_indexed(encode(f, elems[i], elems[j], index[j])) for f in fams]
         forms.sort(key=rank_keys(elems[j], elems[i]) or graph_keys(elems[j], elems[i]))
         morphisms[(j, i)] = tuple(
-            indexed_map(j, i, elems[j], elems[i], index[i], t) for t in forms
+            indexed_map(j, i, elems[j], elems[i], t) for t in forms
         )
     return GroupoidSpine(spine.objects, spine.sets, pairs, morphisms)
 
@@ -223,7 +215,7 @@ def _close_to_groupoid(
     inputs, ordered = {}, {}
     for i, j in spine.sorted_pairs():
         fams = spine.morphisms[(i, j)]
-        forms = [encode(f, elems[i], index[j]) for f in fams]
+        forms = [encode(f, elems[i], elems[j], index[j]) for f in fams]
         key = rank_keys(elems[i], elems[j]) or graph_keys(elems[i], elems[j])
         keys = list(map(key, forms))
         order = sorted(range(len(forms)), key=keys.__getitem__)
@@ -256,7 +248,7 @@ def _close_to_groupoid(
                 maps.sort()
             maps.sort(key=key or graph_keys(elems[i], elems[j]))
             morphisms[(i, j)] = tuple(
-                indexed_map(i, j, elems[i], elems[j], index[j], t) for t in maps
+                indexed_map(i, j, elems[i], elems[j], t) for t in maps
             )
     closed = GroupoidSpine(objs, spine.sets, list(morphisms), morphisms)
     return closed, 1 + len(gens), ordered, group
@@ -279,9 +271,9 @@ def _extend_unchecked(spine: GroupoidSpine) -> tuple[ExtensionResult, set[Indexe
         # output maps (a family kept verbatim) leave nothing gained
         if len(before) == len(closed.morphisms[pair]):
             continue
-        src = spine.sets[i].elements
+        src, tgt = spine.sets[i].elements, spine.sets[j].elements
         gained = [
-            f for f in closed.morphisms[pair] if encode(f, src, index[j]) not in before
+            f for f in closed.morphisms[pair] if encode(f, src, tgt, index[j]) not in before
         ]
         if gained:
             added[pair] = tuple(gained)

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .catalog import cyclic_group, klein_group
 from .errors import InvalidSpine, NotPrime, SearchExhausted, TooLarge
+from .extension import _CLOSURE_BUDGET
 from .groups import GroupTable
 from .model import (
     FiniteMap,
@@ -24,7 +25,6 @@ from .model import (
     GroupoidSpine,
     Indexed,
     compose_indexed,
-    element_index,
     indexed_form,
     indexed_map,
     invert_indexed,
@@ -32,6 +32,11 @@ from .model import (
 )
 
 MIN_NON_COSET_ORDER = 5  # established by brute force over orders 2-4
+
+# The images a group-action spine may hold, maps x points: what the closure
+# writes at the soft size targets, 4096 maps of 64 points on each of the
+# 64 pairs of 8 objects
+_SPINE_BUDGET = 64 * _CLOSURE_BUDGET
 
 
 def gen_group_action_spine(group: GroupTable, objects: int) -> GroupoidSpine:
@@ -41,16 +46,25 @@ def gen_group_action_spine(group: GroupTable, objects: int) -> GroupoidSpine:
     With one object the relation is the diagonal pair; otherwise it is the
     increasing pairs only, leaving the extension machinery real work. The
     translation by h is the row of h in the group's table, x -> h.x as
-    an indexed form, which every pair shares.
+    an indexed form, which every pair shares. Raises TooLarge, before
+    building anything, when the maps times the points exceed
+    `_SPINE_BUDGET`.
     """
     if objects < 1:
         raise ValueError("need at least one object")
+    n = len(group)
+    maps = n * max(1, objects * (objects - 1) // 2)
+    if maps * n > _SPINE_BUDGET:
+        raise TooLarge(
+            f"group-action spine too large: {maps} maps of {n} points make "
+            f"{maps * n} images, over the limit of {_SPINE_BUDGET}"
+        )
     labels = [str(i) for i in range(1, objects + 1)]
-    elems, index = group.elements, group._index
+    elems = group.elements
     sets = {o: FiniteSet(o, elems) for o in labels}
 
     def translations(src: str, tgt: str) -> tuple[FiniteMap, ...]:
-        return tuple(indexed_map(src, tgt, elems, elems, index, t) for t in group._rows)
+        return tuple(indexed_map(src, tgt, elems, elems, t) for t in group._rows)
 
     if objects == 1:
         o = labels[0]
@@ -135,8 +149,7 @@ def _random_latin_square(n: int, rng: random.Random) -> list[Indexed]:
 
 def _rows_to_maps(rows: Sequence[Indexed]) -> list[FiniteMap]:
     elems = tuple(str(x) for x in range(len(rows[0])))
-    index = element_index(elems)
-    return [indexed_map("1", "2", elems, elems, index, row) for row in rows]
+    return [indexed_map("1", "2", elems, elems, row) for row in rows]
 
 
 def gen_latin_square_family(

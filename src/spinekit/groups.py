@@ -10,8 +10,10 @@ orbit of one point rather than by composing maps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import product as iproduct
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, product as iproduct
+from operator import eq
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import NotRegular, UnknownElement, UnknownObject
@@ -55,7 +57,8 @@ class GroupTable:
     form. The constructor is the front end for labels: it indexes `product`
     into rows, checks that every product is given and is an element, and
     hands the rows as forms to `_check`, which internal builders
-    (`tabulate`, `_diagonal_action`) call directly on forms they computed.
+    (`tabulate`, `_diagonal_action`, `_transport`) call directly on forms
+    they computed.
     The check verifies the axioms on the forms exactly from a generating
     set (`_gens`): a two-sided identity and inverses directly, associativity
     by Light's test. The generators are taken greedily in element order with
@@ -66,14 +69,14 @@ class GroupTable:
     identity and are closed under the product, since for good s and t
     (x.(s.t)).y = ((x.s).t).y = (x.s).(t.y) = x.(s.(t.y)) = x.((s.t).y);
     so they are the whole table. Only on failure does the n^3 sweep run, to
-    name the first failing triple. The label fields `product` and `inverse`
-    are built once, from the rows.
+    name the first failing triple. Tables are equal when their elements,
+    identity and rows are, which is when their products are; `op`, `inv`
+    and the label view `product` read the forms.
     """
 
     elements: tuple[str, ...]
     identity: str
-    product: Mapping[tuple[str, str], str]
-    inverse: Mapping[str, str]
+    _rows: tuple = field(repr=False)
 
     def __init__(
         self,
@@ -123,17 +126,30 @@ class GroupTable:
             bad = lambda a, b, c: rows[rows[a][b]][c] != rows[a][rows[b][c]]
             a, b, c = map(elems.__getitem__, next(t for t in iproduct(ids, repeat=3) if bad(*t)))
             raise ValueError(f"product is not associative at ({a!r},{b!r},{c!r})")
-        product = {(a, b): elems[c] for a, row in zip(elems, rows) for b, c in zip(elems, row)}
-        inverse = {a: elems[b] for a, b in zip(elems, inv)}
-        self.__dict__.update(elements=elems, identity=elems[e], product=product, inverse=inverse)
-        self.__dict__.update(_gens=tuple(gens), _index=element_index(elems), _rows=rows, _inv=inv)
+        self.__dict__.update(elements=elems, identity=elems[e], _rows=rows, _inv=inv)
+        self.__dict__.update(_gens=tuple(gens), _index=element_index(elems))
         return self
 
+    @cached_property
+    def product(self) -> dict[tuple[str, str], str]:
+        """The product keyed by the element pairs in element order, the
+        constructor's argument shape; built from the rows on first read."""
+        elems = self.elements
+        return {(a, b): elems[c] for a, row in zip(elems, self._rows) for b, c in zip(elems, row)}
+
+    @cached_property
+    def _commuting(self) -> int:
+        """The number of pairs (a, b) with ab = ba, which is |G| times the
+        number of conjugacy classes (Erdős and Turán); an isomorphism
+        invariant, read off the rows and columns on first use."""
+        rows = self._rows
+        return sum(map(eq, chain.from_iterable(rows), chain.from_iterable(zip(*rows))))
+
     def op(self, a: str, b: str) -> str:
-        return self.product[(a, b)]
+        return self.elements[self._rows[self._index[a]][self._index[b]]]
 
     def inv(self, a: str) -> str:
-        return self.inverse[a]
+        return self.elements[self._inv[self._index[a]]]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -171,14 +187,14 @@ class GroupAction:
     the good h hold the identity and are closed under the product, since
     (g.(h.k)).x = ((g.h).k).x = (g.h).(k.x) = g.(h.(k.x)) = g.((h.k).x).
     Regularity is |G| = |X| and g -> g.x reaching |X| points for each x,
-    |G|.|X|. On failure the full loops run, to name the first failure. The
-    label field `act` is built once, from the table, and is keyed by exactly
-    the (element, point) pairs.
+    |G|.|X|. On failure the full loops run, to name the first failure.
+    Actions are equal when their groups, carriers and tables are; `apply`
+    reads the table through `_index`, the carrier's point index.
     """
 
     group: GroupTable
     carrier: FiniteSet
-    act: Mapping[tuple[str, str], str]
+    _table: tuple = field(repr=False)
 
     def __init__(
         self,
@@ -221,12 +237,12 @@ class GroupAction:
                 n = sum(row[x] == y for row in table)
                 if n != 1:
                     raise ValueError(f"action is not regular: {n} elements send {px!r} to {py!r}")
-        act = {(g, x): points[y] for g, row in zip(elems, table) for x, y in zip(points, row)}
-        self.__dict__.update(group=group, carrier=carrier, act=act)
+        self.__dict__.update(group=group, carrier=carrier, _table=tuple(table))
+        self.__dict__.update(_index=element_index(points))
         return self
 
     def apply(self, g: str, x: str) -> str:
-        return self.act[(g, x)]
+        return self.carrier.elements[self._table[self.group._index[g]][self._index[x]]]
 
 
 def tabulate(
@@ -289,7 +305,7 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
     index = element_index(elems)
     family = spine.morphisms[(obj, obj)]
     graph_key = graph_keys(elems, elems)
-    key_of = {t: graph_key(t) for t in (encode(f, elems, index) for f in family)}
+    key_of = {t: graph_key(t) for t in (encode(f, elems, elems, index) for f in family)}
     forms = sorted(key_of, key=key_of.__getitem__)  # label order: the group's element order
     identity = indexed_form(range(len(elems)))
     if identity not in key_of:
@@ -307,13 +323,16 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
         raise ValueError("the permutations are not closed under composition") from None
 
 
-def _transport(g: GroupTable, images: Sequence[str], elements: Sequence[str]) -> GroupTable:
-    """The group on `elements` that the bijection from g's elements onto
-    them, the element of index i going to images[i], makes isomorphic to g:
-    images[a].images[b] = images[a.b], tabulated over g's element indices."""
-    back, rows = {y: i for i, y in enumerate(images)}, g._rows
-    mul = lambda a, b: rows[a][b]
-    return tabulate([back[y] for y in elements], g._index[g.identity], mul, images.__getitem__)
+def _transport(g: GroupTable, table: Sequence, x: int, elements: tuple[str, ...]) -> GroupTable:
+    """The group on `elements` that the bijection phi: h -> table[h][x],
+    from g's element indices onto the indices of `elements`, makes
+    isomorphic to g: phi(a).phi(b) = phi(a.b). So the row of phi(a) is the
+    row of a conjugated by phi, z -> phi[rows[a][back[z]]] with back the
+    inverse of phi: two composites of forms per row."""
+    phi = indexed_form([row[x] for row in table])
+    back, rows = invert_indexed(phi), g._rows
+    conjugated = tuple(compose_indexed(compose_indexed(back, rows[a]), phi) for a in back)
+    return object.__new__(GroupTable)._check(elements, phi[g._index[g.identity]], conjugated)
 
 
 def group_on_fiber(ga: GroupAction, e: str) -> GroupTable:
@@ -322,16 +341,15 @@ def group_on_fiber(ga: GroupAction, e: str) -> GroupTable:
     The result lives on the carrier's elements with e as the identity and
     is isomorphic to the acting group.
     """
-    if e not in ga.carrier.elements:
+    if e not in ga._index:
         raise UnknownElement(f"{e!r} is not a carrier element")
-    images = [ga.apply(g, e) for g in ga.group.elements]
-    return _transport(ga.group, images, ga.carrier.elements)
+    return _transport(ga.group, ga._table, ga._index[e], ga.carrier.elements)
 
 
 def relabel_group(g: GroupTable, d: str) -> GroupTable:
     """The group on the same elements with product x . d^-1 . y, making d
     the identity: the transport along x -> x . d; isomorphic to the
     original."""
-    if d not in g.elements:
+    if d not in g._index:
         raise UnknownElement(f"{d!r} is not an element")
-    return _transport(g, [g.op(x, d) for x in g.elements], g.elements)
+    return _transport(g, g._rows, g._index[d], g.elements)

@@ -53,7 +53,7 @@ class FiniteMap:
     target: str
     graph: tuple[tuple[str, str], ...] = field(compare=True)
 
-    # (source elements, target elements, target element_index, indexed form)
+    # (source elements, target elements, indexed form)
     # of a map built by `indexed_map`
     _indexed = None
 
@@ -68,7 +68,7 @@ class FiniteMap:
         # reached only while an indexed map's graph is unread
         if name not in ("graph", "_dict") or self._indexed is None:
             raise AttributeError(name)
-        src, tgt, _, t = self._indexed
+        src, tgt, t = self._indexed
         graph = tuple(sorted(zip(src, map(tgt.__getitem__, t))))
         self.__dict__.update(graph=graph, _dict=dict(graph))
         return self.__dict__[name]
@@ -131,14 +131,15 @@ def element_index(elements: Sequence[str]) -> dict[str, int]:
     return {e: n for n, e in enumerate(elements)}
 
 
-def encode(f: FiniteMap, src: Sequence[str], index: Mapping[str, int]) -> Indexed:
-    """Indexed form of f (`indexed_form`), given the source elements in
-    order and the target's `element_index`. A map built by `indexed_map`
-    over equal carriers returns its stored form without reading its graph;
-    any other map has its images looked up in one pass over src."""
+def encode(f: FiniteMap, src: Sequence[str], tgt: Sequence[str], index: Mapping) -> Indexed:
+    """Indexed form of f (`indexed_form`), given the source and target
+    elements in order and the target's `element_index`. A map built by
+    `indexed_map` over equal carriers returns its stored form without
+    reading its graph; any other map has its images looked up in one pass
+    over src."""
     held = f._indexed
-    if held is not None and held[0] == src and held[2] == index:
-        return held[3]
+    if held is not None and held[0] == src and held[1] == tgt:
+        return held[2]
     image = f._dict
     return indexed_form([index[image[x]] for x in src])
 
@@ -148,18 +149,17 @@ def indexed_map(
     target: str,
     src: tuple[str, ...],
     tgt: tuple[str, ...],
-    index: Mapping[str, int],
     t: Indexed,
 ) -> FiniteMap:
     """The FiniteMap source -> target whose indexed form over the element
-    orders src and tgt is t, holding t, the carriers and the target's
-    `element_index` instead of its graph, which is built when first read.
+    orders src and tgt is t, holding t and the carriers instead of its
+    graph, which is built when first read.
     t is a form as `indexed_form` builds it (bytes for a target of at most
     256 points), so that `encode` returns a form equal to every other form
     of the map. t must be injective, as it is not checked: the reader checks
     the forms it reads, and every other caller builds bijections."""
     f = object.__new__(FiniteMap)
-    f.__dict__.update(source=source, target=target, _indexed=(src, tgt, index, t))
+    f.__dict__.update(source=source, target=target, _indexed=(src, tgt, t))
     return f
 
 
@@ -483,7 +483,7 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
             # an injective indexed form over exactly X_i -> X_j of one size
             # is total and onto: its stored tuple is the map
             if held is not None and held[0] == xi and held[1] == xj and len(xi) == len(xj):
-                t = held[3]
+                t = held[2]
             elif f._dict.keys() != carriers[i]:
                 missing = sorted(carriers[i] - f.domain())
                 extra = sorted(f.domain() - carriers[i])
@@ -516,7 +516,7 @@ def validate_spine(spine: GroupoidSpine) -> ValidationReport:
                 )
                 continue
             else:
-                t = encode(f, xi, elem_index[j])
+                t = encode(f, xi, xj, elem_index[j])
             # over X_i -> X_j the indexed form and the graph determine each other
             if t in seen:
                 out.append(

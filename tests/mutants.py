@@ -107,7 +107,7 @@ MUTANTS = [
     # encode returns an indexed map's stored form over any carriers
     (
         "model.py",
-        "if held is not None and held[0] == src and held[2] == index:",
+        "if held is not None and held[0] == src and held[1] == tgt:",
         "if held is not None:",
         INDEXED_MAP,
     ),
@@ -265,10 +265,35 @@ MUTANTS = [
     # the commuting pairs counted by comparing each row with itself: every
     # group then counts |G|^2, and same-profile groups go to the search
     (
-        "catalog.py",
+        "groups.py",
         "chain.from_iterable(zip(*rows))",
         "chain.from_iterable(rows)",
         COMMUTING,
+    ),
+    # transport conjugates each row the wrong way: `phi` and `back` swapped.
+    # Only a phi that is not a right translation in index terms tells: the
+    # fiber map of D16, whose extracted elements (graph-key order) and
+    # points (table order) are listed in different orders; relabeling's
+    # x -> x.d commutes with every row, a left translation
+    (
+        "groups.py",
+        "compose_indexed(compose_indexed(back, rows[a]), phi)",
+        "compose_indexed(compose_indexed(phi, rows[a]), back)",
+        ["tests/test_groups.py::TestPinnedOutput::test_extract_fiber_and_relabel"],
+    ),
+    # `op` reads the row of its right factor: b.a for a.b
+    (
+        "groups.py",
+        "self._rows[self._index[a]][self._index[b]]",
+        "self._rows[self._index[b]][self._index[a]]",
+        ["tests/test_groups.py::TestSharedTable::test_table_agrees_with_the_labels"],
+    ),
+    # `apply` reads the table's column for its row
+    (
+        "groups.py",
+        "self._table[self.group._index[g]][self._index[x]]",
+        "self._table[self._index[x]][self.group._index[g]]",
+        ["tests/test_groups.py::TestTableEquality::test_actions_compare_by_their_tables"],
     ),
     # the reader takes every mapping whose labels it finds in the carriers
     # as drawn from them

@@ -11,11 +11,17 @@ import spinekit.cli
 from conftest import same_morphism_sets
 from spinekit.cli import run_command
 from spinekit.document import load_spine, serialize_group, serialize_spine
-from spinekit.catalog import cyclic_group, symmetric_group
+from spinekit.catalog import (
+    catalog,
+    classify_group,
+    cyclic_group,
+    dicyclic_group,
+    symmetric_group,
+)
 from spinekit.errors import TooLarge
 from spinekit.extension import extend_to_groupoid
 from spinekit.generators import gen_group_action_spine, perturb_spine
-from spinekit.groups import relabel_group
+from spinekit.groups import GroupTable, relabel_group
 from spinekit.model import FiniteMap, GroupoidSpine
 from test_closure_oracle import decode_and_sort_closure
 
@@ -511,6 +517,30 @@ class TestValidateOnce:
         assert len(validate_calls) == 1
 
 
+class TestNoLabelViews:
+    """The engine reads groups through their integer tables: no command, and
+    no classification, builds the label view `product` of any table it
+    makes, the catalog's included."""
+
+    def test_commands_and_classification(self, capsys, tmp_path, z5_doc, monkeypatch):
+        tables, check = [], GroupTable._check
+
+        def recorded(self, *args):
+            tables.append(self)
+            return check(self, *args)
+
+        monkeypatch.setattr(GroupTable, "_check", recorded)
+        catalog.cache_clear()  # other tests read the catalog's label views
+        closed, out = str(tmp_path / "z5-full.json"), str(tmp_path / "s4-1032.json")
+        assert run(capsys, "extend", z5_doc, "--out", closed)[0] == 0
+        assert run(capsys, "extract", closed, "--object", "2", "--identity", "3")[0] == 0
+        assert run(capsys, "relabel", "S4", "--d", "1032", "--out", out)[0] == 0
+        assert run(capsys, "coset", "Z6", "--set", "1,3,5")[0] == 0
+        assert classify_group(dicyclic_group(6)).name == "Dic6"
+        assert {len(t) for t in tables} >= {5, 24, 6} and len(tables) > len(catalog())
+        assert [t for t in tables if "product" in vars(t)] == []
+
+
 class TestExtractReusesClosure:
     """`extract` on a document that is already a groupoid on every pair reads
     the group off it; any other document is closed once."""
@@ -612,7 +642,7 @@ class TestByteAndTupleForms:
         assert closed.morphisms == morphisms  # the same maps, in the same order
         oracle = GroupoidSpine(closed.objects, closed.sets, closed.pairs, morphisms)
         assert full.read_text() == serialize_spine(oracle)
-        form = closed.morphisms[("2", "1")][0]._indexed[3]
+        form = closed.morphisms[("2", "1")][0]._indexed[2]
         assert isinstance(form, bytes if order <= 256 else tuple)
         # extract prints a Cayley table of |G|^2 long graph keys (over 100
         # MB here): write it to a file and read it line by line

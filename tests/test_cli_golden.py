@@ -167,6 +167,9 @@ CASES = dict(
         ("gen-action-z1000-too-large", [
             "gen", "--kind", "group-action", "--group", "Z1000", "--objects", "8",
         ]),
+        ("gen-action-z2-5000-too-large", [
+            "gen", "--kind", "group-action", "--group", "Z2", "--objects", "5000",
+        ]),
     ]
 )
 
@@ -368,6 +371,12 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "8de7e751f8f5fd64233e7c2017fa01e6e577fc41eaec9d45683ad46d8634bd4d",
+        None,
+    ),
+    "gen-action-z2-5000-too-large": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "82a047cac342a4f03d979371a6ec27257a31b37158e73be9c450f12f4756e808",
         None,
     ),
     "gen-action-z4": (

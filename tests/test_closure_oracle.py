@@ -129,7 +129,7 @@ def assert_closure_regularity(spine: GroupoidSpine, result) -> None:
     counted = _regularity_unchecked(ext)
     elems = ext.sets[ext.objects[0]].elements
     index = element_index(elems)
-    group = {encode(f, elems, index) for f in ext.morphisms[(ext.objects[0],) * 2]}
+    group = {encode(f, elems, elems, index) for f in ext.morphisms[(ext.objects[0],) * 2]}
     points = range(len(elems))
     sharp = all(sum(g[x] == y for g in group) == 1 for x in points for y in points)
     assert counted.regular == sharp

@@ -680,8 +680,8 @@ class TestReaderIndexedForm:
         for (i, j), fams in spine.morphisms.items():
             src, tgt = spine.sets[i].elements, spine.sets[j].elements
             for f in fams:
-                t = encode(f, src, element_index(tgt))
-                assert t is f._indexed[3]
+                t = encode(f, src, tgt, element_index(tgt))
+                assert t is f._indexed[2]
                 assert t == indexed_form([tgt.index(y) for y in map(dict(f.graph).get, src)])
 
 

@@ -424,4 +424,4 @@ def test_regularity_from_the_vertex_group(data):
         for o in spine.objects:
             action, extracted = _extract(spine, o), extract_group(ext, o)
             assert action.group == extracted.group
-            assert action.act == extracted.act
+            assert action == extracted

@@ -24,7 +24,12 @@ from spinekit.catalog import (
 )
 from spinekit.document import serialize_spine
 from spinekit.errors import InvalidSpine, NotPrime, SearchExhausted, TooLarge
-from spinekit.extension import _regularity, check_regularity, extend_to_groupoid
+from spinekit.extension import (
+    _CLOSURE_BUDGET,
+    _regularity,
+    check_regularity,
+    extend_to_groupoid,
+)
 from spinekit.generators import (
     MIN_NON_COSET_ORDER,
     _mutate_once,
@@ -69,6 +74,33 @@ class TestGroupActionSpine:
             gen_group_action_spine(cyclic_group(2), 0)
 
 
+class TestGroupActionBudget:
+    """`gen_group_action_spine` refuses a spine of more than
+    `_SPINE_BUDGET` images, |G| maps per pair (one pair at one object) of
+    |G| points each, before it builds a map."""
+
+    def test_the_budget_is_the_closure_output_at_the_soft_targets(self):
+        assert generators_module._SPINE_BUDGET == 64 * _CLOSURE_BUDGET == 2**24
+
+    @pytest.mark.parametrize("objects, images", [(1, 9), (2, 9), (3, 27), (4, 54)])
+    def test_at_and_past_the_limit(self, monkeypatch, objects, images):
+        z3 = cyclic_group(3)
+        monkeypatch.setattr(generators_module, "_SPINE_BUDGET", images)
+        assert len(gen_group_action_spine(z3, objects).morphisms) == max(1, images // 9)
+        monkeypatch.setattr(generators_module, "_SPINE_BUDGET", images - 1)
+
+        def built(*args):
+            raise AssertionError("a map was built past the limit")
+
+        monkeypatch.setattr(generators_module, "indexed_map", built)
+        with pytest.raises(TooLarge) as caught:
+            gen_group_action_spine(z3, objects)
+        assert str(caught.value) == (
+            f"group-action spine too large: {images // 3} maps of 3 points make "
+            f"{images} images, over the limit of {images - 1}"
+        )
+
+
 def translation_oracle(group, objects: int) -> GroupoidSpine:
     """The group-action spine with every translation built from its string
     graph {x: h.x}, on the diagonal pair at one object and the increasing
@@ -105,7 +137,7 @@ class TestGroupActionSpineOracle:
                 spine = gen_group_action_spine(g, objects)
                 for maps in spine.morphisms.values():
                     assert len(maps) == len(g)
-                    assert all(f._indexed[3] is row for f, row in zip(maps, g._rows))
+                    assert all(f._indexed[2] is row for f, row in zip(maps, g._rows))
 
     @pytest.mark.parametrize("n", [256, 257])
     def test_byte_and_tuple_forms(self, n):

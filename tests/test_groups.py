@@ -351,13 +351,13 @@ class TestIsomorphism:
 
     def test_commuting_pairs_counted_once_on_first_use(self):
         g = direct_product(abelian_group(4, 2), dicyclic_group(2))
-        assert not hasattr(g, "_commuting")  # construction does not pay for it
+        assert "_commuting" not in vars(g)  # construction does not pay for it
         expected = sum(g.op(a, b) == g.op(b, a) for a in g.elements for b in g.elements)
-        assert catalog_module._commuting_pairs(g) == expected == 64 * 40  # |G| times 8 · 5 classes
-        assert g._commuting == expected
+        assert g._commuting == expected == 64 * 40  # |G| times 8 · 5 classes
+        assert vars(g)["_commuting"] == expected
         for name, h in catalog():
             literal = sum(h.op(a, b) == h.op(b, a) for a in h.elements for b in h.elements)
-            assert catalog_module._commuting_pairs(h) == literal, name
+            assert h._commuting == literal, name
 
 
 def isomorphic_oracle(g: GroupTable, h: GroupTable) -> bool:
@@ -561,8 +561,7 @@ class TestLabelBoundary:
     def test_act_is_the_normalised_input(self):
         act = {(int(g), x): y for (g, x), y in self.C2_ON_PQ.items()}
         action = GroupAction(cyclic_group(2), FiniteSet("X", ["p", "q"]), act)
-        assert action.act == self.C2_ON_PQ
-        assert list(action.act) == list(iproduct(["0", "1"], ["p", "q"]))
+        assert {(g, x): action.apply(g, x) for g, x in self.C2_ON_PQ} == self.C2_ON_PQ
 
     def test_product_iterates_in_element_order(self):
         g = cyclic_group(3)
@@ -570,6 +569,67 @@ class TestLabelBoundary:
         loaded = GroupTable(g.elements, g.identity, given)
         assert loaded == g
         assert list(loaded.product) == list(iproduct(g.elements, repeat=2))
+
+
+class TestTableEquality:
+    """Tables are equal, and hash equal, exactly when their elements,
+    identity and product agree, however they were built; neither class
+    lists its table in its repr."""
+
+    @staticmethod
+    def builds(g: GroupTable, d: str, e: str, shuffle) -> list[GroupTable]:
+        """g built every way, its relabeling at d and its fiber transport at
+        e with their transport oracles, and a table on g's elements and
+        identity whose product is g's carried along the bijection
+        `shuffle`, which fixes the identity (equal to g when it is an
+        automorphism)."""
+        action = extract_group(extend_to_groupoid(gen_group_action_spine(g, 2)), "1")
+        rows = g._rows
+        at_d = {x: g.op(x, d) for x in g.elements}
+        at_e = {h: action.apply(h, e) for h in action.group.elements}
+        return [
+            g,
+            GroupTable(g.elements, g.identity, g.product),
+            groups_module.tabulate(range(len(g)), g._index[g.identity],
+                                   lambda a, b: rows[a][b], g.elements.__getitem__),
+            groups_module._transport(g, rows, g._index[g.identity], g.elements),
+            relabel_group(g, d),
+            GroupTable(*transport_oracle(g, at_d, g.elements)),
+            group_on_fiber(action, e),
+            GroupTable(*transport_oracle(action.group, at_e, action.carrier.elements)),
+            action.group,
+            GroupTable(*transport_oracle(g, shuffle, g.elements)),
+        ]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_exactly_when_the_labels_agree(self, data):
+        _, g = data.draw(st.sampled_from(catalog_upto(12)))
+        d, e = data.draw(st.sampled_from(g.elements)), data.draw(st.sampled_from(g.elements))
+        others = [x for x in g.elements if x != g.identity]
+        shuffle = {g.identity: g.identity, **dict(zip(others, data.draw(st.permutations(others))))}
+        tables = self.builds(g, d, e, shuffle)
+        assert tables[0] == tables[1] == tables[2] == tables[3]
+        assert tables[4] == tables[5] and tables[6] == tables[7]
+        assert (tables[4] == g) == (d == g.identity)
+        for a in tables:
+            assert repr(a) == f"GroupTable(elements={a.elements!r}, identity={a.identity!r})"
+            for b in tables:
+                labels = (a.elements, a.identity, a.product) == (b.elements, b.identity, b.product)
+                assert (a == b) == labels
+                assert hash(a) == hash(b) or not labels
+        assert len(set(tables)) == len({(t.elements, t.identity, t._rows) for t in tables})
+
+    def test_actions_compare_by_their_tables(self):
+        g = dicyclic_group(3)
+        action = extract_group(extend_to_groupoid(gen_group_action_spine(g, 2)), "1")
+        points = action.carrier.elements
+        act = {(h, x): action.apply(h, x) for h in action.group.elements for x in points}
+        again = GroupAction(action.group, action.carrier, act)
+        assert again == action and hash(again) == hash(action)
+        assert repr(action) == f"GroupAction(group={action.group!r}, carrier={action.carrier!r})"
+        moved = GroupAction(action.group, FiniteSet("X", points), act)
+        assert moved != action  # another carrier name
 
 
 class TestSharedTable:
@@ -744,7 +804,7 @@ def assert_matches(g, oracle):
         for b in elems
         if product[(a, b)] == identity and product[(b, a)] == identity
     }
-    assert g.inverse == inverse
+    assert {a: g.inv(a) for a in elems} == inverse
 
 
 def transport_oracle(g, phi, elements):

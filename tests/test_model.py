@@ -99,8 +99,7 @@ class TestIndexedMap:
 
     @staticmethod
     def pair(src, tgt, t):
-        index = model.element_index(tgt)
-        lazy = model.indexed_map("a", "b", src, tgt, index, t)
+        lazy = model.indexed_map("a", "b", src, tgt, t)
         eager = FiniteMap("a", "b", {x: tgt[y] for x, y in zip(src, t)})
         return lazy, eager
 
@@ -130,14 +129,14 @@ class TestIndexedMap:
     def test_encode_checks_the_carriers(self, case, data):
         src, tgt, t = case
         lazy, eager = self.pair(src, tgt, t)
-        assert model.encode(lazy, src, model.element_index(tgt)) == t
+        assert model.encode(lazy, src, tgt, model.element_index(tgt)) == t
         assert "graph" not in vars(lazy)  # the stored form, not a decode
         for s, g in [
             (data.draw(st.permutations(src)), tgt),
             (src, data.draw(st.permutations(tgt))),
         ]:
             index = model.element_index(g)
-            assert model.encode(lazy, s, index) == model.encode(eager, s, index)
+            assert model.encode(lazy, s, g, index) == model.encode(eager, s, g, index)
 
     def test_encode_takes_the_general_path_on_other_orders(self):
         t = model.indexed_form((2, 0, 1))
@@ -147,8 +146,8 @@ class TestIndexedMap:
             (("1", "10", "1!"), ("z", "y", "x")),
         ]:
             index = model.element_index(tgt)
-            assert model.encode(lazy, src, index) == model.encode(eager, src, index)
-            assert model.encode(lazy, src, index) != t
+            assert model.encode(lazy, src, tgt, index) == model.encode(eager, src, tgt, index)
+            assert model.encode(lazy, src, tgt, index) != t
 
 
 # characters whose labels interleave in graph keys: "!" and " " sort below
@@ -454,8 +453,8 @@ class TestValidateIndexedForm:
 
     def test_duplicate_in_a_mixed_family(self):
         sets = {o: FiniteSet(o, ["p", "q", "r"]) for o in ("1", "2")}
-        elems, index = sets["2"].elements, model.element_index(sets["2"].elements)
-        lazy = lambda t: model.indexed_map("1", "2", elems, elems, index, model.indexed_form(t))
+        elems = sets["2"].elements
+        lazy = lambda t: model.indexed_map("1", "2", elems, elems, model.indexed_form(t))
         eager = lambda t: FiniteMap("1", "2", {x: elems[y] for x, y in zip(elems, t)})
         for family, repeats in [
             ([lazy((1, 2, 0)), eager((1, 2, 0)), eager((2, 0, 1)), lazy((2, 0, 1))],
@@ -485,7 +484,7 @@ class TestValidateIndexedForm:
 
         def over(src, tgt, i, j, mapping):
             t = model.indexed_form([tgt.index(mapping[x]) for x in src])
-            return model.indexed_map(i, j, src, tgt, model.element_index(tgt), t)
+            return model.indexed_map(i, j, src, tgt, t)
 
         ident = {x: x for x in elems}
         shift = dict(zip(elems, elems[1:] + elems[:1]))

@@ -80,10 +80,10 @@ def test_invert_is_involutive(f):
 def test_indexed_core_matches_maps(f, g, xa, xb, xc):
     # carriers in arbitrary element orders, so indices differ from labels
     ia, ib, ic = element_index(xa), element_index(xb), element_index(xc)
-    tf, tg = encode(f, xa, ib), encode(g, xb, ic)
+    tf, tg = encode(f, xa, xb, ib), encode(g, xb, xc, ic)
     assert decode(tf, "a", "b", xa, xb) == f
-    assert compose_indexed(tf, tg) == encode(compose(f, g), xa, ic)
-    assert invert_indexed(tf) == encode(invert(f), xb, ia)
+    assert compose_indexed(tf, tg) == encode(compose(f, g), xa, xc, ic)
+    assert invert_indexed(tf) == encode(invert(f), xb, xa, ia)
 
 
 @st.composite
@@ -126,9 +126,9 @@ def test_indexed_forms_match_maps_and_the_tuple_path(case):
     f = decode(tp, "a", "b", xa, [f"b{x}" for x in range(n)])
     g = decode(tq, "b", "c", [f"b{x}" for x in range(n)], xc)
     ia, ib, ic = element_index(xa), element_index(xb), element_index(xc)
-    tf, tg = encode(f, xa, ib), encode(g, xb, ic)
-    assert compose_indexed(tf, tg) == encode(compose(f, g), xa, ic) == composed
-    assert invert_indexed(tf) == encode(invert(f), xb, ia)
+    tf, tg = encode(f, xa, xb, ib), encode(g, xb, xc, ic)
+    assert compose_indexed(tf, tg) == encode(compose(f, g), xa, xc, ic) == composed
+    assert invert_indexed(tf) == encode(invert(f), xb, xa, ia)
 
 
 def test_an_index_past_a_byte_makes_a_tuple():

@@ -1,9 +1,13 @@
-"""The names `import spinekit` exports, so that adding or removing one is a
-deliberate change to the public surface."""
+"""The names `import spinekit` exports, and the public attributes of the
+group classes, so that adding or removing one is a deliberate change to the
+public surface."""
 
 from types import ModuleType
 
 import spinekit
+from spinekit.catalog import cyclic_group
+from spinekit.groups import GroupAction
+from spinekit.model import FiniteSet
 
 PUBLIC = set(
     # catalog, cosets, document
@@ -27,3 +31,17 @@ PUBLIC = set(
 def test_exported_names():
     names = {n for n, v in vars(spinekit).items() if not isinstance(v, ModuleType)}
     assert {n for n in names if not n.startswith("_")} == PUBLIC
+
+
+# `product` is the one label view, built on first read; `op`, `inv` and
+# `apply` read the integer tables
+GROUP_TABLE = {"elements", "identity", "product", "op", "inv", "order_of", "order_profile"}
+GROUP_ACTION = {"group", "carrier", "apply"}
+
+
+def test_group_attributes():
+    g = cyclic_group(3)
+    action = GroupAction(g, FiniteSet("X", g.elements), g.product)
+    public = lambda x: {n for n in dir(x) if not n.startswith("_")}
+    assert public(g) == GROUP_TABLE
+    assert public(action) == GROUP_ACTION
