@@ -233,7 +233,10 @@ def cmd_relabel(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    every command gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="spinekit",
         description=(
@@ -309,13 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parsing leaves it unchanged, and
-    every command gets a fresh namespace."""
-    return build_parser()
-
-
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a piped reader quitting
 
 # Exception classes -> (rendering or None for silence, stream, exit code),
@@ -353,7 +349,7 @@ _HANDLED = tuple(cls for classes, *_ in _ERRORS for cls in classes)
 
 def run_command(argv: list[str]) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -15,7 +15,8 @@ from itertools import product as iproduct
 from operator import getitem, itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import EmptySet, NotACoset, TheoremViolation, UnknownElement
+from .errors import EmptySet, NotACoset, TheoremViolation, TooLarge, UnknownElement
+from .extension import _CLOSURE_BUDGET
 from .groups import GroupTable
 from .model import Indexed, indexed_form
 
@@ -140,11 +141,19 @@ def coset_test(amb: AmbientGroup, xs: Iterable[GTuple]) -> CosetReport:
 
     When X is a left coset, the returned subgroup is a^-1 . X for the least
     member a, and a is the translator. A disagreement among the verdicts is
-    impossible and raises TheoremViolation.
+    impossible and raises TheoremViolation. Raises TooLarge, before any
+    translate is built, when the |G|^n translates of X on each side hold
+    more than `_CLOSURE_BUDGET` members in all.
     """
     xset = frozenset(amb._encode(x) for x in xs)
     if not xset:
         raise EmptySet("coset test needs a non-empty set")
+    size = len(amb.group) ** amb.power * len(xset)
+    if size > _CLOSURE_BUDGET:
+        raise TooLarge(
+            f"coset test too large: {len(amb.group)}^{amb.power} translates of "
+            f"{len(xset)} members make {size}, over the limit of {_CLOSURE_BUDGET}"
+        )
 
     xl = list(xset)
     rows, inv = amb._rows, amb._inv

@@ -27,7 +27,6 @@ from .model import (
     FiniteSet,
     GroupoidSpine,
     element_index,
-    encode,
     indexed_form,
     indexed_map,
     validate_spine,
@@ -104,21 +103,6 @@ class _Quoted(dict):
         return encode_basestring(label)
 
 
-class _Positions(dict):
-    """A target carrier's `element_index`, with its labels quoted in
-    `quoted`. An image outside the carrier is appended to both on first
-    lookup, so that it is written verbatim."""
-
-    def __init__(self, labels: tuple[str, ...], quote) -> None:
-        super().__init__(element_index(labels))
-        self.quoted = list(map(quote, labels))
-
-    def __missing__(self, label: str) -> int:
-        self[label] = len(self.quoted)
-        self.quoted.append(encode_basestring(label))
-        return self[label]
-
-
 def _layout(brackets: str, items: list[str], depth: int) -> str:
     """A JSON array or object of rendered items (object items as
     '"key": value') `depth` levels deep, laid out as json.dumps lays it
@@ -137,23 +121,37 @@ def serialize_spine(spine: GroupoidSpine, meta: Optional[dict] = None) -> str:
     that document, written directly, because with an indent json.dumps
     runs its pure-Python encoder over every key and bracket. Each carrier
     label is quoted once, each family is one template with its keys filled
-    in, each map fills it from its indexed form over the carriers
-    (`encode`), and meta still goes through json.dumps.
+    in, a map held as its indexed form over the two carriers fills it from
+    that form, and meta still goes through json.dumps. Any other map is
+    written from its graph as it is, its X_i keys in carrier order and
+    then the others in sorted order, so that `load_spine` reads back even
+    a map whose keys are not exactly X_i.
     """
     quote = _Quoted(
         (x, encode_basestring(x)) for s in spine.sets.values() for x in s.elements
     ).__getitem__
     pairs = spine.sorted_pairs()
 
-    positions = {o: _Positions(s.elements, quote) for o, s in spine.sets.items()}
+    quoted = {o: list(map(quote, s.elements)) for o, s in spine.sets.items()}
 
     def family(i: str, j: str) -> str:
-        elements, targets, index = spine.sets[i].elements, spine.sets[j].elements, positions[j]
+        elements, targets = spine.sets[i].elements, spine.sets[j].elements
+        domain = frozenset(elements)
         # one template per family, its keys filled in: one `%` per map
         keys = [quote(x).replace("%", "%%") + ": %s" for x in elements]
-        template, image = _layout("{}", keys, 3), index.quoted.__getitem__
+        template, image = _layout("{}", keys, 3), quoted[j].__getitem__
+
+        def mapping(f: FiniteMap) -> str:
+            # its graph as it is: the keys in X_i in carrier order, then the
+            # others sorted, the layout the template gives a map total on X_i
+            graph = f._dict
+            at = [x for x in elements if x in graph] + sorted(graph.keys() - domain)
+            return _layout("{}", [f"{quote(x)}: {quote(graph[x])}" for x in at], 3)
+
         maps = [
-            template % tuple(map(image, encode(f, elements, targets, index)))
+            template % tuple(map(image, held[2]))
+            if (held := f._indexed) is not None and held[0] == elements and held[1] == targets
+            else mapping(f)
             for f in spine.morphisms[(i, j)]
         ]
         return _layout("[]", maps, 2)
@@ -185,15 +183,16 @@ def load_spine(text: str | bytes) -> tuple[GroupoidSpine, Optional[dict]]:
     Raises DocumentSyntaxError for malformed JSON and SchemaError (with a
     path like morphisms."1|3"[2]) for shape problems.
 
-    A family whose mappings are all drawn from the carriers, as every
-    family `serialize_spine` writes is, is read by `_canonical_maps`, so
-    each map's graph is built only if something reads it. Any other
-    family goes mapping by mapping, with the same test: a mapping whose
-    keys are exactly the source carrier and whose images are distinct
-    points of the target carrier is read into its indexed form
-    (`indexed_form`, `indexed_map`); any other mapping has each label
-    checked and becomes a `FiniteMap` of its sorted graph, which raises
-    its own error when it is not injective.
+    Each mapping is read in one pass. A mapping whose keys are exactly the
+    source carrier and whose images are distinct points of the target
+    carrier (every map that `serialize_spine` writes of a valid spine) is
+    read into its indexed form (`indexed_form`, `indexed_map`), so its
+    graph is built only if something reads it. Any other mapping has each
+    label checked and becomes a `FiniteMap` of its sorted graph, which
+    raises its own error when it is not injective. The test for repeated
+    images is the one place outside `model` that tells the two kinds of
+    form apart: a `bytes` form takes one `bytes.maketrans`, a tuple form a
+    set.
     """
     doc = _load_object(text, _SPINE_KEYS, ("objects", "sets", "pairs", "morphisms"))
 
@@ -361,7 +360,7 @@ def load_group(text: str | bytes) -> GroupTable:
         _require(isinstance(inverse, dict), "inverse must be an object", "inverse")
         for a in [*table.elements, *inverse]:
             _require(
-                inverse.get(a) == (table.inv(a) if a in table._index else None),
+                a in table._index and inverse.get(a) == table.inv(a),
                 f"inverse table is wrong at {a!r}",
                 "$",
             )

@@ -36,17 +36,6 @@ from .model import (
 )
 
 
-def _total_forms(what: str, rows: list, names: Sequence[str], at: Sequence[str]) -> tuple:
-    """`rows`, lists of indices with None for an entry not given, as indexed
-    forms; raises ValueError at the first missing entry, named by the row
-    labels `names` and the column labels `at`. The label front ends call
-    it, so `_check` takes total forms only."""
-    for a, row in zip(names, rows):
-        if None in row:
-            raise ValueError(f"{what} is not total at ({a!r},{at[row.index(None)]!r})")
-    return tuple(map(indexed_form, rows))
-
-
 @dataclass(frozen=True)
 class GroupTable:
     """A finite group as a Cayley table over labeled elements.
@@ -93,7 +82,11 @@ class GroupTable:
             raise ValueError(f"identity {identity!r} is not an element")
         prod = {(str(a), str(b)): str(c) for (a, b), c in product.items()}
         rows = [[index.get(prod.get((a, b))) for b in elems] for a in elems]
-        self._check(elems, index[identity], _total_forms("product table", rows, elems, elems))
+        for a, row in zip(elems, rows):
+            if None in row:
+                b = elems[row.index(None)]
+                raise ValueError(f"product table is not total at ({a!r},{b!r})")
+        self._check(elems, index[identity], tuple(map(indexed_form, rows)))
         if len(prod) != len(elems) ** 2:
             key = next(k for k in prod if k[0] not in index or k[1] not in index)
             raise ValueError(f"product key {key!r} is not a pair of elements")
@@ -167,79 +160,23 @@ class GroupTable:
         return tuple(sorted(Counter(map(self.order_of, self.elements)).items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupAction:
-    """A group acting on a finite carrier.
+    """The regular action of an extracted group on its carrier, the record
+    `extract_group` returns.
 
-    The action is its integer table: table[g] is the map x -> g.x as an
+    The action is its integer table: `_table[g]` is the map x -> g.x as an
     indexed form (`model`), for the element indices g of the group's own
-    table and the point indices x of the carrier. The constructor is the
-    front end for labels: it indexes `act` into that table, checks that
-    every image is given and is a point, and hands the rows as forms to
-    `_check`, which `_diagonal_action` calls directly on the forms it
-    holds, after reading the group's rows off the orbit of point 0; there
-    the check is what proves the forms closed under composition. The check
-    verifies exactly, from the group's generating set, that the identity
-    acts trivially, that the action respects the product, and that it is
-    regular: every (x, y) is achieved by exactly one group element.
-    (g.h).x = g.(h.x) is checked for the generators h only, one composite
-    of forms per (g, h), |G|.#gens.|X|:
-    the good h hold the identity and are closed under the product, since
-    (g.(h.k)).x = ((g.h).k).x = (g.h).(k.x) = g.(h.(k.x)) = g.((h.k).x).
-    Regularity is |G| = |X| and g -> g.x reaching |X| points for each x,
-    |G|.|X|. On failure the full loops run, to name the first failure.
-    Actions are equal when their groups, carriers and tables are; `apply`
-    reads the table through `_index`, the carrier's point index.
+    table and the point indices x of the carrier; `apply` reads it through
+    `_index`, the carrier's point index. Only `_diagonal_action` builds
+    one, from a family its table check has proved a group acting
+    regularly, so there is no constructor and no unchecked action.
+    Actions are equal when their groups, carriers and tables are.
     """
 
     group: GroupTable
     carrier: FiniteSet
     _table: tuple = field(repr=False)
-
-    def __init__(
-        self,
-        group: GroupTable,
-        carrier: FiniteSet,
-        act: Mapping[tuple[str, str], str],
-    ):
-        act = {(str(g), str(x)): str(y) for (g, x), y in act.items()}
-        at = element_index(carrier.elements)
-        elems, points = group.elements, carrier.elements
-        table = [[at.get(act.get((g, x))) for x in points] for g in elems]
-        self._check(group, carrier, _total_forms("action", table, elems, points))
-        if len(act) != len(group) * len(carrier):
-            key = next(k for k in act if k[0] not in group._index or k[1] not in at)
-            raise ValueError(f"action key {key!r} is not an (element, point) pair")
-
-    def _check(self, group: GroupTable, carrier: FiniteSet, table: Sequence) -> GroupAction:
-        """Verify the action axioms on `table`, a sequence of total indexed
-        forms (one kind, as `indexed_form` builds them), table[g][x] the
-        index of g.x for the element indices g of the group's own table,
-        naming labels only in messages; then set the fields from it and
-        return the action. `_diagonal_action` calls it on
-        `object.__new__(GroupAction)`."""
-        elems, points = group.elements, carrier.elements
-        for x, y in enumerate(table[group._index[group.identity]]):
-            if y != x:
-                raise ValueError(f"identity moves {points[x]!r}")
-        rows, gens, ids = group._rows, group._gens, range(len(elems))
-        if any(
-            table[rows[g][h]] != compose_indexed(table[h], table[g]) for g in ids for h in gens
-        ):
-            bad = lambda g, h, x: table[rows[g][h]][x] != table[g][table[h][x]]
-            g, h, x = next(t for t in iproduct(ids, ids, range(len(points))) if bad(*t))
-            g, h, x = elems[g], elems[h], points[x]
-            raise ValueError(f"action incompatible with product at ({g!r},{h!r},{x!r})")
-        if len(elems) != len(points) or any(
-            len(set(column)) != len(points) for column in zip(*table)
-        ):
-            for (x, px), (y, py) in iproduct(enumerate(points), repeat=2):
-                n = sum(row[x] == y for row in table)
-                if n != 1:
-                    raise ValueError(f"action is not regular: {n} elements send {px!r} to {py!r}")
-        self.__dict__.update(group=group, carrier=carrier, _table=tuple(table))
-        self.__dict__.update(_index=element_index(points))
-        return self
 
     def apply(self, g: str, x: str) -> str:
         return self.carrier.elements[self._table[self.group._index[g]][self._index[x]]]
@@ -294,10 +231,15 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
     sending point 0 where g(h(0)) lies. So with `orbit`, the map h -> h(0)
     from elements to points, and its inverse `at`, the row of g is g
     conjugated by the orbit map, h -> at[g[orbit[h]]]: two composites of
-    forms per row. The table and action checks then pass exactly when the
-    family is closed under composition: a closed family is a group with
-    these rows as its Cayley table, and the action's compatibility check
-    puts every composite of two members in the family."""
+    forms per row. That one table check decides closure under
+    composition. A closed family is a group with these rows as its Cayley
+    table. Conversely, Light's test on the rows, over the table's
+    generators, is the action's compatibility test (g.h).x = g.(h.x) over
+    the same generators conjugated by the orbit map, so when the rows pass
+    every composite of two members is a member. A family holding the
+    identity, closed, and with |G| = |X| points in the orbit of point 0
+    acts regularly, so the forms are the action table as they stand and
+    no action check runs."""
     if obj not in spine.objects:
         raise UnknownObject(f"object {obj!r} is not in the spine")
     carrier = spine.sets[obj]
@@ -318,9 +260,11 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
     labels = tuple(map(key_of.__getitem__, forms))
     try:
         group = object.__new__(GroupTable)._check(labels, forms.index(identity), rows)
-        return object.__new__(GroupAction)._check(group, carrier, forms)
     except ValueError:
         raise ValueError("the permutations are not closed under composition") from None
+    action = object.__new__(GroupAction)
+    action.__dict__.update(group=group, carrier=carrier, _table=tuple(forms), _index=index)
+    return action
 
 
 def _transport(g: GroupTable, table: Sequence, x: int, elements: tuple[str, ...]) -> GroupTable:

@@ -103,7 +103,9 @@ class FiniteMap:
 # of a bijection between carriers of at most 256 points is `bytes`; any other
 # is a tuple of ints, so the kind depends only on the carrier's size. Only
 # `indexed_form`, `compose_indexed` and `invert_indexed` tell them apart, and
-# every form is built by one of them, so the forms of one map are equal.
+# every form is built by one of them, so the forms of one map are equal; the
+# one exception is `document.load_spine`, which tests a mapping it reads for
+# repeated images one way on bytes and another on tuples.
 Indexed = bytes | tuple[int, ...]
 
 _POINTS = bytes(range(256))

@@ -35,9 +35,6 @@ VERTEX_GROUP = ["tests/test_model.py::TestVertexGroupValidation"]
 SPAN_CAP = [VERTEX_GROUP[0] + "::test_swapped_map_stops_the_span_at_the_family_size"]
 STRUCTURE = ["tests/test_cosets.py", "tests/test_properties.py"]
 GROUPS = ["tests/test_groups.py::TestAxiomChecks"]
-ACTION_KEYS = [
-    "tests/test_groups.py::TestLabelBoundary::test_action_key_outside_elements_and_points"
-]
 COMMUTING = ["tests/test_groups.py::TestIsomorphism::test_same_profile_non_isomorphic"]
 DOCUMENT = ["tests/test_document.py"]
 INDEXED_MAP = ["tests/test_model.py::TestIndexedMap"]
@@ -49,6 +46,9 @@ READER_FALLBACK = [
 EXTRACT = ["tests/test_cli.py::TestExtractReusesClosure"]
 EXTRACT_ORACLE = [
     "tests/test_groups.py::TestExtractGroup::test_matches_the_composition_table_oracle[1]"
+]
+EXTRACT_CLOSURE = [
+    "tests/test_groups.py::TestExtractGroup::test_closed_exactly_when_the_composites_are_members"
 ]
 INDEXED_CORE = ["tests/test_properties.py::test_indexed_forms_match_maps_and_the_tuple_path"]
 HASH_SEEDS = ["tests/test_cli.py::TestHashSeeds"]
@@ -144,7 +144,7 @@ MUTANTS = [
     ),
     # extract reads the product off the wrong index: g applied to the
     # element index h rather than to its orbit point h(0), so the rows are
-    # the forms themselves, which the table and action checks reject
+    # the forms themselves, which the table check rejects
     (
         "groups.py",
         "compose_indexed(compose_indexed(orbit, g), at)",
@@ -246,22 +246,19 @@ MUTANTS = [
         "        if False:\n",
         [GROUPS[0] + "::test_light_agrees_with_brute_force"],
     ),
-    # action compatibility checked for the first generator only
+    # extract's orbit test without |G| = |X|: two shifts on three points
+    # reach two points from point 0 and pass as a group
     (
         "groups.py",
-        "for g in ids for h in gens\n",
-        "for g in ids for h in gens[:1]\n",
-        GROUPS,
+        "len(set(orbit)) == len(forms) == len(elems)",
+        "len(set(orbit)) == len(forms)",
+        ["tests/test_groups.py::TestExtractGroup::test_invalid_diagonal_is_rejected"],
     ),
-    # regularity without |G| = |X|: each g -> g.x still reaches every point
-    ("groups.py", "if len(elems) != len(points) or any(", "if any(", GROUPS),
-    # an action whose label dict holds keys off elements x points is accepted
-    (
-        "groups.py",
-        "        if len(act) != len(group) * len(carrier):\n",
-        "        if False:\n",
-        ACTION_KEYS,
-    ),
+    # extract hands the action its Cayley rows, over element indices, for
+    # the forms over point indices
+    ("groups.py", "_table=tuple(forms)", "_table=rows", EXTRACT_CLOSURE),
+    # extract indexes the action's points by the group's element labels
+    ("groups.py", "_index=index)", "_index=group._index)", EXTRACT_ORACLE),
     # the commuting pairs counted by comparing each row with itself: every
     # group then counts |G|^2, and same-profile groups go to the search
     (
@@ -279,7 +276,7 @@ MUTANTS = [
         "groups.py",
         "compose_indexed(compose_indexed(back, rows[a]), phi)",
         "compose_indexed(compose_indexed(phi, rows[a]), back)",
-        ["tests/test_groups.py::TestPinnedOutput::test_extract_fiber_and_relabel"],
+        ["tests/test_groups.py::TestGroupOnFiber::test_transport_carries_the_product"],
     ),
     # `op` reads the row of its right factor: b.a for a.b
     (

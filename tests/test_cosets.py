@@ -17,7 +17,7 @@ from spinekit.cosets import (
     fiber_coset_structure,
     partition_check,
 )
-from spinekit.errors import EmptySet, NotACoset, UnknownElement
+from spinekit.errors import EmptySet, NotACoset, TooLarge, UnknownElement
 
 
 def z(n):
@@ -86,6 +86,41 @@ class TestCosetTest:
         assert report.translator == ("0", "0")
         off = [(str(x), str((x * x) % 4)) for x in range(4)]
         assert not any(coset_test(amb, off).verdicts())
+
+
+class TestCosetBudget:
+    """coset_test refuses |G|^n |X| past `_CLOSURE_BUDGET` before it builds a
+    translate."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(self, *args):
+        raise self.Reached
+
+    def test_the_largest_spec_input_passes(self, monkeypatch):
+        # Z512, the largest group spec, with all 512 points: exactly the limit
+        assert cosets._CLOSURE_BUDGET == 262_144
+        monkeypatch.setattr(cosets, "_coset", self.reached)
+        with pytest.raises(self.Reached):
+            coset_test(z(512), singles(*range(512)))
+
+    @pytest.mark.parametrize("budget", [48, 47])
+    def test_at_the_limit_and_one_past_it(self, monkeypatch, budget):
+        # 2^4 translates of three members make 48
+        amb = AmbientGroup(cyclic_group(2), 4)
+        xs = [("0", "0", "0", "0"), ("1", "0", "0", "0"), ("0", "1", "0", "0")]
+        monkeypatch.setattr(cosets, "_CLOSURE_BUDGET", budget)
+        monkeypatch.setattr(cosets, "_coset", self.reached)
+        if budget == 48:
+            with pytest.raises(self.Reached):
+                coset_test(amb, xs)
+            return
+        with pytest.raises(TooLarge) as caught:
+            coset_test(amb, xs)
+        assert str(caught.value) == (
+            "coset test too large: 2^4 translates of 3 members make 48, over the limit of 47"
+        )
 
 
 class TestPartitionCheck:

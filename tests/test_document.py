@@ -38,6 +38,7 @@ from spinekit.model import (
     element_index,
     encode,
     indexed_form,
+    indexed_map,
     validate_spine,
 )
 
@@ -234,6 +235,13 @@ class TestGroupFiles:
         doc["inverse"][key] = value
         with pytest.raises(SchemaError, match=f"inverse table is wrong at {where}"):
             load_group(json.dumps(doc))
+
+    def test_stray_inverse_key_with_a_null_value(self):
+        doc = json.loads(serialize_group(cyclic_group(3)))
+        doc["inverse"]["zz"] = None
+        with pytest.raises(SchemaError) as exc:
+            load_group(json.dumps(doc))
+        assert str(exc.value) == "$: inverse table is wrong at 'zz'"
 
     def test_unknown_key(self):
         doc = json.loads(serialize_group(cyclic_group(2)))
@@ -514,6 +522,14 @@ def test_serialize_load_round_trip_for_every_generator_kind(generated):
     assert serialize_spine(*load_spine(text)) == text
 
 
+def written_mapping(f: FiniteMap, elements) -> dict:
+    """f's mapping as the writer lays it out: the keys in X_i in carrier
+    order, then any others sorted."""
+    graph = f.mapping
+    keys = [x for x in elements if x in graph] + sorted(set(graph) - set(elements))
+    return {x: graph[x] for x in keys}
+
+
 def serialize_oracle(spine, meta=None):
     """The document writer before the direct emitter: the whole document
     through json.dumps with indent=2."""
@@ -523,7 +539,7 @@ def serialize_oracle(spine, meta=None):
     pairs = spine.sorted_pairs()
     doc["pairs"] = [[i, j] for i, j in pairs]
     doc["morphisms"] = {
-        f"{i}|{j}": [{x: f(x) for x in spine.sets[i].elements} for f in spine.morphisms[(i, j)]]
+        f"{i}|{j}": [written_mapping(f, spine.sets[i].elements) for f in spine.morphisms[(i, j)]]
         for i, j in pairs
     }
     if meta is not None:
@@ -554,8 +570,9 @@ meta_values = st.recursive(
 @st.composite
 def hostile_spine(draw):
     """A spine built through the API, unvalidated: hostile labels, carriers
-    of one element or more, families of any size (empty ones too), and
-    images that may lie outside the target carrier."""
+    of one element or more, families of any size (empty ones too), maps
+    whose keys are the source carrier or any labels, and images that may
+    lie outside the target carrier."""
     objects = draw(st.lists(HOSTILE, min_size=1, max_size=3, unique=True))
     sets = {
         o: FiniteSet(o, draw(st.lists(HOSTILE, min_size=1, max_size=4, unique=True)))
@@ -567,13 +584,13 @@ def hostile_spine(draw):
     morphisms = {}
     for i, j in pairs:
         source = sets[i].elements
+        keys = st.just(source) | st.lists(HOSTILE | st.sampled_from(source), unique=True)
         images = HOSTILE | st.sampled_from(sets[j].elements)
-        morphisms[(i, j)] = [
-            FiniteMap(i, j, dict(zip(source, draw(
-                st.lists(images, min_size=len(source), max_size=len(source), unique=True)
-            ))))
-            for _ in range(draw(st.integers(0, 3)))
-        ]
+        morphisms[(i, j)] = []
+        for _ in range(draw(st.integers(0, 3))):
+            xs = draw(keys)
+            ys = draw(st.lists(images, min_size=len(xs), max_size=len(xs), unique=True))
+            morphisms[(i, j)].append(FiniteMap(i, j, dict(zip(xs, ys))))
     return GroupoidSpine(objects, sets, pairs, morphisms)
 
 
@@ -598,16 +615,29 @@ class TestWriterOracle:
             assert serialize_spine(spine, meta) == serialize_oracle(spine, meta)
 
     def test_map_undefined_on_a_carrier_element(self):
-        sets = {"1": FiniteSet("1", ["a", "b", "c"]), "2": FiniteSet("2", ["a", "b", "c"])}
+        # written as it is, for the reader to read back
+        sets = {"1": FiniteSet("1", ["c", "b", "a"]), "2": FiniteSet("2", ["a", "b", "c"])}
         spine = GroupoidSpine(
             ["1", "2"], sets, [("1", "2")],
-            {("1", "2"): [FiniteMap("1", "2", {"a": "b", "c": "a"})]},
+            {("1", "2"): [FiniteMap("1", "2", {"a": "b", "z": "c", "c": "a"})]},
         )
-        with pytest.raises(KeyError) as want:
-            serialize_oracle(spine)
-        with pytest.raises(KeyError) as got:
-            serialize_spine(spine)
-        assert got.value.args == want.value.args == ("b",)
+        text = serialize_spine(spine)
+        assert text == serialize_oracle(spine)
+        assert list(json.loads(text)["morphisms"]["1|2"][0]) == ["c", "a", "z"]
+
+    def test_map_held_over_other_carrier_orders(self):
+        # a held form fills the template only over the spine's own carrier
+        # orders; over any other it is written from its graph
+        abc, cba = ("a", "b", "c"), ("c", "b", "a")
+        sets = {o: FiniteSet(o, abc) for o in "12"}
+        t = indexed_form([1, 2, 0])
+        orders = [(abc, abc), (cba, abc), (abc, cba)]
+        maps = [indexed_map("1", "2", src, tgt, t) for src, tgt in orders]
+        spine = GroupoidSpine(["1", "2"], sets, [("1", "2")], {("1", "2"): maps})
+        text = serialize_spine(spine)
+        assert text == serialize_oracle(spine)
+        written = json.loads(text)["morphisms"]["1|2"]
+        assert written == [dict(zip(abc, "bca")), dict(zip(cba, "bca")), dict(zip(abc, "bac"))]
 
 
 # labels whose graph keys interleave: separators inside labels, a prefix
@@ -716,7 +746,7 @@ class TestReaderFallback:
         assert exc.value.path == 'morphisms."1|2"[1]'
         assert str(exc.value) == f'morphisms."1|2"[1]: {message}'
 
-    @pytest.mark.parametrize(
+    OFF_THE_CARRIERS = pytest.mark.parametrize(
         "mapping",
         [
             {"0": "1", "1": "2"},
@@ -726,10 +756,33 @@ class TestReaderFallback:
         ],
         ids=["missing-key", "extra-key", "foreign-key", "foreign-value"],
     )
+
+    @OFF_THE_CARRIERS
     def test_labels_off_the_carriers_load_verbatim(self, mapping):
         spine, _ = self.load_with(mapping)
         assert spine.morphisms[("1", "2")][1].graph == tuple(sorted(mapping.items()))
         assert not validate_spine(spine).ok
+
+    @OFF_THE_CARRIERS
+    def test_labels_off_the_carriers_write_verbatim(self, mapping):
+        # the writer keeps what the reader read: the carrier's keys in its
+        # order, then the others sorted
+        spine = translation_spine(3, 2)
+        maps = list(spine.morphisms[("1", "2")])
+        maps[1] = FiniteMap("1", "2", dict(reversed(mapping.items())))
+        spine = GroupoidSpine(spine.objects, spine.sets, spine.pairs,
+                              {**spine.morphisms, ("1", "2"): maps})
+        text = serialize_spine(spine)
+        back, _ = load_spine(text)
+        assert {k: list(v) for k, v in back.morphisms.items()} == {
+            k: list(v) for k, v in spine.morphisms.items()
+        }
+        assert validate_spine(back).render_lines() == validate_spine(spine).render_lines()
+        assert not validate_spine(back).ok
+        assert serialize_spine(back) == text
+        written = json.loads(text)["morphisms"]["1|2"][1]
+        keys = [x for x in "012" if x in mapping] + sorted(set(mapping) - set("012"))
+        assert list(written.items()) == [(x, mapping[x]) for x in keys]
 
     def test_repeated_image_over_256_points(self):
         doc = json.loads(serialize_spine(translation_spine(300, 2)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spinekit.catalog as catalog_module
+import spinekit.generators as generators_module
 import spinekit.groups as groups_module
 from conftest import (
     catalog_upto,
@@ -155,7 +156,37 @@ class TestExtractGroup:
             act = {(f.graph_key(), x): f(x) for f in family for x in carrier.elements}
             action = extract_group(ext, "1")
             assert action.group == group and action.group._rows == group._rows, name
-            assert action == GroupAction(group, carrier, act), name
+            assert action.carrier == carrier, name
+            pairs = iproduct(group.elements, carrier.elements)
+            assert {(g, x): action.apply(g, x) for g, x in pairs} == act, name
+
+    @given(st.integers(2, 7), st.randoms(use_true_random=False), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_closed_exactly_when_the_composites_are_members(self, order, rng, data):
+        # a sharply transitive family holding the identity: the rows of a
+        # random Latin square with row 0 undone first, in shuffled order on
+        # shuffled point labels. Below order 5 every such family is closed;
+        # from order 5 most are not
+        rows = [tuple(row) for row in generators_module._random_latin_square(order, rng)]
+        back = invert_tuple(rows[0])
+        perms = [compose_tuples(back, row) for row in rows]
+        rng.shuffle(perms)
+        points = data.draw(st.permutations("abcdefg"[:order]))
+        maps = [FiniteMap("1", "1", {x: points[y] for x, y in zip(points, p)}) for p in perms]
+        spine = GroupoidSpine(
+            ["1"], {"1": FiniteSet("1", points)}, [("1", "1")], {("1", "1"): maps}
+        )
+        ext = ExtensionResult(spine, True, {}, 1)
+        key = {p: f.graph_key() for p, f in zip(perms, maps)}
+        composites = {(q, p): compose_tuples(p, q) for p in perms for q in perms}  # p, then q
+        if not set(composites.values()) <= set(perms):
+            with pytest.raises(ValueError, match="not closed under composition"):
+                extract_group(ext, "1")
+            return
+        action = extract_group(ext, "1")
+        assert all(action.apply(f.graph_key(), x) == f(x) for f in maps for x in points)
+        op = action.group.op
+        assert all(op(key[q], key[p]) == key[pq] for (q, p), pq in composites.items())
 
     def test_non_conservative_extension_is_not_regular(self):
         # two objects: the closure's group, S5, outgrows the 5-point carrier
@@ -207,6 +238,23 @@ class TestGroupOnFiber:
     def test_unknown_element(self):
         with pytest.raises(UnknownElement):
             group_on_fiber(self.make_action(), "99")
+
+    def test_transport_carries_the_product(self):
+        # phi(a) = a.e makes phi(a).phi(b) = phi(a.b), checked by labels. The
+        # extracted elements of D16 (graph-key order) and its points (table
+        # order) are listed in different orders, so phi is no right
+        # translation in index terms, and a transport conjugating its rows
+        # the wrong way breaks the product
+        ext = extend_to_groupoid(gen_group_action_spine(dihedral_group(16), 2))
+        action = extract_group(ext, "1")
+        group, points = action.group, action.carrier.elements
+        assert [action.apply(a, points[0]) for a in group.elements] != list(points)
+        pairs = list(iproduct(group.elements, repeat=2))
+        for e in points[:4]:
+            fiber = group_on_fiber(action, e)
+            phi = {a: action.apply(a, e) for a in group.elements}
+            assert fiber.identity == e
+            assert all(fiber.op(phi[a], phi[b]) == phi[group.op(a, b)] for a, b in pairs)
 
 
 class TestRelabel:
@@ -481,43 +529,21 @@ class TestAxiomChecks:
         assert str(caught.value) == "product is not associative at ('1','2','2')"
 
     def test_malformed_rows_over_256_elements(self):
-        # Z300 with the row of 1 (its table row, then its action) moved to
-        # indices that all fit in a byte: every form of the table is still a
-        # tuple, so the checks compose them and name the failure
+        # Z300 with the row of 1 moved to indices that all fit in a byte:
+        # every form of the table is still a tuple, so the check composes
+        # them and names the failure
         z = cyclic_group(300)
         small = lambda x: x if int(x) < 256 else "5"
         prod = {(a, b): small(c) if a == "1" else c for (a, b), c in z.product.items()}
         with pytest.raises(ValueError) as caught:
             GroupTable(z.elements, z.identity, prod)
         assert str(caught.value) == "product is not associative at ('1','1','254')"
-        act = {(g, x): small(y) if g == "1" else y for (g, x), y in z.product.items()}
-        with pytest.raises(ValueError) as caught:
-            GroupAction(z, FiniteSet("X", z.elements), act)
-        assert str(caught.value) == "action incompatible with product at ('1','1','254')"
 
     def test_product_key_outside_elements(self):
         g = cyclic_group(3)
         with pytest.raises(ValueError) as caught:
             GroupTable(g.elements, g.identity, {**g.product, ("zz", "q"): "1"})
         assert str(caught.value) == "product key ('zz', 'q') is not a pair of elements"
-
-    def test_incompatible_action(self):
-        # V4 is generated by 0.1 then 1.0. 0.1 acts by an involution s and
-        # passes for every g and x; 1.0 acts by a 4-cycle t, whose square is
-        # not the identity, and 1.1 by t.s, so the first generator alone
-        # cannot see the failure
-        v4 = klein_group()
-        assert generating_sequence(v4) == ["0.1", "1.0"]
-        points = ["a", "b", "c", "d"]
-        s = dict(zip(points, "badc"))
-        t = dict(zip(points, "bcda"))
-        acts = {"0.0": {x: x for x in points}, "0.1": s, "1.0": t}
-        acts["1.1"] = {x: t[s[x]] for x in points}
-        act = {(g, x): acts[g][x] for g in acts for x in points}
-        with pytest.raises(ValueError) as caught:
-            GroupAction(v4, FiniteSet("X", points), act)
-        message = "action incompatible with product at ('0.1','1.0','a')"
-        assert str(caught.value) == message
 
     def test_valid_tables_run_no_triple_sweep(self, monkeypatch):
         # Light's test compares rows of one type; a tuple never equals a
@@ -529,39 +555,10 @@ class TestAxiomChecks:
         for g in (symmetric_group(4), dicyclic_group(6), abelian_group(2, 6)):
             assert GroupTable(g.elements, g.identity, g.product) == g
 
-    def test_non_regular_action(self):
-        # Z4 acts on two points by parity: compatible, every point reached
-        # from every point, but |G| > |X|
-        act = {(str(g), str(x)): str((g + x) % 2) for g in range(4) for x in range(2)}
-        with pytest.raises(ValueError) as caught:
-            GroupAction(cyclic_group(4), FiniteSet("X", ["0", "1"]), act)
-        message = "action is not regular: 2 elements send '0' to '0'"
-        assert str(caught.value) == message
-
 
 class TestLabelBoundary:
-    """Labels are normalised and checked only by the public constructors; the
+    """Labels are normalised and checked only by the public constructor; the
     label fields are built from the integer tables."""
-
-    C2_ON_PQ = {("0", "p"): "p", ("0", "q"): "q", ("1", "p"): "q", ("1", "q"): "p"}
-
-    def test_action_key_outside_elements_and_points(self):
-        c2, points = cyclic_group(2), FiniteSet("X", ["p", "q"])
-        for key in [("zz", "q"), ("1", "w")]:
-            with pytest.raises(ValueError) as caught:
-                GroupAction(c2, points, {**self.C2_ON_PQ, key: "p"})
-            assert str(caught.value) == f"action key {key!r} is not an (element, point) pair"
-
-    def test_action_key_checked_last(self):
-        act = {k: v for k, v in self.C2_ON_PQ.items() if k != ("1", "q")}
-        with pytest.raises(ValueError) as caught:
-            GroupAction(cyclic_group(2), FiniteSet("X", ["p", "q"]), {**act, ("zz", "q"): "p"})
-        assert str(caught.value) == "action is not total at ('1','q')"
-
-    def test_act_is_the_normalised_input(self):
-        act = {(int(g), x): y for (g, x), y in self.C2_ON_PQ.items()}
-        action = GroupAction(cyclic_group(2), FiniteSet("X", ["p", "q"]), act)
-        assert {(g, x): action.apply(g, x) for g, x in self.C2_ON_PQ} == self.C2_ON_PQ
 
     def test_product_iterates_in_element_order(self):
         g = cyclic_group(3)
@@ -621,15 +618,19 @@ class TestTableEquality:
         assert len(set(tables)) == len({(t.elements, t.identity, t._rows) for t in tables})
 
     def test_actions_compare_by_their_tables(self):
-        g = dicyclic_group(3)
-        action = extract_group(extend_to_groupoid(gen_group_action_spine(g, 2)), "1")
-        points = action.carrier.elements
-        act = {(h, x): action.apply(h, x) for h in action.group.elements for x in points}
-        again = GroupAction(action.group, action.carrier, act)
+        ext = extend_to_groupoid(gen_group_action_spine(dicyclic_group(3), 2))
+        action, again = extract_group(ext, "1"), extract_group(ext, "1")
+        assert again is not action
         assert again == action and hash(again) == hash(action)
         assert repr(action) == f"GroupAction(group={action.group!r}, carrier={action.carrier!r})"
-        moved = GroupAction(action.group, FiniteSet("X", points), act)
+        family = ext.extended.morphisms[("1", "1")]
+        points = action.carrier.elements
+        assert all(action.apply(f.graph_key(), x) == f(x) for f in family for x in points)
+        moved = extract_group(ext, "2")
+        assert moved.group == action.group and moved._table == action._table
         assert moved != action  # another carrier name
+        with pytest.raises(TypeError):  # no constructor: only extraction builds one
+            GroupAction(action.group, action.carrier, action._table)
 
 
 class TestSharedTable:

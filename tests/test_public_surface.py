@@ -6,8 +6,9 @@ from types import ModuleType
 
 import spinekit
 from spinekit.catalog import cyclic_group
-from spinekit.groups import GroupAction
-from spinekit.model import FiniteSet
+from spinekit.extension import extend_to_groupoid
+from spinekit.generators import gen_group_action_spine
+from spinekit.groups import extract_group
 
 PUBLIC = set(
     # catalog, cosets, document
@@ -41,7 +42,7 @@ GROUP_ACTION = {"group", "carrier", "apply"}
 
 def test_group_attributes():
     g = cyclic_group(3)
-    action = GroupAction(g, FiniteSet("X", g.elements), g.product)
+    action = extract_group(extend_to_groupoid(gen_group_action_spine(g, 1)), "1")
     public = lambda x: {n for n in dir(x) if not n.startswith("_")}
     assert public(g) == GROUP_TABLE
     assert public(action) == GROUP_ACTION
