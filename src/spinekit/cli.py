@@ -157,7 +157,7 @@ def cmd_extract(args) -> int:
 
 
 def _parse_set(text: str) -> list[tuple[str, ...]]:
-    return [(x,) for x in text.split(",") if x != ""]
+    return [(x,) for x in text.split(",")]
 
 
 def cmd_coset(args) -> int:

@@ -185,27 +185,30 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
     return GroupoidSpine(spine.objects, spine.sets, pairs, morphisms)
 
 
-def _close_to_groupoid(
-    spine: GroupoidSpine, budget: int = _CLOSURE_BUDGET
-) -> tuple[GroupoidSpine, int, dict[tuple[str, str], list[Indexed]], set[Indexed]]:
-    """Compute the groupoid generated by all morphisms of a spine in which
-    every increasing pair is present.
+def _close_to_groupoid(spine: GroupoidSpine) -> tuple[ExtensionResult, set[Indexed]]:
+    """Extend a spine in which every increasing pair is present to the
+    groupoid all its morphisms generate, and return the extension with the
+    vertex group G at o0 it built. There is no regularity gate and no
+    theorem assertion: on any such spine the generated groupoid is well
+    defined, and the report of added maps compares it honestly with the
+    input pairs.
 
     A connected groupoid is one vertex group carried along a tree: t_i is the
     least map of Mor(o0, i) by graph key, o0 the first object (t_o0 = id).
     The loops t_i, f, t_j^-1 at o0 of the inputs f: i -> j span the vertex
     group G (`_span_loops`); then Mor(i, j) = t_i^-1, G, t_j, so an input
     family with |G| distinct maps is already all of it and keeps its maps.
-    Returns the closed spine (pairs = I x I, morphism lists sorted by graph
-    key), 1 + the number of loops adjoined, with pairs scanned in canonical
-    order and maps in graph-key order, each input family's indexed forms
-    in that order, and G. Every other family is built of `indexed_map`s,
-    ordered by graph key computed from their indexed forms: by `rank_keys`,
-    or, where a target label holds ",", by `graph_keys`, and then maps
-    whose keys tie go in the order of their forms, so the output does not
-    depend on the order a set of forms iterates in.
+    Any other input family gains the maps whose forms it does not hold.
+    The closed spine has pairs = I x I and morphism lists sorted by graph
+    key; `iterations` is 1 + the number of loops adjoined, with pairs
+    scanned in canonical order and maps in graph-key order. Every family
+    not kept is built of `indexed_map`s, ordered by graph key computed from
+    their indexed forms: by `rank_keys`, or, where a target label holds
+    ",", by `graph_keys`, and then maps whose keys tie go in the order of
+    their forms, so the output does not depend on the order a set of forms
+    iterates in.
     Raises TooLarge, before any output map is built, when G passes
-    budget // |I|^2 maps.
+    `_CLOSURE_BUDGET` // |I|^2 maps.
     """
     objs = spine.objects
     o0 = objs[0]
@@ -223,18 +226,18 @@ def _close_to_groupoid(
         ordered[(i, j)] = [forms[n] for n in order]
     tree = {o0: indexed_form(range(len(elems[o0])))}
     tree |= {o: ordered[(o0, o)][0] for o in objs[1:]}
-    limit = budget // len(objs) ** 2
+    limit = _CLOSURE_BUDGET // len(objs) ** 2
     span = _span_loops(tree, ordered.items(), limit)
     if span is None:
         raise TooLarge(
             f"closure too large: its vertex group passes {limit} maps, the most "
-            f"that {len(objs)} objects allow within {budget} output maps"
+            f"that {len(objs)} objects allow within {_CLOSURE_BUDGET} output maps"
         )
     group, gens = span
     back = {o: invert_indexed(t) for o, t in tree.items()}
     ahead = {o: indexed_form(t, table=True) for o, t in tree.items()}
 
-    morphisms = {}
+    morphisms, added = {}, {}
     for i in objs:
         from_i = [compose_indexed(back[i], g) for g in group]
         for j in objs:
@@ -247,41 +250,17 @@ def _close_to_groupoid(
             if key is None:  # graph keys may tie
                 maps.sort()
             maps.sort(key=key or graph_keys(elems[i], elems[j]))
-            morphisms[(i, j)] = tuple(
+            morphisms[(i, j)] = fams = tuple(
                 indexed_map(i, j, elems[i], elems[j], t) for t in maps
             )
+            if (i, j) in inputs:  # fewer than |G| distinct inputs: some are gained
+                added[(i, j)] = tuple(f for t, f in zip(maps, fams) if t not in kept)
     closed = GroupoidSpine(objs, spine.sets, list(morphisms), morphisms)
-    return closed, 1 + len(gens), ordered, group
-
-
-def _extend_unchecked(spine: GroupoidSpine) -> tuple[ExtensionResult, set[Indexed]]:
-    """Extension without the regularity gate or the theorem assertion, and
-    the vertex group at o0 that the closure built.
-
-    On non-regular input the generated groupoid is still well-defined and
-    the conservativity comparison against the original pairs stays honest.
-    """
-    closed, iterations, ordered, group = _close_to_groupoid(spine)
-    index = {o: element_index(s.elements) for o, s in spine.sets.items()}
-    added: dict[tuple[str, str], tuple[FiniteMap, ...]] = {}
-    for pair in spine.sorted_pairs():
-        i, j = pair
-        before = set(ordered[pair])
-        # the inputs lie in the closure, so as many distinct inputs as
-        # output maps (a family kept verbatim) leave nothing gained
-        if len(before) == len(closed.morphisms[pair]):
-            continue
-        src, tgt = spine.sets[i].elements, spine.sets[j].elements
-        gained = [
-            f for f in closed.morphisms[pair] if encode(f, src, tgt, index[j]) not in before
-        ]
-        if gained:
-            added[pair] = tuple(gained)
     result = ExtensionResult(
         extended=closed,
         conservative=not added,
         added_morphisms=added,
-        iterations=iterations,
+        iterations=1 + len(gens),
     )
     return result, group
 
@@ -302,7 +281,7 @@ def extend_to_groupoid(spine: GroupoidSpine) -> ExtensionResult:
 
 def _extend_regular(spine: GroupoidSpine) -> ExtensionResult:
     """`extend_to_groupoid` on a spine already found valid and regular."""
-    result, group = _extend_unchecked(spine)
+    result, group = _close_to_groupoid(spine)
     if len(spine.objects) >= 3:
         if not result.conservative:
             raise TheoremViolation(

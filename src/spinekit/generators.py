@@ -24,10 +24,9 @@ from .model import (
     FiniteSet,
     GroupoidSpine,
     Indexed,
-    compose_indexed,
+    _span_loops,
     indexed_form,
     indexed_map,
-    invert_indexed,
     validate_spine,
 )
 
@@ -104,15 +103,15 @@ def gen_affine_config(p: int) -> GroupoidSpine:
 
 
 def _xyz_closed(rows: Sequence[Indexed]) -> bool:
-    """Whether x . y^-1 . z lies in the family for all rows x, y, z."""
-    fam = set(rows)
-    for x in fam:
-        for y in fam:
-            xi = compose_indexed(invert_indexed(y), x)
-            for z in fam:
-                if compose_indexed(z, xi) not in fam:
-                    return False
-    return True
+    """Whether x . y^-1 . z lies in the family for all rows x, y, z: iff the
+    rows form a coset of a permutation group, iff the loops f, r_0^-1 (each
+    row f, then the first row's inverse) span a group of only as many maps
+    as there are distinct rows. The loops are that many distinct maps and
+    hold the identity, so they span no more iff they are a group H, and
+    then the rows are H, r_0. The span stops once it passes that size. A
+    triple loop over the rows is the test oracle."""
+    identity = indexed_form(range(len(rows[0])))
+    return _span_loops({0: identity, 1: rows[0]}, [((0, 1), rows)], len(set(rows))) is not None
 
 
 def _random_latin_square(n: int, rng: random.Random) -> list[Indexed]:

@@ -53,6 +53,7 @@ EXTRACT_CLOSURE = [
 INDEXED_CORE = ["tests/test_properties.py::test_indexed_forms_match_maps_and_the_tuple_path"]
 HASH_SEEDS = ["tests/test_cli.py::TestHashSeeds"]
 RANK_KEYS = "tests/test_model.py::TestRankKeys::"
+LATIN_CENSUS = ["tests/test_generators.py::TestLatinCensus::test_generator_closure_matches_oracle"]
 
 MUTANTS = [
     # the group closure stops after the first coset of a new generator; this
@@ -125,6 +126,19 @@ MUTANTS = [
         "compose_indexed(back[i], g) for g in group",
         "compose_indexed(g, back[i]) for g in group",
         CLOSURE,
+    ),
+    # an input family's added maps taken as the maps it kept, not the maps
+    # it gained
+    ("extension.py", "if t not in kept", "if t in kept", CLOSURE),
+    # a Latin family's span capped one map short of its rows: every coset
+    # reads as a non-coset. (One map past them cannot be caught: the loops
+    # of a Latin family span a transitive group on n points, whose order is
+    # a multiple of n, so never n + 1.)
+    (
+        "generators.py",
+        "[((0, 1), rows)], len(set(rows)))",
+        "[((0, 1), rows)], len(set(rows)) - 1)",
+        LATIN_CENSUS,
     ),
     # regularity read off G without the orbit check: V4 = <(p q), (r s)> on
     # four points has |G| = |X| but two orbits

@@ -345,6 +345,18 @@ class TestCosetAndPartition:
         code, _, err = run(capsys, "coset", "Z6", "--set", "0,9")
         assert code == 2 and err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coset", "Z6", "--set", ",0"],
+            ["coset", "Z6", "--set", ""],
+            ["partition", "Z6", "--sets", ",", "0"],
+        ],
+        ids=["leading-comma", "empty-set", "empty-member"],
+    )
+    def test_empty_entry_is_not_an_element(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", "error: '' is not a group element\n")
+
     def test_coset_group_file(self, capsys, tmp_path):
         path = tmp_path / "group.json"
         path.write_text(serialize_group(cyclic_group(4)))

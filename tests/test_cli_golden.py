@@ -127,6 +127,8 @@ CASES = dict(
         ("coset-z6-false", ["coset", "Z6", "--set", "0,1,3"]),
         ("coset-s3-true", ["coset", "S3", "--set", "012,102"]),
         ("coset-s3-false", ["coset", "S3", "--set", "012,120,021"]),
+        # an empty entry is the label "", which no group element has
+        ("coset-z6-empty-entry", ["coset", "Z6", "--set", ",0"]),
         ("partition-z6-pass", ["partition", "Z6", "--sets", "0,3", "1,4", "2,5"]),
         ("partition-z6-fail", ["partition", "Z6", "--sets", "0,1,3", "1,2,4"]),
         ("partition-s3-pass", ["partition", "S3", "--sets", "012,120,201", "021,102,210"]),
@@ -203,6 +205,12 @@ GOLDEN: dict[str, tuple[int, str, str, str | None]] = {
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "35fe2a074ade4ed92a1fee938a96e3e07152309bfef91a56018ab4ccffeff91e",
+        None,
+    ),
+    "coset-z6-empty-entry": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2280d10de00ba6ba365872e5083812ba1d35460758ae327c15d854c7262d4c38",
         None,
     ),
     "coset-z6-false": (

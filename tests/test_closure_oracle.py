@@ -37,7 +37,6 @@ from spinekit.catalog import cyclic_group, symmetric_group
 from spinekit.document import serialize_spine
 from spinekit.extension import (
     _close_to_groupoid,
-    _extend_unchecked,
     _regularity,
     _regularity_unchecked,
     extend_to_groupoid,
@@ -190,7 +189,7 @@ def test_group_action_spines(group, objects, data):
 @settings(max_examples=10, deadline=None)
 def test_all_bijection_spines(points, objects):
     spine = all_bijections_spine(points, objects)
-    assert_matches_oracle(spine, _extend_unchecked(spine)[0])
+    assert_matches_oracle(spine, _close_to_groupoid(spine)[0])
 
 
 def check_non_coset_latin(order: int, seed: int) -> None:
@@ -226,7 +225,7 @@ def test_complete_families_keep_their_own_maps():
     spine = gen_group_action_spine(symmetric_group(3), 3)
     full = extend_to_groupoid(spine).extended
     for source in (spine, full):
-        closed, *_ = _close_to_groupoid(source)
+        closed = _close_to_groupoid(source)[0].extended
         for pair, fams in source.morphisms.items():
             own = sorted(fams, key=FiniteMap.graph_key)
             kept = closed.morphisms[pair]
@@ -240,16 +239,17 @@ def test_repeated_map_in_a_family():
     for family in [(s0, s1, s1), (s0, s1, s2, s1)]:
         morphisms = dict(base.morphisms) | {("1", "2"): family}
         spine = GroupoidSpine(base.objects, base.sets, base.pairs, morphisms)
-        result, _ = _extend_unchecked(spine)
+        result, _ = _close_to_groupoid(spine)
         assert_matches_oracle(spine, result)
         for fams in result.extended.morphisms.values():
             assert len({f.graph for f in fams}) == len(fams) == 3
 
 
 def decode_and_sort_closure(spine: GroupoidSpine):
-    """(closed morphisms, iterations, added maps per input pair) as
-    `extension._extend_unchecked` computed them before the closure kept
-    its output indexed."""
+    """(closed morphisms, iterations, added maps per input pair) of the
+    closure, computed on tuple forms: every output map decoded to a
+    `FiniteMap` and sorted by its graph-key string, and the added maps
+    found by comparing string graphs with the input family's."""
     objs = spine.objects
     o0 = objs[0]
     elems = {o: spine.sets[o].elements for o in objs}
@@ -320,7 +320,7 @@ def hostile_spine(data) -> GroupoidSpine:
 @settings(max_examples=60, deadline=None)
 def test_closure_matches_decode_and_sort(data):
     spine = hostile_spine(data)
-    result, _ = _extend_unchecked(spine)
+    result, _ = _close_to_groupoid(spine)
     assert_closure_regularity(spine, result)
     morphisms, iterations, added = decode_and_sort_closure(spine)
     closed = result.extended

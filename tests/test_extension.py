@@ -18,13 +18,13 @@ from conftest import (
     symmetric_closure_oracle,
     trivial_spine,
 )
+from spinekit import extension
 from spinekit.catalog import catalog, cyclic_group
 from spinekit.document import load_spine, serialize_spine
 from spinekit.errors import InvalidSpine, NotRegular, SearchExhausted, TooLarge
 from spinekit.extension import (
     _CLOSURE_BUDGET,
     _close_to_groupoid,
-    _extend_unchecked,
     _regularity,
     _regularity_unchecked,
     _sharply_transitive,
@@ -249,7 +249,7 @@ class TestSymmetricNonRegular:
         spine = all_bijections_spine(points=3, objects=3)
         assert validate_spine(spine).ok
         assert not check_regularity(spine).regular
-        result, _ = _extend_unchecked(spine)
+        result, _ = _close_to_groupoid(spine)
         assert result.conservative
         ext = result.extended
         assert validate_spine(ext).ok
@@ -315,8 +315,8 @@ def permutation_groupoid(gens, objects: int, trees=None) -> GroupoidSpine:
 
 
 class TestClosureBudget:
-    """The closure refuses a vertex group past budget // |I|^2 maps before
-    it builds any output map."""
+    """The closure refuses a vertex group past `_CLOSURE_BUDGET` // |I|^2
+    maps before it builds any output map."""
 
     @pytest.mark.parametrize(
         "spine, order",
@@ -328,13 +328,15 @@ class TestClosureBudget:
         ],
         ids=["Z6x3", "latin5"],
     )
-    def test_boundary(self, spine, order):
+    def test_boundary(self, spine, order, monkeypatch):
         objects = len(spine.objects)
         budget = order * objects**2  # a limit of exactly |G|
         for exact in (budget, budget + objects**2 - 1):
-            assert len(_close_to_groupoid(spine, exact)[3]) == order
+            monkeypatch.setattr(extension, "_CLOSURE_BUDGET", exact)
+            assert len(_close_to_groupoid(spine)[1]) == order
+        monkeypatch.setattr(extension, "_CLOSURE_BUDGET", budget - 1)  # |G| - 1
         with pytest.raises(TooLarge, match=f"passes {order - 1} maps"):
-            _close_to_groupoid(spine, budget - 1)  # a limit of |G| - 1
+            _close_to_groupoid(spine)
 
     def test_default_admits_the_soft_targets(self):
         assert _CLOSURE_BUDGET // 8**2 == 4096  # maps per pair on 8 objects

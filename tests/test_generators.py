@@ -41,7 +41,7 @@ from spinekit.generators import (
     perturb_spine,
 )
 from spinekit.groups import extract_group
-from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine, validate_spine
+from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine, indexed_form, validate_spine
 
 
 class TestGroupActionSpine:
@@ -311,7 +311,8 @@ class TestLatinCensus:
         for fam in self.enumerate_first_row_id(order):
             moved = {tuple(shift[y] for y in row) for row in fam}
             for rows in (fam, moved):
-                assert _xyz_closed(sorted(rows)) == self.rows_xyz_closed(rows)
+                forms = [indexed_form(row) for row in sorted(rows)]
+                assert _xyz_closed(forms) == self.rows_xyz_closed(rows)
 
     def test_min_order_constant(self):
         assert MIN_NON_COSET_ORDER == 5
