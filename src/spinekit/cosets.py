@@ -197,10 +197,13 @@ class PartitionReport:
 
 
 def partition_check(family: Sequence[Iterable[GTuple]]) -> PartitionReport:
-    """Whether every pair of member sets is equal or disjoint."""
+    """Whether every pair of member sets is equal or disjoint. Raises
+    EmptySet on an empty family or an empty member."""
     if not family:
         raise EmptySet("partition check needs a non-empty family")
     sets = [frozenset(tuple(str(c) for c in x) for x in member) for member in family]
+    if any(not m for m in sets):
+        raise EmptySet("family members must be non-empty")
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             if sets[i] != sets[j]:

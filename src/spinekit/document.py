@@ -311,7 +311,7 @@ def parse_document(text: str | bytes) -> GroupoidSpine:
 _GROUP_KEYS = {"format_version", "elements", "identity", "product", "inverse", "meta"}
 
 
-def serialize_group(table: GroupTable, meta: Optional[dict] = None) -> str:
+def serialize_group(table: GroupTable) -> str:
     elems = table.elements
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
@@ -324,8 +324,6 @@ def serialize_group(table: GroupTable, meta: Optional[dict] = None) -> str:
         },
         "inverse": {a: elems[b] for a, b in zip(elems, table._inv)},
     }
-    if meta is not None:
-        doc["meta"] = meta
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 

@@ -23,11 +23,10 @@ from .model import (
     compose_indexed,
     element_index,
     encode,
-    graph_keys,
     indexed_form,
     indexed_map,
     invert_indexed,
-    rank_keys,
+    sorted_forms,
     validate_spine,
 )
 
@@ -159,11 +158,9 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
     """Enlarge the pair relation to its symmetric closure.
 
     Each added pair (j, i) carries exactly the inverses of Mor(i, j), as
-    `indexed_map`s ordered by graph key (by `rank_keys` unless a label of
-    X_i holds ","); maps whose graph keys tie (possible only then) keep
-    the order of Mor(i, j). Pairs already present keep their morphism
-    lists verbatim. Requires a valid regular spine (regularity is what
-    makes the result closed under composition).
+    `indexed_map`s in graph-key order (`sorted_forms`). Pairs already
+    present keep their morphism lists verbatim. Requires a valid regular
+    spine (regularity is what makes the result closed under composition).
     """
     _valid_regular(spine)
     if all((j, i) in spine.pairs for i, j in spine.pairs):
@@ -178,9 +175,9 @@ def symmetric_closure(spine: GroupoidSpine) -> GroupoidSpine:
         pairs.add((j, i))
         fams = spine.morphisms[(i, j)]
         forms = [invert_indexed(encode(f, elems[i], elems[j], index[j])) for f in fams]
-        forms.sort(key=rank_keys(elems[j], elems[i]) or graph_keys(elems[j], elems[i]))
         morphisms[(j, i)] = tuple(
-            indexed_map(j, i, elems[j], elems[i], t) for t in forms
+            indexed_map(j, i, elems[j], elems[i], t)
+            for t in sorted_forms(forms, elems[j], elems[i])
         )
     return GroupoidSpine(spine.objects, spine.sets, pairs, morphisms)
 
@@ -193,20 +190,19 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[ExtensionResult, set[Index
     defined, and the report of added maps compares it honestly with the
     input pairs.
 
-    A connected groupoid is one vertex group carried along a tree: t_i is the
-    least map of Mor(o0, i) by graph key, o0 the first object (t_o0 = id).
+    The closure works on indexed forms only: each input family is its set
+    of forms in graph-key order (`sorted_forms`), the one order of every
+    output family too, so the output depends only on the input's sets of
+    maps. A connected groupoid is one vertex group carried along a tree:
+    t_i is the first form of Mor(o0, i), o0 the first object (t_o0 = id).
     The loops t_i, f, t_j^-1 at o0 of the inputs f: i -> j span the vertex
     group G (`_span_loops`); then Mor(i, j) = t_i^-1, G, t_j, so an input
-    family with |G| distinct maps is already all of it and keeps its maps.
-    Any other input family gains the maps whose forms it does not hold.
-    The closed spine has pairs = I x I and morphism lists sorted by graph
-    key; `iterations` is 1 + the number of loops adjoined, with pairs
-    scanned in canonical order and maps in graph-key order. Every family
-    not kept is built of `indexed_map`s, ordered by graph key computed from
-    their indexed forms: by `rank_keys`, or, where a target label holds
-    ",", by `graph_keys`, and then maps whose keys tie go in the order of
-    their forms, so the output does not depend on the order a set of forms
-    iterates in.
+    family of |G| distinct forms is already all of it and is written as it
+    is. Every other family is built from G, and an input family among them
+    gains the maps whose forms it does not hold. The closed spine has
+    pairs = I x I and every family of `indexed_map`s; `iterations` is 1 +
+    the number of loops adjoined, with pairs scanned in canonical order and
+    forms in graph-key order.
     Raises TooLarge, before any output map is built, when G passes
     `_CLOSURE_BUDGET` // |I|^2 maps.
     """
@@ -215,15 +211,10 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[ExtensionResult, set[Index
     elems = {o: spine.sets[o].elements for o in objs}
     index = {o: element_index(elems[o]) for o in objs}
 
-    inputs, ordered = {}, {}
+    ordered = {}
     for i, j in spine.sorted_pairs():
-        fams = spine.morphisms[(i, j)]
-        forms = [encode(f, elems[i], elems[j], index[j]) for f in fams]
-        key = rank_keys(elems[i], elems[j]) or graph_keys(elems[i], elems[j])
-        keys = list(map(key, forms))
-        order = sorted(range(len(forms)), key=keys.__getitem__)
-        inputs[(i, j)] = [fams[n] for n in order]
-        ordered[(i, j)] = [forms[n] for n in order]
+        forms = {encode(f, elems[i], elems[j], index[j]) for f in spine.morphisms[(i, j)]}
+        ordered[(i, j)] = sorted_forms(forms, elems[i], elems[j])
     tree = {o0: indexed_form(range(len(elems[o0])))}
     tree |= {o: ordered[(o0, o)][0] for o in objs[1:]}
     limit = _CLOSURE_BUDGET // len(objs) ** 2
@@ -241,20 +232,16 @@ def _close_to_groupoid(spine: GroupoidSpine) -> tuple[ExtensionResult, set[Index
     for i in objs:
         from_i = [compose_indexed(back[i], g) for g in group]
         for j in objs:
-            kept = dict(zip(ordered.get((i, j), ()), inputs.get((i, j), ())))
-            if len(kept) == len(group):
-                morphisms[(i, j)] = tuple(kept.values())
-                continue
-            maps = [compose_indexed(h, ahead[j]) for h in from_i]
-            key = rank_keys(elems[i], elems[j])
-            if key is None:  # graph keys may tie
-                maps.sort()
-            maps.sort(key=key or graph_keys(elems[i], elems[j]))
+            maps = held = ordered.get((i, j), ())
+            if len(held) < len(group):  # not yet all of Mor(i, j): built from G
+                built = [compose_indexed(h, ahead[j]) for h in from_i]
+                maps = sorted_forms(built, elems[i], elems[j])
             morphisms[(i, j)] = fams = tuple(
                 indexed_map(i, j, elems[i], elems[j], t) for t in maps
             )
-            if (i, j) in inputs:  # fewer than |G| distinct inputs: some are gained
-                added[(i, j)] = tuple(f for t, f in zip(maps, fams) if t not in kept)
+            if (i, j) in ordered and maps is not held:  # some inputs are gained
+                held = set(held)
+                added[(i, j)] = tuple(f for t, f in zip(maps, fams) if t not in held)
     closed = GroupoidSpine(objs, spine.sets, list(morphisms), morphisms)
     result = ExtensionResult(
         extended=closed,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .catalog import cyclic_group, klein_group
 from .errors import InvalidSpine, NotPrime, SearchExhausted, TooLarge
-from .extension import _CLOSURE_BUDGET
+from .extension import _CLOSURE_BUDGET, _regularity_unchecked
 from .groups import GroupTable
 from .model import (
     FiniteMap,
@@ -231,8 +231,6 @@ def perturb_spine(spine: GroupoidSpine, seed: int = 0) -> GroupoidSpine:
     first, being cheaper) or validation; the seeded choice is redrawn
     (deterministically) when a mutant of an irregular spine fails neither.
     """
-    from .extension import _regularity_unchecked
-
     report = validate_spine(spine)
     if not report.ok:
         raise InvalidSpine(report)

@@ -33,6 +33,7 @@ from .model import (
     graph_keys,
     indexed_form,
     invert_indexed,
+    sorted_forms,
 )
 
 
@@ -201,8 +202,9 @@ def extract_group(ext: ExtensionResult, obj: str) -> GroupAction:
     """Realize the diagonal morphism family at one object as a concrete
     group with its regular action on that object's carrier.
 
-    Elements are the canonical graph keys of the diagonal maps; the product
-    of two keys is the key of the composite (right factor applied first).
+    Elements are the canonical graph keys of the diagonal maps, listed in
+    graph-key order (`model.sorted_forms`); the product of two keys is the
+    key of the composite (right factor applied first).
     Raises UnknownObject first; then ValueError when the diagonal family
     lacks the identity; then NotRegular, with the extended spine's
     regularity report, when the family does not act regularly (on a closure
@@ -246,18 +248,17 @@ def _diagonal_action(spine: GroupoidSpine, obj: str) -> GroupAction:
     elems = carrier.elements
     index = element_index(elems)
     family = spine.morphisms[(obj, obj)]
-    graph_key = graph_keys(elems, elems)
-    key_of = {t: graph_key(t) for t in (encode(f, elems, elems, index) for f in family)}
-    forms = sorted(key_of, key=key_of.__getitem__)  # label order: the group's element order
+    # label order: the group's element order
+    forms = sorted_forms({encode(f, elems, elems, index) for f in family}, elems, elems)
     identity = indexed_form(range(len(elems)))
-    if identity not in key_of:
+    if identity not in forms:
         raise ValueError("the permutations lack the identity")
     orbit = indexed_form([t[0] for t in forms])
     if not len(set(orbit)) == len(forms) == len(elems):
         raise NotRegular(_regularity_unchecked(spine))
     at = invert_indexed(orbit)
     rows = tuple(compose_indexed(compose_indexed(orbit, g), at) for g in forms)
-    labels = tuple(map(key_of.__getitem__, forms))
+    labels = tuple(map(graph_keys(elems, elems), forms))
     try:
         group = object.__new__(GroupTable)._check(labels, forms.index(identity), rows)
     except ValueError:

@@ -203,6 +203,19 @@ def rank_keys(src: Sequence[str], tgt: Sequence[str]) -> Callable[[Indexed], Ind
     return lambda t: compose_indexed(compose_indexed(order, t), rank)
 
 
+def sorted_forms(forms: Iterable[Indexed], src: Sequence[str], tgt: Sequence[str]) -> list:
+    """The indexed forms of bijections between the element orders src and
+    tgt in graph-key order, the one order every family and every extracted
+    group is listed in: by `rank_keys`, or, where a target label holds ",",
+    by `graph_keys`, with forms whose keys tie in the order of the forms.
+    So the order depends only on which forms there are, not on the order
+    they come in."""
+    key = rank_keys(src, tgt)
+    if key is None:  # graph keys may tie
+        forms, key = sorted(forms), graph_keys(src, tgt)
+    return sorted(forms, key=key)
+
+
 def compose_indexed(f: Indexed, g: Indexed) -> Indexed:
     """The indexed map x -> g[f[x]]: apply f first, then g, as forms of
     bijections between carriers of one size. On bytes this is one
@@ -251,7 +264,7 @@ def adjoin(group: set, gens: list, s, mul: Callable, limit: float = inf) -> bool
     return len(group) <= limit
 
 
-def _span_loops(tree: dict, families: Iterable, limit: float = inf) -> tuple | None:
+def _span_loops(tree: dict, families: Iterable, limit: int) -> tuple | None:
     """(G, loops adjoined), G the group at o0 spanned, in scan order, by the
     loops t_i, f, t_j^-1 of each (pair (i, j), indexed maps f) of `families`;
     None once G passes `limit`. `tree` maps o0 first, to 1, then each i to

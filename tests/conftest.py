@@ -14,10 +14,18 @@ from __future__ import annotations
 from itertools import permutations, product as iproduct
 
 import pytest
+from hypothesis import Phase, settings
 
 from spinekit.catalog import catalog
 from spinekit.groups import GroupTable, tabulate
 from spinekit.model import FiniteMap, FiniteSet, GroupoidSpine
+
+# The mutation gate (tests/mutants.py) runs every selection with this
+# profile. Hypothesis's explain phase only annotates a failure already found,
+# by replaying failing examples, which can take minutes on the closure tests.
+settings.register_profile(
+    "mutants", phases=[p for p in Phase if p is not Phase.explain]
+)
 
 
 def shift_map(src: str, tgt: str, n: int, t: int) -> FiniteMap:
@@ -119,12 +127,16 @@ def same_morphism_sets(a: GroupoidSpine, b: GroupoidSpine) -> bool:
 
 def symmetric_closure_oracle(spine: GroupoidSpine) -> GroupoidSpine:
     """The symmetric closure of a valid regular spine: each added family
-    (j, i) the inverses of Mor(i, j), stably sorted by graph key."""
+    (j, i) the inverses of Mor(i, j), sorted by graph key, and maps whose
+    keys tie by the positions of their images in X_i, taken in the order
+    of X_j."""
     morphisms = dict(spine.morphisms)
     for i, j in spine.sorted_pairs():
         if (j, i) not in morphisms:
+            src, tgt = spine.sets[j].elements, spine.sets[i].elements
+            key = lambda f: (f.graph_key(), [tgt.index(f(x)) for x in src])
             inverses = map(invert, spine.morphisms[(i, j)])
-            morphisms[(j, i)] = tuple(sorted(inverses, key=FiniteMap.graph_key))
+            morphisms[(j, i)] = tuple(sorted(inverses, key=key))
     return GroupoidSpine(spine.objects, spine.sets, morphisms, morphisms)
 
 

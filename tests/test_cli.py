@@ -701,3 +701,19 @@ class TestHashSeeds:
         assert texts[0] == texts[1]
         back = json.loads(texts[0])["morphisms"]["2|1"]
         assert back == [{"a": "c", "b": "c,b>c"}, {"a": "c,b>c", "b": "c"}]
+
+    def test_held_tied_family_does_not_depend_on_list_order(self, tmp_path, capsys):
+        # Mor(2, 1) holds both of its maps, so the closure writes it as it
+        # is held; its two maps tie on the graph key "a>c,b>c,b>c"
+        back = [{"a": "c", "b": "c,b>c"}, {"a": "c,b>c", "b": "c"}]
+        texts = []
+        for family in (back, back[::-1]):
+            doc = json.loads(self.TIES)
+            doc["pairs"].append(["2", "1"])
+            doc["morphisms"]["2|1"] = family
+            path, out = tmp_path / "ties.json", tmp_path / "closed.json"
+            path.write_text(json.dumps(doc))
+            assert run(capsys, "extend", str(path), "--out", str(out))[0] == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["morphisms"]["2|1"] == back

@@ -8,9 +8,9 @@ every map on every triple (i, j, k) until a round adds nothing. Its work
 grows with the square of the output, so the inputs here stay small.
 
 `decode_and_sort_closure` is the vertex-group closure as it was before its
-output maps kept their indexed forms: every new map decoded into a
-FiniteMap, every new family sorted by `FiniteMap.graph_key`, maps whose
-keys tie in the order of their forms.
+output maps kept their indexed forms: every map decoded into a FiniteMap,
+every family sorted by `FiniteMap.graph_key`, maps whose keys tie in the
+order of their forms.
 
 Both oracles read maps off their graphs into tuples of ints and compose
 and invert them with the tuple helpers of conftest, so neither shares the
@@ -229,7 +229,7 @@ def test_complete_families_keep_their_own_maps():
         for pair, fams in source.morphisms.items():
             own = sorted(fams, key=FiniteMap.graph_key)
             kept = closed.morphisms[pair]
-            assert len(kept) == len(own) and all(a is b for a, b in zip(kept, own))
+            assert len(kept) == len(own) and all(a == b for a, b in zip(kept, own))
 
 
 def test_repeated_map_in_a_family():
@@ -247,22 +247,20 @@ def test_repeated_map_in_a_family():
 
 def decode_and_sort_closure(spine: GroupoidSpine):
     """(closed morphisms, iterations, added maps per input pair) of the
-    closure, computed on tuple forms: every output map decoded to a
-    `FiniteMap` and sorted by its graph-key string, and the added maps
-    found by comparing string graphs with the input family's."""
+    closure, computed on tuple forms: every input and output map decoded
+    to a `FiniteMap` and sorted by its graph-key string, tied keys by
+    tuple form, and the added maps found by comparing string graphs with
+    the input family's."""
     objs = spine.objects
     o0 = objs[0]
     elems = {o: spine.sets[o].elements for o in objs}
     index = {o: element_index(elems[o]) for o in objs}
     identity = tuple(range(len(elems[o0])))
-    inputs = {
-        (i, j): sorted(spine.morphisms[(i, j)], key=FiniteMap.graph_key)
-        for i, j in spine.sorted_pairs()
-    }
-    ordered = {
-        (i, j): [tuple_form(f, elems[i], index[j]) for f in fams]
-        for (i, j), fams in inputs.items()
-    }
+    ordered = {}
+    for i, j in spine.sorted_pairs():
+        forms = {tuple_form(f, elems[i], index[j]) for f in spine.morphisms[(i, j)]}
+        key = lambda t: (decode(t, i, j, elems[i], elems[j]).graph_key(), t)
+        ordered[(i, j)] = sorted(forms, key=key)
     tree = {o0: identity} | {o: ordered[(o0, o)][0] for o in objs[1:]}
     back = {o: invert_tuple(t) for o, t in tree.items()}
     group, gens = {identity}, []
@@ -275,14 +273,11 @@ def decode_and_sort_closure(spine: GroupoidSpine):
     for i in objs:
         from_i = [compose_tuples(back[i], g) for g in group]
         for j in objs:
-            kept = dict(zip(ordered.get((i, j), ()), inputs.get((i, j), ())))
-            if len(kept) == len(group):
-                morphisms[(i, j)] = tuple(kept.values())
-                continue
-            maps = [
-                (decode(t, i, j, elems[i], elems[j]), t)
-                for t in (compose_tuples(h, tree[j]) for h in from_i)
-            ]
+            held = ordered.get((i, j), ())
+            forms = held if len(held) == len(group) else (
+                compose_tuples(h, tree[j]) for h in from_i
+            )
+            maps = [(decode(t, i, j, elems[i], elems[j]), t) for t in forms]
             maps.sort(key=lambda ft: (ft[0].graph_key(), ft[1]))
             morphisms[(i, j)] = tuple(f for f, _ in maps)
     added = {}

@@ -147,6 +147,10 @@ class TestPartitionCheck:
     def test_empty_family_rejected(self):
         with pytest.raises(EmptySet):
             partition_check([])
+        # an empty member too, as family_local_linearity rejects it: it
+        # would otherwise pass, being disjoint from every set
+        with pytest.raises(EmptySet, match="family members must be non-empty"):
+            partition_check([singles(0, 2, 4), []])
 
     def test_partition_iff_coset_for_all_z6_subsets(self):
         amb = z(6)

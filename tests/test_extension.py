@@ -125,12 +125,13 @@ class TestSymmetricClosure:
             want = serialize_spine(symmetric_closure_oracle(spine))
             assert serialize_spine(symmetric_closure(spine)) == want, name
 
-    def test_tied_graph_keys_keep_input_order(self):
+    def test_tied_graph_keys_go_in_form_order(self):
         # test_cli's TestHashSeeds document, with its family in both orders:
-        # the inverses of its two maps both have the graph key "a>c,b>c,b>c"
+        # the inverses of its two maps both have the graph key "a>c,b>c,b>c",
+        # and go in the order of their forms, (0, 1) before (1, 0)
         f, g = {"c": "a", "c,b>c": "b"}, {"c": "b", "c,b>c": "a"}
-        back = [{"a": "c", "b": "c,b>c"}, {"a": "c,b>c", "b": "c"}]
-        for family, want in [([f, g], back), ([g, f], back[::-1])]:
+        want = [{"a": "c", "b": "c,b>c"}, {"a": "c,b>c", "b": "c"}]
+        for family in [[f, g], [g, f]]:
             spine, _ = load_spine(json.dumps({
                 "format_version": 1, "objects": ["1", "2"],
                 "sets": {"1": ["c", "c,b>c"], "2": ["a", "b"]}, "pairs": [["1", "2"]],
